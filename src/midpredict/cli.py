@@ -13,14 +13,13 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import __version__
 from .gainmargin import design_chain, max_gain_margin, upper_bound_gamma
-from .margins import crossing_frequencies, stability_partition
+from .margins import stability_partition
 from .model import load_system
 from .simulate import DEMO_VARIANTS, SimConfig, integrate, run_demo_variant
 from .spectrum import Quasipolynomial, default_certification_rect, roots_in_region
@@ -196,9 +195,8 @@ def _cmd_spectrum(args):
 
 def _cmd_margins(args):
     part = stability_partition(args.n, args.delta_max)
-    cs = crossing_frequencies(part.gain)
     print("dimension %d, crossing frequencies:" % args.n)
-    for c in cs.crossings:
+    for c in part.crossings.crossings:
         print(
             "  w = %-10s arg %-10s direction %+d"
             % (_fmt(c.frequency), _fmt(c.argument), c.direction)
@@ -352,11 +350,8 @@ def _cmd_repro(args):
         )
         emit_plot_script("spectrum", path)
     elif figure == "d_vs_n":
-        n_values = list(range(1, args.n_max + 1))
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            parts = list(pool.map(stability_partition, n_values))
         rows = []
-        for part in parts:
+        for part in map(stability_partition, range(1, args.n_max + 1)):
             for (lo, hi), count in zip(part.intervals, part.unstable_counts):
                 rows.append((part.n, float(lo), float(hi), count))
         path = _write_csv(
@@ -381,8 +376,7 @@ def _cmd_repro(args):
         emit_plot_script("margin_bounds", path)
     elif figure in ("normError025", "normError050"):
         h = 0.25 if figure == "normError025" else 0.5
-        with ThreadPoolExecutor(max_workers=3) as pool:
-            traces = list(pool.map(lambda v: run_demo_variant(v, h), DEMO_VARIANTS))
+        traces = [run_demo_variant(v, h) for v in DEMO_VARIANTS]
         # variants run at different steps; resample onto the coarsest grid
         # (the steps divide each other exactly, all being h/(50 N))
         dt_common = max(tr.metadata["dt"] for tr in traces)

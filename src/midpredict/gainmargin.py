@@ -546,8 +546,9 @@ def upper_bound_gamma(n):
 def max_gain_margin(n, tol=None, budget_iters=1200, eps=None):
     """Bisection bracket for the certified gain margin at unit delay.
 
-    tol is the absolute bisection resolution; by default it scales with the
-    analytic upper bound so small-margin dimensions still resolve. The
+    tol is the absolute bisection resolution, finite and positive; by default
+    it scales with the analytic upper bound so small-margin dimensions still
+    resolve, and the bisection also stops at float resolution. The
     strictness margin likewise shrinks with the expected slope magnitude:
     certificates for higher dimensions are intrinsically ill-conditioned
     (the attainable interior slack falls roughly with the square of the
@@ -562,6 +563,8 @@ def max_gain_margin(n, tol=None, budget_iters=1200, eps=None):
     upper = gain.l[-1]
     if tol is None:
         tol = 1e-3 * upper
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError("tol must be finite and positive")
     if eps is None:
         eps = min(1e-6, max(1e-2 * upper ** 2, 1e-11))
     ok, cert = lmi_feasible(n, gain, 1.0, 0.0, eps=eps, budget_iters=budget_iters)
@@ -572,6 +575,8 @@ def max_gain_margin(n, tol=None, budget_iters=1200, eps=None):
     best = cert
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:  # adjacent floats: tol is below the resolution
+            break
         ok, result = lmi_feasible(
             n, gain, 1.0, mid, eps=eps, warm_start=[best, base], budget_iters=budget_iters
         )

@@ -18,14 +18,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
-from .polynomials import (
-    RealPolynomial,
-    count_real_roots_above,
-    count_real_roots_between,
-    unstable_root_count,
-)
+from .polynomials import RealPolynomial, SturmChain, unstable_root_count
 from .spectrum import Quasipolynomial, qp_deriv, qp_eval
 from .synthesis import GainVector, delay_free_poly, gain_star
 
@@ -41,6 +34,10 @@ __all__ = [
     "partition_for_gain",
     "hurwitz_check",
 ]
+
+
+# crossing delays crossing_points may walk before it refuses a delta_max
+MAX_CROSSING_POINTS = 10_000
 
 
 class DegenerateCrossingError(RuntimeError):
@@ -74,7 +71,8 @@ class StabilityPartition:
 
     crossing_points starts with 0; interval k spans
     (crossing_points[k], crossing_points[k+1]) and the final interval runs
-    to delta_max. unstable_counts has one entry per interval.
+    to delta_max. unstable_counts has one entry per interval; crossings is
+    the CrossingSet the partition was built from.
     """
 
     n: int
@@ -82,6 +80,7 @@ class StabilityPartition:
     crossing_points: tuple
     unstable_counts: tuple
     delta_max: float
+    crossings: CrossingSet
 
     @property
     def intervals(self):
@@ -149,31 +148,40 @@ def crossing_polynomial(gain):
 
 
 def _isolate_positive_roots(coeffs):
-    """Disjoint rational intervals, one distinct positive root each."""
-    poly = RealPolynomial(tuple(float(c) for c in coeffs))
-    total = count_real_roots_above(poly, 0)
+    """Disjoint rational intervals, one distinct positive root each.
+
+    Counts run on one Sturm chain of the exact coefficients; the float
+    polynomial returned with each interval is only for polishing.
+    """
+    chain = SturmChain(coeffs)
+    v_zero, v_inf = chain.variations(0), chain.variations(math.inf)
+    total = v_zero - v_inf
     if total == 0:
         return []
     bound = Fraction(2) * max(abs(c) for c in coeffs) / abs(coeffs[-1])
     bound = max(bound, Fraction(1))
-    if count_real_roots_between(poly, 0, bound) != total:
+    v_bound = chain.variations(bound)
+    if v_zero - v_bound != total:
         bound *= 4
-        if count_real_roots_between(poly, 0, bound) != total:
+        v_bound = chain.variations(bound)
+        if v_zero - v_bound != total:
             raise RuntimeError("positive root bound failed")
     intervals = []
-    stack = [(Fraction(0), bound, total)]
+    stack = [(Fraction(0), bound, v_zero, v_bound)]
     while stack:
-        lo, hi, k = stack.pop()
+        lo, hi, v_lo, v_hi = stack.pop()
+        k = v_lo - v_hi
         if k == 0:
             continue
         if k == 1 and (hi - lo) < Fraction(1, 1000) * max(1, hi):
             intervals.append((lo, hi))
             continue
         mid = (lo + hi) / 2
-        left = count_real_roots_between(poly, lo, mid)
-        stack.append((lo, mid, left))
-        stack.append((mid, hi, k - left))
+        v_mid = chain.variations(mid)
+        stack.append((lo, mid, v_lo, v_mid))
+        stack.append((mid, hi, v_mid, v_hi))
     intervals.sort()
+    poly = RealPolynomial(tuple(float(c) for c in coeffs))
     return [(float(lo), float(hi), poly) for lo, hi in intervals]
 
 
@@ -263,12 +271,23 @@ def crossing_points(crossing_set, delta_max):
     """All delays up to delta_max where some root pair sits on the axis.
 
     Returns (delta, frequency) pairs merged across frequencies, ascending.
+    Raises ValueError for a delta_max that is not finite and positive, or
+    one that reaches more than MAX_CROSSING_POINTS crossing delays.
     """
-    if delta_max <= 0:
-        raise ValueError("delta_max must be positive")
+    if not (math.isfinite(delta_max) and delta_max > 0):
+        raise ValueError("delta_max must be finite and positive")
+    starts = [c.argument if c.argument > 0 else 2 * math.pi for c in crossing_set.crossings]
+    total = sum(
+        max(0, math.floor((delta_max * c.frequency - start) / (2 * math.pi)) + 1)
+        for c, start in zip(crossing_set.crossings, starts)
+    )
+    if total > MAX_CROSSING_POINTS:
+        raise ValueError(
+            "delta_max %g reaches about %d crossing delays (budget %d)"
+            % (delta_max, total, MAX_CROSSING_POINTS)
+        )
     out = []
-    for c in crossing_set.crossings:
-        start = c.argument if c.argument > 0 else 2 * math.pi
+    for c, start in zip(crossing_set.crossings, starts):
         k = 0
         while True:
             delta = (start + 2 * math.pi * k) / c.frequency
@@ -313,6 +332,7 @@ def partition_for_gain(gain, delta_max=None):
         crossing_points=tuple(boundaries),
         unstable_counts=tuple(counts),
         delta_max=float(delta_max),
+        crossings=cs,
     )
 
 
@@ -323,43 +343,15 @@ def stability_partition(n, delta_max=None):
     return partition_for_gain(gain_star(n), delta_max)
 
 
-def _routh_verdict(coeffs_desc):
-    eps_scale = max(abs(c) for c in coeffs_desc)
-    n = len(coeffs_desc) - 1
-    rows = [list(coeffs_desc[0::2]), list(coeffs_desc[1::2])]
-    width = len(rows[0])
-    rows[1] += [0.0] * (width - len(rows[1]))
-    first_col = [rows[0][0], rows[1][0]] if n >= 1 else [rows[0][0]]
-    for _ in range(n - 1):
-        a, b = rows[-2], rows[-1]
-        pivot = b[0]
-        if pivot == 0.0:
-            pivot = 1e-30 * eps_scale
-        new = []
-        for j in range(width - 1):
-            a_next = a[j + 1] if j + 1 < len(a) else 0.0
-            b_next = b[j + 1] if j + 1 < len(b) else 0.0
-            new.append((pivot * a_next - a[0] * b_next) / pivot)
-        new.append(0.0)
-        rows.append(new)
-        first_col.append(new[0])
-    signs = [v for v in first_col if v != 0.0]
-    return all(v > 0 for v in signs) if signs else False
-
-
 def hurwitz_check(p):
     """True iff every root of p lies strictly in the open left half-plane.
 
-    Runs the Routh array and cross-checks against companion eigenvalues;
-    the eigenvalue verdict wins if a degenerate pivot made the array
-    unreliable.
+    Exact Routh count over the rationals. A Hurwitz polynomial never meets a
+    zero pivot, so one means p is not Hurwitz.
     """
-    coeffs = list(reversed(p.coeffs))
-    if coeffs[0] <= 0:
+    if p.coeffs[-1] <= 0:
         raise ValueError("leading coefficient must be positive")
-    if len(coeffs) == 1:
-        return True
-    routh = _routh_verdict(coeffs)
-    roots = np.roots(coeffs)
-    eig = bool(np.all(roots.real < 0))
-    return eig if routh != eig else routh
+    try:
+        return unstable_root_count(p) == 0
+    except ValueError:
+        return False

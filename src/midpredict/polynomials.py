@@ -1,13 +1,16 @@
-"""Dense real polynomials plus exact Sturm-sequence root counting.
+"""Dense real polynomials plus exact root counting.
 
-Coefficients are stored ascending by degree. Root counting runs in exact
+Coefficients are stored ascending by degree. Counting runs in exact
 rational arithmetic (the float coefficients convert to binary rationals
 without error), so certificates like "this polynomial has exactly k distinct
-negative real roots" are decisions, not estimates.
+negative real roots" are decisions, not estimates. A SturmChain is built
+once per polynomial and counts sign variations at as many points as asked,
+by integer Horner evaluation; unstable_root_count is an exact Routh count.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -16,6 +19,7 @@ import numpy as np
 
 __all__ = [
     "RealPolynomial",
+    "SturmChain",
     "sturm_root_certificate",
     "count_real_roots_below",
     "count_real_roots_above",
@@ -115,62 +119,73 @@ def _sturm_chain(coeffs):
     return chain
 
 
-def _eval_int_poly(p, x):
-    acc = Fraction(0)
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
+class SturmChain:
+    """Sturm sequence of one polynomial, built once and counted at many points.
 
+    Members are primitive integer polynomials. A member of degree d is
+    evaluated at x = p/q (q > 0) as the integer sum c_i p**i q**(d - i),
+    which is q**d times its value and so has its sign; no Fraction is
+    normalised. Points are rationals (anything Fraction accepts) or +-inf.
+    """
 
-def _sign_at(p, x):
-    if x == "+inf":
-        v = p[-1]
-    elif x == "-inf":
-        v = p[-1] * (-1) ** (len(p) - 1)
-    else:
-        v = _eval_int_poly(p, x)
-    return (v > 0) - (v < 0)
+    def __init__(self, coeffs):
+        self.members = _sturm_chain(coeffs)
 
+    @property
+    def squarefree(self):
+        """True iff gcd(p, p') is constant, read off the end of the chain."""
+        last = self.members[-1]
+        return len(last) == 1 and last[0] != 0
 
-def _variations(chain, x):
-    signs = [s for s in (_sign_at(p, x) for p in chain) if s != 0]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a * b < 0)
+    def variations(self, x):
+        """Sign changes along the chain at x, zeros skipped."""
+        if x == math.inf or x == -math.inf:
+            # the leading term decides; at -inf it flips for odd degree
+            signs = [m[-1] if x > 0 or len(m) % 2 else -m[-1] for m in self.members]
+        else:
+            x = Fraction(x)
+            num, den = x.numerator, x.denominator
+            den_pow = [1]
+            for _ in range(len(self.members[0]) - 1):
+                den_pow.append(den_pow[-1] * den)
+            signs = []
+            for m in self.members:
+                acc = m[-1]
+                for i, c in enumerate(reversed(m[:-1]), 1):
+                    acc = acc * num + c * den_pow[i]
+                signs.append(acc)
+        signs = [v for v in signs if v != 0]
+        return sum(1 for a, b in zip(signs, signs[1:]) if (a < 0) != (b < 0))
 
-
-def _chain_and_variations(coeffs, points):
-    chain = _sturm_chain(coeffs)
-    return chain, [_variations(chain, x) for x in points]
+    def count_between(self, a, b):
+        """Distinct real roots in (a, b], exact."""
+        return self.variations(a) - self.variations(b)
 
 
 def count_real_roots_below(p, x):
     """Distinct real roots of p in (-inf, x], exact."""
-    _, (va, vb) = _chain_and_variations(p.coeffs, ["-inf", Fraction(x)])
-    return va - vb
+    return SturmChain(p.coeffs).count_between(-math.inf, x)
 
 
 def count_real_roots_above(p, x):
     """Distinct real roots of p in (x, +inf), exact."""
-    _, (va, vb) = _chain_and_variations(p.coeffs, [Fraction(x), "+inf"])
-    return va - vb
+    return SturmChain(p.coeffs).count_between(x, math.inf)
 
 
 def count_real_roots_between(p, a, b):
     """Distinct real roots of p in (a, b], exact."""
-    _, (va, vb) = _chain_and_variations(p.coeffs, [Fraction(a), Fraction(b)])
-    return va - vb
+    return SturmChain(p.coeffs).count_between(a, b)
 
 
 def sturm_root_certificate(p):
     """Exact count of distinct negative real roots plus a squarefree flag.
 
-    Returns (count_negative, all_distinct). The distinctness verdict checks
-    that gcd(p, p') is constant, read off the end of the Sturm chain.
+    Returns (count_negative, all_distinct).
     """
     if p.degree < 1:
         raise ValueError("certificate requires a nonconstant polynomial")
-    chain, (va, vb) = _chain_and_variations(p.coeffs, ["-inf", Fraction(0)])
-    all_distinct = len(chain[-1]) == 1 and chain[-1][0] != 0
-    return va - vb, all_distinct
+    chain = SturmChain(p.coeffs)
+    return chain.count_between(-math.inf, 0), chain.squarefree
 
 
 def _newton_refine(p, x0, tol):
@@ -198,33 +213,55 @@ def rightmost_root(p):
     tol_imag = 1e-8
     real_parts = [z.real for z in roots if abs(z.imag) <= tol_imag * (1.0 + abs(z))]
     tol = 1e-13 * p.coeff_norm()
-    candidate = None
+    chain = SturmChain(p.coeffs)
     if real_parts:
         candidate = _newton_refine(p, max(real_parts), tol)
         pad = max(1e-9, 1e-9 * abs(candidate))
         if (
-            count_real_roots_above(p, candidate + pad) == 0
-            and count_real_roots_above(p, candidate - pad) >= 1
+            chain.count_between(candidate + pad, math.inf) == 0
+            and chain.count_between(candidate - pad, math.inf) >= 1
         ):
             return float(candidate)
     # Sturm bisection fallback: bracket the largest real root exactly.
-    total = count_real_roots_above(p, Fraction(0)) + count_real_roots_below(p, 0)
-    if total == 0:
+    if chain.count_between(-math.inf, math.inf) == 0:
         raise ValueError("no real roots")
     hi = Fraction(max(2.0, 2.0 * max(abs(c) for c in p.coeffs) / abs(p.coeffs[-1])))
     lo = -hi
-    if count_real_roots_above(p, hi) != 0:
+    v_inf = chain.variations(math.inf)
+    if chain.variations(hi) != v_inf:
         raise ValueError("root bound failed")
     while hi - lo > Fraction(1, 10 ** 15) * max(1, abs(hi), abs(lo)):
         mid = (lo + hi) / 2
-        if count_real_roots_above(p, mid) >= 1:
+        if chain.variations(mid) > v_inf:
             lo = mid
         else:
             hi = mid
     return float(_newton_refine(p, float((lo + hi) / 2), tol))
 
 
-def unstable_root_count(p, margin=0.0):
-    """Number of roots with real part > margin, counted with multiplicity."""
-    roots = np.roots(list(reversed(p.coeffs)))
-    return int(np.sum(roots.real > margin))
+def unstable_root_count(p):
+    """Roots with positive real part, counted with multiplicity, exact.
+
+    Sign changes down the first column of the Routh array. The rows are kept
+    as primitive integer vectors: each is a positive multiple of the
+    rational Routh row, which leaves every sign unchanged. A zero pivot
+    (always met when a root lies on the imaginary axis) leaves no count and
+    raises ValueError.
+    """
+    desc = list(reversed(_to_int_poly(p.coeffs)))
+    if len(desc) == 1:
+        return 0
+    width = (len(desc) + 1) // 2
+    odd = desc[1::2]
+    rows = [desc[0::2], odd + [0] * (width - len(odd))]
+    for _ in range(len(desc) - 2):
+        a, b = rows[-2], rows[-1]
+        if b[0] == 0:
+            break
+        sign = 1 if b[0] > 0 else -1
+        new = [sign * (b[0] * a[j + 1] - a[0] * b[j + 1]) for j in range(width - 1)]
+        rows.append(_primitive(new + [0]))
+    first = [row[0] for row in rows]
+    if 0 in first:
+        raise ValueError("zero pivot in the Routh array; no exact unstable-root count")
+    return sum(1 for a, b in zip(first, first[1:]) if (a < 0) != (b < 0))

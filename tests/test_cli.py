@@ -163,3 +163,52 @@ def test_gainmargin_cli_writes_certificate(tmp_path, capsys):
     assert "lower bound" in out
     assert (tmp_path / "gainmargin.csv").exists()
     assert (tmp_path / "certificate.txt").exists()
+
+
+def test_margins_builds_crossings_once(tmp_path, capsys, monkeypatch):
+    import midpredict.cli as cli
+    import midpredict.margins as margins
+
+    calls = []
+    original = margins.crossing_frequencies
+
+    def counting(gain):
+        calls.append(gain.n)
+        return original(gain)
+
+    monkeypatch.setattr(margins, "crossing_frequencies", counting)
+    # cli's own binding, should it hold one, is counted as well
+    monkeypatch.setattr(cli, "crossing_frequencies", counting, raising=False)
+    assert run(tmp_path, "margins", "--n", "9") == 0
+    out = capsys.readouterr().out
+    assert calls == [9]
+    assert out.count("direction") == 3
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("margins", "--n", "2", "--delta-max", "nan"),
+        ("margins", "--n", "2", "--delta-max", "inf"),
+        ("margins", "--n", "2", "--delta-max", "1e7"),
+        ("gainmargin", "--n", "1", "--tol", "0"),
+    ],
+)
+def test_unbounded_inputs_fail_fast(tmp_path, argv):
+    # a child process, so that a loop without end is killed at the timeout
+    import subprocess
+    import sys
+
+    import midpredict
+
+    src = os.path.dirname(os.path.dirname(midpredict.__file__))
+    code = "import sys; from midpredict.cli import dispatch; sys.exit(dispatch(sys.argv[1:]))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code, "--outdir", str(tmp_path)] + list(argv),
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=20.0,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith("error:")

@@ -156,3 +156,34 @@ def test_design_chain_rejects_bad_inputs():
         design_chain(2, -1.0, 0.25, 0.1)
     with pytest.raises(ValueError):
         design_chain(2, 1.0, 0.0, 0.1)
+
+
+def _threshold_oracle(monkeypatch, threshold):
+    """Replace the LMI query by "feasible iff slope <= threshold", counted."""
+    import midpredict.gainmargin as gm
+
+    slopes = []
+
+    def verdict(n, gain, delta, slope, **kw):
+        slopes.append(slope)
+        assert len(slopes) < 2000, "bisection does not end"
+        return slope <= threshold, None
+
+    monkeypatch.setattr(gm, "lmi_feasible", verdict)
+    return slopes
+
+
+def test_max_gain_margin_rejects_bad_tol(monkeypatch):
+    slopes = _threshold_oracle(monkeypatch, 0.1 * G1.l[-1])
+    for bad in (0.0, -1e-3, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            max_gain_margin(1, tol=bad)
+    assert slopes == []
+
+
+def test_bisection_ends_at_float_resolution(monkeypatch):
+    # a feasibility threshold at a float: the bracket closes onto adjacent
+    # floats, where the midpoint equals an endpoint and can no longer move
+    threshold = 0.1 * G1.l[-1]
+    _threshold_oracle(monkeypatch, threshold)
+    assert max_gain_margin(1, tol=1e-300).lower == threshold

@@ -196,3 +196,31 @@ def test_hurwitz_agrees_with_eigenvalues_randomized():
         coeffs = np.poly(roots)[::-1]
         p = RealPolynomial(tuple(coeffs))
         assert hurwitz_check(p) == (unstable_root_count(p) == 0 and np.all(roots < 0))
+
+
+def test_exact_unstable_count_beyond_dimension_26():
+    # np.roots overcounts from n = 27; the exact Routh count stays at 2
+    for n in range(27, 31):
+        assert unstable_root_count(delay_free_poly(gain_star(n))) == 2, n
+        assert stability_partition(n).count_at(1.0) == 0, n
+
+
+def test_partition_keeps_its_crossing_set():
+    part = stability_partition(9)
+    assert part.crossings == crossing_frequencies(gain_star(9))
+
+
+def test_hurwitz_zero_pivot_is_not_stable():
+    # (s + 1)(s**2 + 1): an imaginary-axis pair empties a Routh row
+    p = RealPolynomial((1.0, 1.0, 1.0, 1.0))
+    assert hurwitz_check(p) is False
+    with pytest.raises(ValueError):
+        unstable_root_count(p)
+
+
+def test_crossing_points_rejects_unbounded_delta_max():
+    cs = crossing_frequencies(G2)
+    # nan and inf run in a child process in the CLI tests, under a timeout
+    for bad in (0.0, -1.0, 1e7):
+        with pytest.raises(ValueError):
+            crossing_points(cs, bad)

@@ -1,10 +1,12 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from midpredict.polynomials import (
     RealPolynomial,
+    SturmChain,
     count_real_roots_above,
     count_real_roots_between,
     rightmost_root,
@@ -86,3 +88,71 @@ def test_unstable_root_count():
     assert unstable_root_count(p) == 1
     stable = RealPolynomial((2.0, 3.0, 1.0))
     assert unstable_root_count(stable) == 0
+
+
+def _reference_variations(members, x):
+    """Sign changes along the chain by plain Fraction Horner evaluation."""
+    signs = []
+    for m in members:
+        if x == math.inf:
+            v = m[-1]
+        elif x == -math.inf:
+            v = m[-1] * (-1) ** (len(m) - 1)
+        else:
+            v = Fraction(0)
+            for c in reversed(m):
+                v = v * x + c
+        if v != 0:
+            signs.append(v > 0)
+    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+
+def test_sturm_chain_matches_fraction_horner():
+    rng = np.random.default_rng(11)
+    for _ in range(60):
+        # integer polynomial with some rational roots and a random cofactor
+        roots = [Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 5)))
+                 for _ in range(int(rng.integers(1, 4)))]
+        coeffs = [Fraction(1)]
+        for r in roots:
+            coeffs = [-r * coeffs[0]] + [
+                coeffs[i - 1] - r * coeffs[i] for i in range(1, len(coeffs))
+            ] + [coeffs[-1]]
+        cofactor = [int(v) for v in rng.integers(-5, 6, int(rng.integers(1, 4)))] + [1]
+        prod = [Fraction(0)] * (len(coeffs) + len(cofactor) - 1)
+        for i, a in enumerate(coeffs):
+            for j, b in enumerate(cofactor):
+                prod[i + j] += a * b
+        chain = SturmChain(prod)
+        points = roots + [Fraction(int(rng.integers(-50, 51)), int(rng.integers(1, 13)))
+                          for _ in range(6)] + [math.inf, -math.inf, 0]
+        for x in points:
+            assert chain.variations(x) == _reference_variations(chain.members, x), (prod, x)
+
+
+def test_sturm_chain_counts_known_roots():
+    # (x + 2)**2 (x - 1/3)(x - 5): distinct roots -2, 1/3, 5
+    p = [Fraction(1)]
+    for r in (-2, -2, Fraction(1, 3), 5):
+        p = [-r * p[0]] + [p[i - 1] - r * p[i] for i in range(1, len(p))] + [p[-1]]
+    chain = SturmChain(p)
+    assert chain.squarefree is False
+    assert chain.count_between(-math.inf, math.inf) == 3
+    # (a, b] at the simple roots; the double root is counted once
+    assert chain.count_between(0, Fraction(1, 3)) == 1
+    assert chain.count_between(Fraction(1, 3), 5) == 1
+    assert chain.count_between(-3, 0) == 1
+
+
+def test_unstable_root_count_exact_randomized():
+    rng = np.random.default_rng(5)
+    for _ in range(100):
+        real = list(rng.uniform(-2.0, 2.0, int(rng.integers(0, 4))))
+        pairs = [complex(rng.uniform(-2.0, 2.0), rng.uniform(0.2, 2.0))
+                 for _ in range(int(rng.integers(0, 3)))]
+        roots = real + pairs + [z.conjugate() for z in pairs]
+        if not roots or min(abs(z.real) for z in roots) < 1e-3:
+            continue
+        coeffs = np.real(np.poly(roots))[::-1]
+        expected = sum(1 for z in roots if z.real > 0)
+        assert unstable_root_count(RealPolynomial(tuple(coeffs))) == expected
