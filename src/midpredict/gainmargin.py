@@ -12,6 +12,12 @@ model, adaptive prox weight) to sharpen the nonsmooth tail. Every
 "feasible" answer ships the variables and is re-verified by a plain
 symmetric eigenvalue check before being believed; a negative answer is
 reported as unknown, never as a proof.
+
+W is written once, in assemble_W. The stacked matrix M(theta) is affine in
+the packed variables, so each query builds M0 = M(0) and a matrix J whose
+column k is vec(M(e_k) - M0) from assemble_W itself; the solver's oracles
+are then one eigh of M0 + J theta, cut gradients J' vec(v v') and the
+smoothed gradient J' vec(V diag(w) V').
 """
 
 from __future__ import annotations
@@ -20,6 +26,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import block_diag
 from scipy.optimize import minimize
 
 from .synthesis import GainVector, gain_star, sigma_star
@@ -161,109 +168,64 @@ class _Packing:
             parts.append(np.asarray(m, dtype=float).reshape(-1))
         return np.concatenate(parts)
 
-    def pack_sym_grad(self, gfull):
-        """Gradient wrt independent entries of a symmetric variable."""
-        gsym = gfull + gfull.T
-        return np.array(
-            [gsym[i, j] if i != j else gfull[i, i] for i, j in self.tri]
+
+def _affine_stack(packing, n, gain, h, gamma_m, eps):
+    """M0 and J with M(theta) = M0 + (J @ theta).reshape(7n, 7n), where
+    M(theta) = blkdiag(W + eps I, eps I - P, eps I - R, eps I - S).
+
+    M is affine in the packed variables, so it is read off assemble_W at
+    zero and at each basis vector: column k of J is vec(M(e_k) - M0).
+    """
+    eye = np.eye(n)
+
+    def stacked(theta):
+        v = packing.unpack(theta)
+        w = assemble_W(n, gain, h, gamma_m, v)
+        return block_diag(
+            w + eps * np.eye(4 * n), eps * eye - v.P, eps * eye - v.R, eps * eye - v.S
         )
 
-
-def _gradient_for_vector(v, packing, n, a, a1, h):
-    """Gradient of v' M(theta) v with respect to the packed variables."""
-    v1, v2, v3, v4 = v[:n], v[n : 2 * n], v[2 * n : 3 * n], v[3 * n : 4 * n]
-    vp, vr, vs = v[4 * n : 5 * n], v[5 * n : 6 * n], v[6 * n : 7 * n]
-    z = a @ v1 - v2 + a1 @ v3 + v4
-    g_p = np.outer(2 * v1, v2) - np.outer(vp, vp)
-    g_r = (
-        -np.outer(v1, v1)
-        + 2 * np.outer(v1, v3)
-        + h ** 2 * np.outer(v2, v2)
-        - np.outer(v3, v3)
-        - np.outer(vr, vr)
-    )
-    g_s = np.outer(v1, v1) - np.outer(v3, v3) - np.outer(vs, vs)
-    g_p2 = 2 * np.outer(z, v1)
-    g_p3 = 2 * np.outer(z, v2)
-    g_p4 = 2 * np.outer(z, v4)
-    return np.concatenate(
-        [
-            packing.pack_sym_grad(g_p),
-            packing.pack_sym_grad(g_r),
-            packing.pack_sym_grad(g_s),
-            g_p2.reshape(-1),
-            g_p3.reshape(-1),
-            g_p4.reshape(-1),
-        ]
-    )
+    m0 = stacked(np.zeros(packing.dim))
+    jac = np.column_stack([(stacked(e) - m0).reshape(-1) for e in np.eye(packing.dim)])
+    return m0, jac
 
 
-def _stacked_eigensystem(theta, packing, n, a, a1, h, gamma_m, eps):
-    variables = packing.unpack(theta)
-    p, r, s = variables.P, variables.R, variables.S
-    p2, p3, p4 = variables.P2, variables.P3, variables.P4
-    eye = np.eye(n)
-    w11 = a.T @ p2 + p2.T @ a + s - r + gamma_m ** 2 * eye
-    w12 = p - p2.T + a.T @ p3
-    w13 = p2.T @ a1 + r
-    w14 = p2.T + a.T @ p4
-    w22 = -p3 - p3.T + h ** 2 * r
-    w23 = p3.T @ a1
-    w24 = p3.T - p4
-    w33 = -s - r
-    w34 = a1.T @ p4
-    w44 = p4.T + p4 - eye
-    w = np.block(
-        [
-            [w11, w12, w13, w14],
-            [w12.T, w22, w23, w24],
-            [w13.T, w23.T, w33, w34],
-            [w14.T, w24.T, w34.T, w44],
-        ]
-    )
-    big = np.zeros((7 * n, 7 * n))
-    big[: 4 * n, : 4 * n] = w + eps * np.eye(4 * n)
-    big[4 * n : 5 * n, 4 * n : 5 * n] = eps * eye - p
-    big[5 * n : 6 * n, 5 * n : 6 * n] = eps * eye - r
-    big[6 * n : 7 * n, 6 * n : 7 * n] = eps * eye - s
-    return np.linalg.eigh((big + big.T) / 2)
+def _eigensystem(theta, m0, jac):
+    return np.linalg.eigh(m0 + (jac @ theta).reshape(m0.shape))
 
 
-def _objective_and_cuts(theta, packing, n, a, a1, h, gamma_m, eps):
-    """Largest eigenvalue of blkdiag(W + eps I, eps I - P, eps I - R,
-    eps I - S) plus one valid cutting plane per near-top eigenvector.
+def _objective_and_cuts(theta, m0, jac):
+    """Largest eigenvalue of M(theta) plus one valid cutting plane per
+    near-top eigenvector.
 
     For any fixed unit vector v, v' M(theta') v underestimates the largest
-    eigenvalue everywhere, so each near-top eigenvector yields a cut. The
-    extra cuts matter: at the feasibility boundary the top eigenvalue is
-    typically multiple and a single-cut model crawls.
+    eigenvalue everywhere, so each near-top eigenvector yields a cut; its
+    gradient is J' vec(v v'). The extra cuts matter: at the feasibility
+    boundary the top eigenvalue is typically multiple and a single-cut
+    model crawls.
     """
-    vals, vecs = _stacked_eigensystem(theta, packing, n, a, a1, h, gamma_m, eps)
+    vals, vecs = _eigensystem(theta, m0, jac)
     f = vals[-1]
     window = max(1e-7, 0.1 * abs(f))
     cuts = []
     for idx in range(len(vals) - 1, -1, -1):
         if vals[idx] < f - window or len(cuts) >= 6:
             break
-        grad = _gradient_for_vector(vecs[:, idx], packing, n, a, a1, h)
-        cuts.append((vals[idx], grad))
+        v = vecs[:, idx]
+        cuts.append((vals[idx], jac.T @ np.outer(v, v).reshape(-1)))
     return f, cuts
 
 
-def _smoothed_value_grad(theta, mu, packing, n, a, a1, h, gamma_m, eps):
-    """Log-sum-exp smoothing of the largest eigenvalue with exact gradient."""
-    vals, vecs = _stacked_eigensystem(theta, packing, n, a, a1, h, gamma_m, eps)
+def _smoothed_value_grad(theta, mu, m0, jac):
+    """Log-sum-exp smoothing of the largest eigenvalue with exact gradient
+    J' vec(V diag(w) V'), w the softmax weights of the eigenvalues."""
+    vals, vecs = _eigensystem(theta, m0, jac)
     vmax = vals[-1]
     weights = np.exp((vals - vmax) / mu)
     total = np.sum(weights)
     f = vmax + mu * math.log(total)
     weights /= total
-    grad = np.zeros(packing.dim)
-    for i in range(len(vals)):
-        if weights[i] < 1e-14:
-            continue
-        grad += weights[i] * _gradient_for_vector(vecs[:, i], packing, n, a, a1, h)
-    return f, grad
+    return f, jac.T @ ((vecs * weights) @ vecs.T).reshape(-1)
 
 
 def _project_simplex(v):
@@ -434,7 +396,7 @@ _SMOOTHING_LADDER = (
 )
 
 
-def _solve_feasibility(theta0, packing, n, a, a1, h, gamma_m, eps, budget_iters):
+def _solve_feasibility(theta0, m0, jac, eps, budget_iters):
     """Hybrid descent: smoothed quasi-Newton continuation, a scalar rescale
     line search, then the nonsmooth bundle as a finisher.
 
@@ -447,11 +409,11 @@ def _solve_feasibility(theta0, packing, n, a, a1, h, gamma_m, eps, budget_iters)
     target = -0.25 * eps
 
     def exact(theta):
-        vals, _ = _stacked_eigensystem(theta, packing, n, a, a1, h, gamma_m, eps)
+        vals, _ = _eigensystem(theta, m0, jac)
         return vals[-1]
 
     def oracle(theta):
-        return _objective_and_cuts(theta, packing, n, a, a1, h, gamma_m, eps)
+        return _objective_and_cuts(theta, m0, jac)
 
     theta = theta0.copy()
     best_theta, best_f = theta.copy(), exact(theta)
@@ -463,7 +425,7 @@ def _solve_feasibility(theta0, packing, n, a, a1, h, gamma_m, eps, budget_iters)
         if mu < max(eps * 0.01, 1e-12):
             break
         res = minimize(
-            lambda th: _smoothed_value_grad(th, mu, packing, n, a, a1, h, gamma_m, eps),
+            lambda th: _smoothed_value_grad(th, mu, m0, jac),
             theta,
             jac=True,
             method="L-BFGS-B",
@@ -509,8 +471,7 @@ def lmi_feasible(n, gain, h, gamma_m, eps=None, warm_start=None, budget_iters=12
     if eps is None:
         eps = _default_eps(gamma_m)
     packing = _Packing(n)
-    a = _shift_matrix(n)
-    a1 = _injection_matrix(gain)
+    m0, jac = _affine_stack(packing, n, gain, h, gamma_m, eps)
     starts = []
     if warm_start is not None:
         warm_list = warm_start if isinstance(warm_start, (list, tuple)) else [warm_start]
@@ -519,9 +480,7 @@ def lmi_feasible(n, gain, h, gamma_m, eps=None, warm_start=None, budget_iters=12
     starts.append(packing.pack(_fallback_variables(n, gain)))
     best_f = math.inf
     for theta0 in starts:
-        theta, f = _solve_feasibility(
-            theta0, packing, n, a, a1, h, gamma_m, eps, budget_iters
-        )
+        theta, f = _solve_feasibility(theta0, m0, jac, eps, budget_iters)
         if f < 0.0:
             variables = packing.unpack(theta)
             if verify_certificate(n, gain, h, gamma_m, variables, eps):

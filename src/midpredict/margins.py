@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .polynomials import RealPolynomial, SturmChain, unstable_root_count
-from .spectrum import Quasipolynomial, qp_deriv, qp_eval
+from .spectrum import Quasipolynomial, qp_eval, qp_kth_deriv
 from .synthesis import GainVector, delay_free_poly, gain_star
 
 __all__ = [
@@ -236,7 +236,7 @@ def crossing_direction(gain, w_c, delta_k):
         num = num * s + coef
         mag = mag * abs(s) + abs(coef)
     d_delta = -s * num * cmath.exp(-delta_k * s)
-    d_s = qp_deriv(qp, s)
+    d_s = qp_kth_deriv(qp, s, 1)
     ds_scale = gain.n * abs(s) ** (gain.n - 1) + (1.0 + delta_k) * max(mag, 1e-300)
     if abs(d_s) < 1e-12 * ds_scale:
         raise DegenerateCrossingError(

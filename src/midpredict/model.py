@@ -16,7 +16,7 @@ import numpy as np
 from .expressions import (
     EvaluationError,
     Node,
-    eval_expression,
+    compile_expression,
     free_variables,
     parse_expression,
 )
@@ -102,22 +102,22 @@ class CanonicalSystem:
     gamma: tuple
     h: float
     u_signal: Node
-    _phi_fns: tuple = field(default=None, repr=False, compare=False)
-    _u_fn: object = field(default=None, repr=False, compare=False)
+    _phi_fns: tuple = field(init=False, repr=False, compare=False)
+    _u_fn: object = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        arg_names = ["x%d" % (i + 1) for i in range(self.n)] + ["u"]
+        phi_fns = tuple(compile_expression(p, arg_names) for p in self.phi)
+        object.__setattr__(self, "_phi_fns", phi_fns)
+        object.__setattr__(self, "_u_fn", compile_expression(self.u_signal, ["t"]))
 
     def phi_value(self, x, u):
         """Evaluate the triangular field at state x and input value u."""
-        if self._phi_fns is not None:
-            args = list(x) + [u]
-            return np.array([f(*args) for f in self._phi_fns])
-        bindings = {"x%d" % (i + 1): float(x[i]) for i in range(self.n)}
-        bindings["u"] = float(u)
-        return np.array([eval_expression(p, bindings) for p in self.phi])
+        args = list(x) + [u]
+        return np.array([f(*args) for f in self._phi_fns])
 
     def input_value(self, t):
-        if self._u_fn is not None:
-            return self._u_fn(t)
-        return eval_expression(self.u_signal, {"t": float(t)})
+        return self._u_fn(t)
 
 
 def check_triangular(system):
@@ -136,8 +136,6 @@ def make_system(n, phi_sources, gamma, h, u_source="0"):
 
     Raises ModelError on broken invariants (triangularity, signs, lengths).
     """
-    from .expressions import compile_expression
-
     if len(phi_sources) != n:
         raise ModelError("expected %d field components, got %d" % (n, len(phi_sources)))
     if len(gamma) != n:
@@ -149,17 +147,12 @@ def make_system(n, phi_sources, gamma, h, u_source="0"):
     state_vars = ["x%d" % (i + 1) for i in range(n)]
     phi = tuple(parse_expression(src, state_vars + ["u"]) for src in phi_sources)
     u_signal = parse_expression(u_source, ["t"])
-    arg_names = state_vars + ["u"]
-    phi_fns = tuple(compile_expression(p, arg_names) for p in phi)
-    u_fn = compile_expression(u_signal, ["t"])
     system = CanonicalSystem(
         n=n,
         phi=phi,
         gamma=tuple(float(g) for g in gamma),
         h=float(h),
         u_signal=u_signal,
-        _phi_fns=phi_fns,
-        _u_fn=u_fn,
     )
     if not check_triangular(system):
         raise ModelError("field is not triangular: component i may use x1..xi and u only")

@@ -104,6 +104,18 @@ def _pseudo_rem(a, b):
     return r
 
 
+def _exact_quotient(a, b):
+    """a / b for integer polynomials when b divides a, made primitive; the
+    rescaling is by a positive factor, so the quotient keeps its sign."""
+    rem = [Fraction(c) for c in a]
+    quot = [Fraction(0)] * (len(a) - len(b) + 1)
+    for k in range(len(quot) - 1, -1, -1):
+        quot[k] = rem[k + len(b) - 1] / b[-1]
+        for j, c in enumerate(b):
+            rem[k + j] -= quot[k] * c
+    return _primitive(_to_int_poly(quot))
+
+
 def _sturm_chain(coeffs):
     p = _primitive(_to_int_poly(coeffs))
     if len(p) == 1:
@@ -129,13 +141,15 @@ class SturmChain:
     """
 
     def __init__(self, coeffs):
-        self.members = _sturm_chain(coeffs)
-
-    @property
-    def squarefree(self):
-        """True iff gcd(p, p') is constant, read off the end of the chain."""
-        last = self.members[-1]
-        return len(last) == 1 and last[0] != 0
+        chain = _sturm_chain(coeffs)
+        last = chain[-1]
+        # True iff gcd(p, p') is constant, read off the end of the chain
+        self.squarefree = len(last) == 1 and last[0] != 0
+        if len(last) > 1:
+            # divide out gcd(p, p') so that a multiple root, where every
+            # member vanishes, still counts once
+            chain = [_exact_quotient(m, last) for m in chain]
+        self.members = chain
 
     def variations(self, x):
         """Sign changes along the chain at x, zeros skipped."""

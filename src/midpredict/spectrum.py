@@ -23,8 +23,7 @@ __all__ = [
     "SpectrumError",
     "RootOnContourError",
     "qp_eval",
-    "qp_deriv",
-    "qp_second_deriv",
+    "qp_kth_deriv",
     "qp_scale",
     "count_roots_region",
     "roots_in_region",
@@ -58,10 +57,12 @@ class Quasipolynomial:
         object.__setattr__(self, "l", tuple(float(v) for v in self.l))
         if len(self.l) != self.n:
             raise ValueError("gain list length must equal n")
+        if not all(math.isfinite(v) for v in self.l):
+            raise ValueError("gains must be finite")
         if self.l[-1] == 0.0:
             raise ValueError("trailing gain must be nonzero")
-        if self.delta < 0:
-            raise ValueError("delay must be nonnegative")
+        if not (math.isfinite(self.delta) and self.delta >= 0):
+            raise ValueError("delay must be finite and nonnegative")
 
 
 @dataclass(frozen=True)
@@ -104,22 +105,6 @@ def _injection_deriv_scalar(qp, s, order=1):
             continue
         acc += coef * math.perm(power, order) * s ** (power - order)
     return acc
-
-
-def qp_deriv(qp, s):
-    s = complex(s)
-    lp = _injection_deriv_scalar(qp, s, 1)
-    lv = _injection_scalar(qp, s)
-    return qp.n * s ** (qp.n - 1) + (lp - qp.delta * lv) * cmath.exp(-qp.delta * s)
-
-
-def qp_second_deriv(qp, s):
-    s = complex(s)
-    lv = _injection_scalar(qp, s)
-    lp = _injection_deriv_scalar(qp, s, 1)
-    lpp = _injection_deriv_scalar(qp, s, 2)
-    head = qp.n * (qp.n - 1) * s ** (qp.n - 2) if qp.n >= 2 else 0.0
-    return head + (lpp - 2 * qp.delta * lp + qp.delta ** 2 * lv) * cmath.exp(-qp.delta * s)
 
 
 def qp_kth_deriv(qp, s, k):
@@ -174,7 +159,7 @@ def _phase_sweep(qp, points, budget, vanish_tol=CONTOUR_REL_TOL):
         if rel_min >= 0.1:
             return False
         w_small, at = (w_a, a) if rel_a <= rel_b else (w_b, b)
-        dp = qp_deriv(qp, at)
+        dp = qp_kth_deriv(qp, at, 1)
         dist_est = abs(w_small) / max(abs(dp), 1e-300)
         return abs(b - a) > 0.5 * dist_est
 
@@ -290,11 +275,11 @@ def _polish(qp, s0, rect):
     last_step = math.inf
     for _ in range(80):
         d = qp_eval(qp, s)
-        dp = qp_deriv(qp, s)
+        dp = qp_kth_deriv(qp, s, 1)
         if abs(dp) == 0.0:
             return None
         g = d / dp
-        dpp = qp_second_deriv(qp, s)
+        dpp = qp_kth_deriv(qp, s, 2)
         denom = 1.0 - (d * dpp) / (dp * dp)
         step = g / denom if abs(denom) > 1e-12 else g
         s_new = s - step

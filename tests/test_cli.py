@@ -192,6 +192,7 @@ def test_margins_builds_crossings_once(tmp_path, capsys, monkeypatch):
         ("margins", "--n", "2", "--delta-max", "inf"),
         ("margins", "--n", "2", "--delta-max", "1e7"),
         ("gainmargin", "--n", "1", "--tol", "0"),
+        ("spectrum", "--n", "2", "--delta", "inf"),
     ],
 )
 def test_unbounded_inputs_fail_fast(tmp_path, argv):

@@ -63,6 +63,52 @@ def test_assemble_w_rejects_bad_shapes():
         assemble_W(2, G2, 0.0, 0.0, _zeros(2))
 
 
+def _stack_from_assemble_w(n, gain, h, gamma_m, eps, variables):
+    w = assemble_W(n, gain, h, gamma_m, variables)
+    eye = np.eye(n)
+    m = np.zeros((7 * n, 7 * n))
+    m[: 4 * n, : 4 * n] = w + eps * np.eye(4 * n)
+    for k, mat in enumerate((variables.P, variables.R, variables.S)):
+        m[(4 + k) * n : (5 + k) * n, (4 + k) * n : (5 + k) * n] = eps * eye - mat
+    return m
+
+
+def test_affine_stack_matches_assemble_w():
+    from midpredict.gainmargin import _affine_stack, _Packing
+
+    rng = np.random.default_rng(3)
+    for n in (1, 2, 3, 4):
+        gain = gain_star(n)
+        packing = _Packing(n)
+        m0, jac = _affine_stack(packing, n, gain, 1.3, 0.2, 1e-6)
+        for _ in range(5):
+            theta = rng.standard_normal(packing.dim)
+            m = m0 + (jac @ theta).reshape(m0.shape)
+            expected = _stack_from_assemble_w(
+                n, gain, 1.3, 0.2, 1e-6, packing.unpack(theta)
+            )
+            assert np.array_equal(m, m.T)
+            assert np.max(np.abs(m - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+
+def test_smoothed_gradient_matches_finite_differences():
+    from midpredict.gainmargin import _affine_stack, _Packing, _smoothed_value_grad
+
+    rng = np.random.default_rng(4)
+    for n in (1, 2, 3):
+        packing = _Packing(n)
+        m0, jac = _affine_stack(packing, n, gain_star(n), 1.0, 0.05, 1e-6)
+        theta = 0.3 * rng.standard_normal(packing.dim)
+        _, grad = _smoothed_value_grad(theta, 0.1, m0, jac)
+        step = 1e-6
+        for k in range(packing.dim):
+            e = np.zeros(packing.dim)
+            e[k] = step
+            hi, _ = _smoothed_value_grad(theta + e, 0.1, m0, jac)
+            lo, _ = _smoothed_value_grad(theta - e, 0.1, m0, jac)
+            assert grad[k] == pytest.approx((hi - lo) / (2 * step), rel=1e-6, abs=1e-8)
+
+
 def test_feasible_at_zero_slope():
     ok, cert = lmi_feasible(1, G1, 1.0, 0.0)
     assert ok
@@ -117,6 +163,15 @@ def test_max_gain_margin_n1_bracket():
     assert verify_certificate(
         1, G1, 1.0, bracket.lower, bracket.certificate, 1e-8
     )
+
+
+def test_max_gain_margin_lower_bounds_n1_n2():
+    for n, lower in ((1, 0.3420129179640753), (2, 0.0642869011632653)):
+        bracket = max_gain_margin(n, tol=0.005)
+        assert bracket.lower == lower
+        assert verify_certificate(
+            n, gain_star(n), 1.0, bracket.lower, bracket.certificate, bracket.eps
+        )
 
 
 def test_design_chain_benchmark_numbers():

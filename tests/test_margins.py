@@ -92,13 +92,13 @@ def CrossingSetOnly(c):
 
 
 def _root_near(gain, w, delta):
-    from midpredict.spectrum import qp_deriv
+    from midpredict.spectrum import qp_kth_deriv
 
     qp = Quasipolynomial(gain.n, gain.l, delta)
     s = complex(0.0, w)
     for _ in range(60):
         d = qp_eval(qp, s)
-        dp = qp_deriv(qp, s)
+        dp = qp_kth_deriv(qp, s, 1)
         step = d / dp
         s -= step
         if abs(step) < 1e-14:

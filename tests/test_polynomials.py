@@ -130,18 +130,40 @@ def test_sturm_chain_matches_fraction_horner():
             assert chain.variations(x) == _reference_variations(chain.members, x), (prod, x)
 
 
+def _from_roots(roots):
+    p = [Fraction(1)]
+    for r in roots:
+        p = [-r * p[0]] + [p[i - 1] - r * p[i] for i in range(1, len(p))] + [p[-1]]
+    return p
+
+
 def test_sturm_chain_counts_known_roots():
     # (x + 2)**2 (x - 1/3)(x - 5): distinct roots -2, 1/3, 5
-    p = [Fraction(1)]
-    for r in (-2, -2, Fraction(1, 3), 5):
-        p = [-r * p[0]] + [p[i - 1] - r * p[i] for i in range(1, len(p))] + [p[-1]]
-    chain = SturmChain(p)
+    chain = SturmChain(_from_roots((-2, -2, Fraction(1, 3), 5)))
     assert chain.squarefree is False
     assert chain.count_between(-math.inf, math.inf) == 3
     # (a, b] at the simple roots; the double root is counted once
     assert chain.count_between(0, Fraction(1, 3)) == 1
     assert chain.count_between(Fraction(1, 3), 5) == 1
     assert chain.count_between(-3, 0) == 1
+    # endpoints at the double root, where the undivided chain vanishes
+    assert chain.count_between(-2, Fraction(1, 3)) == 1
+    assert chain.count_between(Fraction(-5, 2), -2) == 1
+
+
+def test_sturm_chain_endpoints_at_repeated_roots_randomized():
+    rng = np.random.default_rng(17)
+    for _ in range(40):
+        distinct = sorted({Fraction(int(rng.integers(-6, 7)), int(rng.integers(1, 4)))
+                           for _ in range(int(rng.integers(1, 4)))})
+        roots = [r for r in distinct for _ in range(int(rng.integers(1, 4)))]
+        chain = SturmChain(_from_roots(roots))
+        points = distinct + [distinct[0] - 1, distinct[-1] + 1]
+        for a in points:
+            for b in points:
+                if a <= b:
+                    expected = sum(1 for r in distinct if a < r <= b)
+                    assert chain.count_between(a, b) == expected, (roots, a, b)
 
 
 def test_unstable_root_count_exact_randomized():

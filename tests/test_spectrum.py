@@ -9,7 +9,6 @@ from midpredict.spectrum import (
     RootOnContourError,
     count_roots_region,
     default_certification_rect,
-    qp_deriv,
     qp_eval,
     qp_kth_deriv,
     rightmost_in_region,
@@ -54,8 +53,8 @@ def test_qp_derivatives_finite_difference():
         s = complex(rng.uniform(-2, 1), rng.uniform(-3, 3))
         step = 1e-6
         fd = (qp_eval(QP2, s + step) - qp_eval(QP2, s - step)) / (2 * step)
-        assert qp_deriv(QP2, s) == pytest.approx(fd, rel=1e-7, abs=1e-9)
-        fd2 = (qp_deriv(QP2, s + step) - qp_deriv(QP2, s - step)) / (2 * step)
+        assert qp_kth_deriv(QP2, s, 1) == pytest.approx(fd, rel=1e-7, abs=1e-9)
+        fd2 = (qp_kth_deriv(QP2, s + step, 1) - qp_kth_deriv(QP2, s - step, 1)) / (2 * step)
         assert qp_kth_deriv(QP2, s, 2) == pytest.approx(fd2, rel=1e-6, abs=1e-8)
 
 
