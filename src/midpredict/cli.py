@@ -173,7 +173,7 @@ def _cmd_spectrum(args):
         gain.sigma_star / max(args.delta, 1e-9) if args.delta > 0 else gain.sigma_star,
         args.delta,
     )
-    result = roots_in_region(qp, rect, args.density)
+    result = roots_in_region(qp, rect)
     print(
         "region [%s, %s] x [%s, %s]: %d roots (with multiplicity)"
         % tuple([_fmt(v) for v in rect] + [result.count_by_argument_principle])
@@ -311,6 +311,8 @@ def _cmd_simulate(args):
 
 
 def _cmd_compare(args):
+    if args.gamma_m is not None and not math.isfinite(args.gamma_m):
+        raise ValueError("gain margin must be finite")
     gain = GainVector(tuple(float(v) for v in args.L.split(",")), args.n)
     verdicts = [
         ahmed_conditions(args.n, gain, args.lam, args.h, args.gamma_phi),
@@ -341,7 +343,7 @@ def _cmd_repro(args):
         scaled = scale_gain(gain, 0.25)
         qp = Quasipolynomial(2, scaled.l, 0.25)
         rect = default_certification_rect(gain.sigma_star / 0.25, 0.25)
-        result = roots_in_region(qp, rect, 32)
+        result = roots_in_region(qp, rect)
         path = _write_csv(
             os.path.join(args.outdir, "spectrum025.csv"),
             "spectrum.v1",
@@ -437,7 +439,6 @@ def _build_parser():
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--delta", type=float, required=True)
     p.add_argument("--rect", default=None, help="re_min,re_max,im_min,im_max")
-    p.add_argument("--density", type=int, default=32)
     p.set_defaults(func=_cmd_spectrum)
 
     p = sub.add_parser("margins", help="delay-axis stability partition")

@@ -30,6 +30,7 @@ from scipy.linalg import block_diag
 from scipy.optimize import minimize
 
 from .synthesis import GainVector, gain_star, sigma_star
+from .tradeoff import _kronecker_lyapunov, closed_loop_matrix
 
 __all__ = [
     "LmiVariables",
@@ -338,13 +339,7 @@ def _minimize_eigenvalue(theta0, oracle, budget_iters=1200, target=0.0):
 
 
 def _lyapunov_seed(n, gain):
-    a = _shift_matrix(n)
-    a1 = _injection_matrix(gain)
-    closed = a + a1
-    eye = np.eye(n)
-    kron = np.kron(eye, closed.T) + np.kron(closed.T, eye)
-    p0 = np.linalg.solve(kron, -eye.reshape(-1)).reshape(n, n)
-    p0 = (p0 + p0.T) / 2
+    p0 = _kronecker_lyapunov(closed_loop_matrix(gain))
     return p0 / max(np.max(np.abs(p0)), 1.0)
 
 
@@ -554,12 +549,12 @@ def design_chain(n, gamma_phi, h, gamma_m):
     gain N/h, which puts every stage exactly at the unit normalized delay
     the gains were designed for.
     """
-    if gamma_m <= 0:
-        raise ValueError("gain margin must be positive")
-    if gamma_phi < 0:
-        raise ValueError("Lipschitz constant must be nonnegative")
-    if h <= 0:
-        raise ValueError("delay must be positive")
+    if not 0 < gamma_m < math.inf:
+        raise ValueError("gain margin must be finite and positive")
+    if not 0 <= gamma_phi < math.inf:
+        raise ValueError("Lipschitz constant must be finite and nonnegative")
+    if not 0 < h < math.inf:
+        raise ValueError("delay must be finite and positive")
     lambda_star = max(gamma_phi / gamma_m, 1.0)
     stages = max(1, math.ceil(lambda_star * h))
     lam = stages / h

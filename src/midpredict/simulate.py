@@ -28,6 +28,8 @@ __all__ = [
 ]
 
 DIVERGENCE_NORM = 1e9
+# nodes times state width per stored array; the demo runs need at most 60 001 x 12
+MAX_STATE_VALUES = 10_000_000
 DEMO_VARIANTS = ("ahmed", "ours_N1", "ours_N5")
 
 
@@ -56,12 +58,14 @@ class SimConfig:
     def __post_init__(self):
         if self.N < 1:
             raise ValueError("at least one sub-predictor is required")
-        if self.lam <= 0:
-            raise ValueError("scalar gain must be positive")
+        if not 0 < self.lam < math.inf:
+            raise ValueError("scalar gain must be finite and positive")
         if self.system.h <= 0:
             raise ValueError("simulation requires a positive input delay")
-        if self.t_end < self.system.h:
-            raise ValueError("horizon must reach at least one delay span")
+        if not self.system.h <= self.t_end < math.inf:
+            raise ValueError("horizon must be finite and reach at least one delay span")
+        if self.dt is not None and not 0 < self.dt < math.inf:
+            raise ValueError("step must be finite and positive")
         if self.gain.n != self.system.n:
             raise ValueError("gain dimension must match the system")
         n = self.system.n
@@ -108,16 +112,21 @@ def integrate(config):
     h = sys_.h
     h_e = h / N
     dt_req = config.dt if config.dt is not None else h_e / 50.0
-    if dt_req <= 0:
-        raise ValueError("step must be positive")
-    m = max(1, math.ceil(h_e / dt_req - 1e-9))
+    # the clamp keeps ceil finite for a step of a few ulps; a clamped run
+    # has more than MAX_STATE_VALUES nodes and is refused below
+    m = max(1, math.ceil(min(h_e / dt_req, MAX_STATE_VALUES) - 1e-9))
     dt = h_e / m
     steps = math.ceil(config.t_end / dt - 1e-9)
+    width = (N + 1) * n
+    if (steps + 1) * width > MAX_STATE_VALUES:
+        raise ValueError(
+            "%d nodes of %d states exceed the budget of %d stored values; enlarge dt"
+            % (steps + 1, width, MAX_STATE_VALUES)
+        )
     lam_pow = lam ** np.arange(1, n + 1)
     inj_gain = lam_pow * np.asarray(config.gain.l)
     hist = np.asarray(config.predictor_history)  # (N, n)
 
-    width = (N + 1) * n
     values = np.empty((steps + 1, width))
     derivs = np.empty((steps + 1, width))
     y0 = np.concatenate([np.asarray(config.x0), hist.reshape(-1)])

@@ -2,11 +2,12 @@
 
 ``D(s) = s**n + (l1*s**(n-1) + ... + ln) * exp(-delta*s)`` is entire, so an
 argument-principle count over a rectangle boundary is an exact root count
-with multiplicity. Roots inside a rectangle are located by scanning a grid
-for simultaneous sign changes of Re D and Im D, polishing candidates with a
-multiplicity-robust Newton iteration on D/D', and estimating multiplicities
-by small-circle winding numbers. The two routes must agree before a result
-is returned.
+with multiplicity. Roots inside a rectangle are located by bisecting it on
+that count (Delves & Lyness, Math. Comp. 21, 1967): boxes holding one root
+are polished by a multiplicity-robust Newton iteration on D/D', and a
+cluster that no cut can split is located as one multiple root through the
+derivative of matching order. The count is the only route, so the roots
+returned account for it exactly.
 """
 
 from __future__ import annotations
@@ -31,10 +32,9 @@ __all__ = [
     "default_certification_rect",
 ]
 
-MERGE_RADIUS = 1e-4
-MULTIPLICITY_RADIUS = 1e-3
 POLISH_REL_TOL = 1e-10
 CONTOUR_REL_TOL = 1e-8
+CUT_FRACTIONS = (0.5, 0.47, 0.53, 0.41, 0.59)
 
 
 class SpectrumError(RuntimeError):
@@ -74,7 +74,7 @@ class SpectrumResult:
 
 
 def _injection_value(qp, s):
-    acc = qp.l[0] * np.ones_like(s)
+    acc = qp.l[0]
     for coef in qp.l[1:]:
         acc = acc * s + coef
     return acc
@@ -83,28 +83,29 @@ def _injection_value(qp, s):
 def qp_eval(qp, s):
     """Evaluate D(s); accepts scalars or numpy arrays."""
     s = np.asarray(s, dtype=complex) if not np.isscalar(s) else complex(s)
-    poly = _injection_value(qp, s) if np.ndim(s) else _injection_scalar(qp, s)
+    poly = _injection_value(qp, s)
     if np.ndim(s):
         return s ** qp.n + poly * np.exp(-qp.delta * s)
     return s ** qp.n + poly * cmath.exp(-qp.delta * s)
 
 
-def _injection_scalar(qp, s):
-    acc = qp.l[0]
-    for coef in qp.l[1:]:
-        acc = acc * s + coef
-    return acc
+def _injection_derivative(gain, s, k):
+    """k-th derivative of l1*s**(n-1)+...+ln at s, with the largest term magnitude.
 
-
-def _injection_deriv_scalar(qp, s, order=1):
-    n = qp.n
-    acc = 0.0 + 0.0j
-    for idx, coef in enumerate(qp.l):
+    gain is anything with gains l and dimension n: a Quasipolynomial or a
+    synthesis GainVector.
+    """
+    n = gain.n
+    total = 0.0 + 0.0j
+    scale = 0.0
+    for idx, coef in enumerate(gain.l):
         power = n - 1 - idx
-        if power < order:
+        if power < k:
             continue
-        acc += coef * math.perm(power, order) * s ** (power - order)
-    return acc
+        term = coef * math.perm(power, k) * s ** (power - k)
+        total += term
+        scale = max(scale, abs(term))
+    return total, scale
 
 
 def qp_kth_deriv(qp, s, k):
@@ -115,7 +116,7 @@ def qp_kth_deriv(qp, s, k):
     head = math.perm(qp.n, k) * s ** (qp.n - k) if k <= qp.n else 0.0
     tail = 0.0 + 0.0j
     for j in range(k + 1):
-        tail += math.comb(k, j) * (-qp.delta) ** (k - j) * _injection_deriv_scalar(qp, s, j)
+        tail += math.comb(k, j) * (-qp.delta) ** (k - j) * _injection_derivative(qp, s, j)[0]
     return head + tail * cmath.exp(-qp.delta * s)
 
 
@@ -237,31 +238,6 @@ def count_roots_region(qp, rect, contour_points=None):
     return int(nearest)
 
 
-def _candidate_cells(qp, rect, density):
-    re0, re1, im0, im1 = rect
-    nx = max(4, int(math.ceil((re1 - re0) * density)) + 1)
-    ny = max(4, int(math.ceil((im1 - im0) * density)) + 1)
-    xs = np.linspace(re0, re1, nx)
-    ys = np.linspace(im0, im1, ny)
-    grid = xs[None, :] + 1j * ys[:, None]
-    with np.errstate(over="ignore", invalid="ignore"):
-        w = qp_eval(qp, grid)
-    sr = np.signbit(w.real)
-    si = np.signbit(w.imag)
-
-    def changes(sign):
-        c = np.zeros((ny - 1, nx - 1), dtype=bool)
-        c |= sign[:-1, :-1] != sign[:-1, 1:]
-        c |= sign[:-1, :-1] != sign[1:, :-1]
-        c |= sign[:-1, :-1] != sign[1:, 1:]
-        return c
-
-    both = changes(sr) & changes(si)
-    rows, cols = np.nonzero(both)
-    centers = (xs[cols] + xs[cols + 1]) / 2 + 1j * (ys[rows] + ys[rows + 1]) / 2
-    return centers.tolist()
-
-
 def _polish(qp, s0, rect):
     """Newton on D/D': quadratic convergence regardless of multiplicity.
 
@@ -298,79 +274,73 @@ def _polish(qp, s0, rect):
     return s
 
 
-def _merge_clusters(points, radius):
-    merged = []
-    for p in sorted(points, key=lambda z: (z.real, z.imag)):
-        for i, (q, cnt) in enumerate(merged):
-            if abs(p - q) <= radius:
-                merged[i] = ((q * cnt + p) / (cnt + 1), cnt + 1)
-                break
-        else:
-            merged.append((p, 1))
-    return [q for q, _ in merged]
+def _inside(s, box, slack=0.0):
+    re0, re1, im0, im1 = box
+    return re0 - slack <= s.real <= re1 + slack and im0 - slack <= s.imag <= im1 + slack
 
 
-def _multiplicity(qp, root, neighbors):
-    """Winding number of D on a small circle around a polished root.
+def _split(qp, box, count):
+    """Halve a box of count roots along its longer side.
 
-    On a radius-r circle around a multiplicity-m root, |D| shrinks like
-    r**m, so the vanish guard is relaxed to just above evaluation noise and
-    the radius grows if values sink into that noise.
+    The first cut in CUT_FRACTIONS whose half-box boundary meets no root
+    wins; only that half is counted, since the two halves' counts add up to
+    the box's. Returns ((half, count), (half, count)), or None when every
+    cut meets a root.
     """
-    base = MULTIPLICITY_RADIUS
-    gap = min((abs(root - q) for q in neighbors if q != root), default=None)
-    if gap is not None:
-        base = min(base, 0.4 * gap)
-    for factor in (1.0, 2.0, 0.5, 4.0, 0.25, 8.0):
-        radius = base * factor
-        if gap is not None and radius > 0.45 * gap:
-            continue
-        theta = np.linspace(0.0, 2 * math.pi, 64, endpoint=True)
-        circle = root + radius * np.exp(1j * theta)
+    re0, re1, im0, im1 = box
+    for frac in CUT_FRACTIONS:
+        if re1 - re0 >= im1 - im0:
+            cut = re0 + frac * (re1 - re0)
+            first, second = (re0, cut, im0, im1), (cut, re1, im0, im1)
+        else:
+            cut = im0 + frac * (im1 - im0)
+            first, second = (re0, re1, im0, cut), (re0, re1, cut, im1)
         try:
-            total = _phase_sweep(qp, circle.tolist(), budget=70000, vanish_tol=1e-13)
+            k = count_roots_region(qp, first)
         except RootOnContourError:
             continue
-        winding = total / (2 * math.pi)
-        if abs(winding - round(winding)) < 0.05 and round(winding) >= 1:
-            return int(round(winding))
-    raise SpectrumError("could not certify multiplicity near %s" % root)
+        if not 0 <= k <= count:
+            raise SpectrumError("half-box count %d exceeds the box count %d" % (k, count))
+        return (first, k), (second, count - k)
+    return None
 
 
-def _refine_multiple(qp, s, mult):
-    """Relocate a multiple root through the (mult-1)-th derivative.
+def _cluster_root(qp, box, mult):
+    """Locate mult roots that no cut can separate as one multiple root.
 
     A multiplicity-m root of D is a simple, well-conditioned root of
-    D^(m-1); plain Newton there recovers the location far below the noise
-    floor that direct evaluation of D allows. Near-real results snap onto
-    the axis, which is exact for real coefficients and isolated roots.
+    D^(m-1); Newton there from the box centre recovers the location far
+    below the noise floor that direct evaluation of D allows. The point
+    must lie in the box and pass the residual gate of _polish.
     """
-    if mult > 1:
-        z = complex(s)
-        for _ in range(60):
-            f = qp_kth_deriv(qp, z, mult - 1)
-            fp = qp_kth_deriv(qp, z, mult)
-            if abs(fp) == 0.0:
-                break
-            step = f / fp
-            z -= step
-            if abs(step) < 1e-16 * max(1.0, abs(z)):
-                break
-        if abs(z - s) <= 2 * MERGE_RADIUS:
-            s = z
-    if abs(s.imag) < 1e-8 * max(1.0, abs(s)):
-        s = complex(s.real, 0.0)
-    return s
+    re0, re1, im0, im1 = box
+    z = complex((re0 + re1) / 2, (im0 + im1) / 2)
+    for _ in range(60):
+        f = qp_kth_deriv(qp, z, mult - 1)
+        fp = qp_kth_deriv(qp, z, mult)
+        if abs(fp) == 0.0:
+            break
+        step = f / fp
+        z -= step
+        if abs(step) < 1e-16 * max(1.0, abs(z)):
+            break
+    scale = float(qp_scale(qp, np.asarray(z)))
+    if not (_inside(z, box) and abs(qp_eval(qp, z)) <= POLISH_REL_TOL * scale):
+        raise SpectrumError("cannot locate the %d-fold root cluster in %s" % (mult, box))
+    return z
 
 
-def roots_in_region(qp, rect, grid_density=32):
+def roots_in_region(qp, rect):
     """All roots in the closed rectangle, each with a certified multiplicity.
 
-    The integration contour is pushed slightly outside the requested
-    rectangle so roots sitting exactly on an edge (real roots with im_min at
-    0, for instance) are still resolved. Every root found inside the
-    expanded contour must be accounted for by the boundary winding number;
-    only roots lying in the closed requested rectangle are returned, and the
+    The counting contour is pushed slightly outside the requested rectangle
+    so roots sitting exactly on an edge (real roots with im_min at 0, for
+    instance) are still resolved. The expanded box is then bisected on its
+    argument-principle count: a one-root box is done when _polish converges
+    inside it, and a box of k >= 2 roots that no cut can pass without
+    meeting a root is one root of multiplicity k. Every root comes from a
+    counted box, so together they account exactly for the boundary count.
+    Only roots lying in the closed requested rectangle are returned, and the
     reported count is the sum of their multiplicities.
     """
     re0, re1, im0, im1 = rect
@@ -388,39 +358,41 @@ def roots_in_region(qp, rect, grid_density=32):
         break
     if ext is None:
         raise RootOnContourError("roots crowd every candidate contour around the rectangle")
-    density = max(8, int(grid_density))
-    found_total = 0
-    for attempt in range(3):
-        candidates = _candidate_cells(qp, ext, density)
-        polished = [s for s in (_polish(qp, c, ext) for c in candidates) if s is not None]
-        roots = _merge_clusters(polished, MERGE_RADIUS)
-        if target == 0 and not roots:
-            return SpectrumResult((), tuple(rect), 0, None)
-        try:
-            with_mult = [(s, _multiplicity(qp, s, roots)) for s in roots]
-        except SpectrumError:
-            density *= 2
-            continue
-        with_mult = [(_refine_multiple(qp, s, m), m) for s, m in with_mult]
-        found_total = sum(m for _, m in with_mult)
-        if found_total == target:
-            kept = [
-                (s, m)
-                for s, m in with_mult
-                if re0 - 1e-9 <= s.real <= re1 + 1e-9 and im0 - 1e-9 <= s.imag <= im1 + 1e-9
-            ]
-            kept.sort(key=lambda item: (item[0].real, item[0].imag))
-            dominant = max((s for s, _ in kept), key=lambda z: z.real, default=None)
-            return SpectrumResult(tuple(kept), tuple(rect), sum(m for _, m in kept), dominant)
-        density *= 2
-    raise SpectrumError(
-        "grid scan accounted for %d roots but the boundary count is %d" % (found_total, target)
-    )
+    found = []
+    pending = [(ext, target)] if target else []
+    max_boxes = 64 * (target + 1)
+    boxes = 0
+    while pending:
+        boxes += 1
+        if boxes > max_boxes:
+            raise SpectrumError("root isolation exceeded its budget of %d boxes" % max_boxes)
+        box, count = pending.pop()
+        if count == 1:
+            s = _polish(qp, complex((box[0] + box[1]) / 2, (box[2] + box[3]) / 2), box)
+            if s is not None and _inside(s, box):
+                found.append((s, 1))
+                continue
+        halves = _split(qp, box, count)
+        if halves is not None:
+            pending.extend(half for half in halves if half[1])
+        elif count == 1:
+            raise SpectrumError("no cut isolates the root in %s" % (box,))
+        else:
+            found.append((_cluster_root(qp, box, count), count))
+    kept = []
+    for s, m in found:
+        if abs(s.imag) < 1e-8 * max(1.0, abs(s)):
+            s = complex(s.real, 0.0)
+        if _inside(s, rect, 1e-9):
+            kept.append((s, m))
+    kept.sort(key=lambda item: (item[0].real, item[0].imag))
+    dominant = max((s for s, _ in kept), key=lambda z: z.real, default=None)
+    return SpectrumResult(tuple(kept), tuple(rect), sum(m for _, m in kept), dominant)
 
 
-def rightmost_in_region(qp, rect, grid_density=64):
+def rightmost_in_region(qp, rect):
     """Root of maximal real part in the rectangle."""
-    result = roots_in_region(qp, rect, grid_density)
+    result = roots_in_region(qp, rect)
     if not result.roots:
         raise SpectrumError("empty spectrum in region")
     return result.dominant

@@ -19,6 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from .polynomials import RealPolynomial, rightmost_root, sturm_root_certificate
+from .spectrum import _injection_derivative
 
 __all__ = [
     "GainVector",
@@ -190,21 +191,6 @@ def scale_gain(gain, delta):
     return GainVector(l=scaled, n=gain.n, sigma_star=gain.sigma_star)
 
 
-def _injection_derivative(gain, k, s):
-    """k-th derivative of l1*s**(n-1)+...+ln, with a term-magnitude scale."""
-    n = gain.n
-    total = 0.0 + 0.0j
-    scale = 0.0
-    for m_idx in range(1, n + 1):
-        power = n - m_idx
-        if power < k:
-            continue
-        term = gain.l[m_idx - 1] * math.perm(power, k) * s ** (power - k)
-        total += term
-        scale = max(scale, abs(term))
-    return total, scale
-
-
 def multiplicity_at(gain, delta, s0, rel_tol=1e-8):
     """Largest m <= n+1 with the first m derivative conditions satisfied at s0.
 
@@ -223,7 +209,7 @@ def multiplicity_at(gain, delta, s0, rel_tol=1e-8):
         value = rk_val * eds
         scale = rk_scale * abs(eds)
         if k < n:
-            inj_val, inj_scale = _injection_derivative(gain, k, s0)
+            inj_val, inj_scale = _injection_derivative(gain, s0, k)
             value += inj_val
             scale = max(scale, inj_scale)
         if abs(value) <= rel_tol * max(scale, 1e-300):

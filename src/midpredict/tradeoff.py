@@ -49,17 +49,21 @@ def _require_hurwitz(gain):
         raise ValueError("A - LC must be Hurwitz for this condition")
 
 
+def _kronecker_lyapunov(m):
+    """Symmetrised solution P of P m + m'P = -I, via the vectorized linear system."""
+    eye = np.eye(m.shape[0])
+    kron = np.kron(eye, m.T) + np.kron(m.T, eye)
+    p = np.linalg.solve(kron, -eye.reshape(-1)).reshape(m.shape)
+    return (p + p.T) / 2
+
+
 def lyapunov_solve(gain):
     """Unique symmetric positive definite P with
     P(A-LC) + (A-LC)'P = -I, via the vectorized linear system."""
     _require_hurwitz(gain)
-    n = gain.n
     m = closed_loop_matrix(gain)
-    eye = np.eye(n)
-    kron = np.kron(eye, m.T) + np.kron(m.T, eye)
-    p = np.linalg.solve(kron, -eye.reshape(-1)).reshape(n, n)
-    p = (p + p.T) / 2
-    residual = np.linalg.norm(p @ m + m.T @ p + eye)
+    p = _kronecker_lyapunov(m)
+    residual = np.linalg.norm(p @ m + m.T @ p + np.eye(gain.n))
     if residual > 1e-10:
         raise RuntimeError("Lyapunov residual %.2e exceeds tolerance" % residual)
     return p
@@ -93,8 +97,8 @@ def ahmed_conditions(n, gain, lam, h, gamma_phi):
     P0 solves the unit-right-hand-side equation; that is the most favorable
     standard choice, and the verdict reports the P actually used.
     """
-    if lam <= 0 or h < 0:
-        raise ValueError("gain and delay must be positive")
+    if not (0 < lam < math.inf and 0 <= h < math.inf):
+        raise ValueError("gain must be finite and positive, delay finite and nonnegative")
     _require_hurwitz(gain)
     p0 = lyapunov_solve(gain)
     p = h * lam ** 2 * p0
@@ -128,8 +132,8 @@ def ahmed_necessary(n, h, lam):
 def lei_conditions(n, gain, lam, h):
     """Second recipe: sigma * h * lam <= 1 with sigma built from the
     Lyapunov solution of the delay-free loop."""
-    if lam <= 0 or h < 0:
-        raise ValueError("gain and delay must be positive")
+    if not (0 < lam < math.inf and 0 <= h < math.inf):
+        raise ValueError("gain must be finite and positive, delay finite and nonnegative")
     _require_hurwitz(gain)
     p = lyapunov_solve(gain)
     eigs = np.linalg.eigvalsh(p)

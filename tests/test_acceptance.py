@@ -77,7 +77,7 @@ def test_criterion_02_multiplicity_and_dominance():
     gain = gain_star(2)
     assert multiplicity_at(gain, 1.0, gain.sigma_star) == 3
     qp = Quasipolynomial(2, gain.l, 1.0)
-    result = roots_in_region(qp, (gain.sigma_star, 2.0, 0.0, 200.0), 32)
+    result = roots_in_region(qp, (gain.sigma_star, 2.0, 0.0, 200.0))
     assert result.roots, "the designed root itself must be found"
     for s, m in result.roots:
         assert s.real <= gain.sigma_star + 1e-9

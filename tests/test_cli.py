@@ -82,13 +82,18 @@ def test_margins_csv_and_determinism(tmp_path, capsys):
 
 def test_spectrum_outputs(tmp_path, capsys):
     rc = run(tmp_path, "spectrum", "--n", "2", "--delta", "1",
-             "--rect=-3,0.5,0,5", "--density", "32")
+             "--rect=-3,0.5,0,5")
     assert rc == 0
     out = capsys.readouterr().out
     assert "multiplicity 3" in out
     csv_text = (tmp_path / "spectrum.csv").read_text()
     assert csv_text.startswith("# schema: spectrum.v1\n")
     assert (tmp_path / "spectrum.gp").exists()
+
+
+def test_spectrum_certifies_higher_order_design(tmp_path, capsys):
+    assert run(tmp_path, "spectrum", "--n", "3", "--delta", "1") == 0
+    assert "multiplicity 4" in capsys.readouterr().out
 
 
 def test_simulate_variant(tmp_path, capsys):
@@ -193,6 +198,15 @@ def test_margins_builds_crossings_once(tmp_path, capsys, monkeypatch):
         ("margins", "--n", "2", "--delta-max", "1e7"),
         ("gainmargin", "--n", "1", "--tol", "0"),
         ("spectrum", "--n", "2", "--delta", "inf"),
+        ("design", "--n", "2", "--gamma-phi", "1.1", "--h", "inf", "--gamma-m", "0.06"),
+        ("design", "--n", "2", "--gamma-phi", "1.1", "--h", "0.25", "--gamma-m", "inf"),
+        ("compare", "--n", "2", "--h", "0.25", "--lambda", "inf", "--L", "2,1",
+         "--gamma-phi", "1.1", "--gamma-m", "0.06"),
+        ("compare", "--n", "2", "--h", "0.25", "--lambda", "2", "--L", "2,1",
+         "--gamma-phi", "1.1", "--gamma-m", "nan"),
+        ("compare", "--n", "2", "--h", "nan", "--lambda", "2", "--L", "2,1",
+         "--gamma-phi", "1.1", "--gamma-m", "0.06"),
+        ("simulate", "--variant", "ours_N1", "--dt", "1e-6"),
     ],
 )
 def test_unbounded_inputs_fail_fast(tmp_path, argv):

@@ -44,6 +44,34 @@ def test_config_validation():
         SimConfig(system=system, gain=gain_star(3), lam=1.0, N=1, t_end=10.0)
 
 
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"lam": math.nan},
+        {"lam": math.inf},
+        {"t_end": math.inf},
+        {"t_end": math.nan},
+        {"dt": math.nan},
+        {"dt": math.inf},
+        {"dt": 0.0},
+        {"dt": -0.01},
+    ],
+)
+def test_config_rejects_unbounded_inputs(overrides):
+    kwargs = dict(system=demo_system(), gain=gain_star(2), lam=1.0, N=1, t_end=10.0)
+    kwargs.update(overrides)
+    with pytest.raises(ValueError):
+        SimConfig(**kwargs)
+
+
+@pytest.mark.parametrize("dt", [1e-300, 5e-324])
+def test_integrate_refuses_oversized_run(dt):
+    cfg = SimConfig(system=demo_system(0.25), gain=gain_star(2), lam=4.0, N=1,
+                    t_end=60.0, dt=dt)
+    with pytest.raises(ValueError, match="budget"):
+        integrate(cfg)
+
+
 def test_step_snaps_to_stage_delay():
     cfg = SimConfig(system=demo_system(0.25), gain=gain_star(2), lam=4.0, N=1,
                     t_end=1.0, dt=0.0132)
@@ -107,7 +135,7 @@ def test_linear_rates_match_region_spectrum():
         cfg = _error_only_config(n, h, lam, t_end, tuple(1.0 for _ in range(n)))
         rate = fit_decay_rate(integrate(cfg), window)
         qp = Quasipolynomial(n, gain.l, delta)
-        dominant = rightmost_in_region(qp, (-3.0, 0.5, 0.0, 10.0), 32)
+        dominant = rightmost_in_region(qp, (-3.0, 0.5, 0.0, 10.0))
         target = dominant.real * lam
         assert abs(rate - target) <= 0.05 * abs(target), (n, delta)
 

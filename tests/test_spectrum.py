@@ -76,7 +76,7 @@ def test_count_root_on_contour_raises():
 
 
 def test_roots_in_region_designed_loop():
-    res = roots_in_region(QP2, (-6.0, 1.0, 0.0, 30.0), 32)
+    res = roots_in_region(QP2, (-6.0, 1.0, 0.0, 30.0))
     dominant = res.dominant
     assert dominant == pytest.approx(G2.sigma_star, abs=1e-9)
     mults = {m for s, m in res.roots if abs(s - G2.sigma_star) < 1e-6}
@@ -88,8 +88,21 @@ def test_roots_in_region_designed_loop():
     assert sum(m for _, m in res.roots) == res.count_by_argument_principle
 
 
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_roots_in_region_designed_loop_higher_order(n):
+    gain = gain_star(n)
+    qp = Quasipolynomial(n, gain.l, 1.0)
+    res = roots_in_region(qp, default_certification_rect(gain.sigma_star, 1.0))
+    assert res.dominant == pytest.approx(gain.sigma_star, rel=1e-12)
+    assert dict(res.roots)[res.dominant] == n + 1
+    for s, m in res.roots:
+        if s != res.dominant:
+            assert s.real < gain.sigma_star
+    assert sum(m for _, m in res.roots) == res.count_by_argument_principle
+
+
 def test_roots_in_region_classic_double():
-    res = roots_in_region(QP1, (-2.0, 0.0, -1.0, 1.0), 32)
+    res = roots_in_region(QP1, (-2.0, 0.0, -1.0, 1.0))
     assert len(res.roots) == 1
     s, m = res.roots[0]
     assert s == pytest.approx(-1.0, abs=1e-9)
@@ -98,13 +111,13 @@ def test_roots_in_region_classic_double():
 
 def test_roots_in_region_beyond_delay_margin():
     qp = Quasipolynomial(2, G2.l, 3.0)
-    res = roots_in_region(qp, (-0.5, 1.0, 0.0, 2.0), 48)
+    res = roots_in_region(qp, (-0.5, 1.0, 0.0, 2.0))
     assert any(s.real > 0 for s, _ in res.roots)
 
 
 def test_roots_delay_free_quadratic():
     qp0 = Quasipolynomial(2, G2.l, 0.0)
-    res = roots_in_region(qp0, (-1.0, 0.5, -1.0, 1.0), 64)
+    res = roots_in_region(qp0, (-1.0, 0.5, -1.0, 1.0))
     expected = np.roots([1.0, G2.l[0], G2.l[1]])
     found = sorted((s for s, _ in res.roots), key=lambda z: z.imag)
     for f, e in zip(found, sorted(expected, key=lambda z: z.imag)):
@@ -112,19 +125,19 @@ def test_roots_delay_free_quadratic():
 
 
 def test_rightmost_in_region():
-    assert rightmost_in_region(QP2, (-6.0, 1.0, 0.0, 30.0), 32) == pytest.approx(
+    assert rightmost_in_region(QP2, (-6.0, 1.0, 0.0, 30.0)) == pytest.approx(
         G2.sigma_star, abs=1e-9
     )
     scaled = scale_gain(G2, 0.25)
     qph = Quasipolynomial(2, scaled.l, 0.25)
-    assert rightmost_in_region(qph, (-12.0, 1.0, 0.0, 40.0), 32) == pytest.approx(
+    assert rightmost_in_region(qph, (-12.0, 1.0, 0.0, 40.0)) == pytest.approx(
         G2.sigma_star / 0.25, abs=1e-8
     )
 
 
 def test_conjugate_symmetry():
     qp = Quasipolynomial(2, G2.l, 2.0)
-    res = roots_in_region(qp, (-3.0, 0.5, -8.0, 8.0), 32)
+    res = roots_in_region(qp, (-3.0, 0.5, -8.0, 8.0))
     complex_roots = [s for s, _ in res.roots if abs(s.imag) > 1e-9]
     for s in complex_roots:
         partner = min(complex_roots, key=lambda z: abs(z - s.conjugate()))
@@ -147,7 +160,7 @@ def test_argument_principle_consistency_randomized():
         im0 = float(rng.uniform(-3.0, 0.0))
         im1 = im0 + float(rng.uniform(1.0, 3.0))
         try:
-            res = roots_in_region(qp, (re0, re1, im0, im1), 32)
+            res = roots_in_region(qp, (re0, re1, im0, im1))
             inner = count_roots_region(qp, (re0, re1, im0, im1))
         except RootOnContourError:
             continue
@@ -167,12 +180,12 @@ def test_argument_principle_consistency_randomized():
 def test_scaling_law_of_roots():
     # rescaled gains at the matching delay reproduce the unit-delay
     # spectrum divided by the delay
-    base = roots_in_region(QP2, (-4.0, 1.0, 0.0, 10.0), 32)
+    base = roots_in_region(QP2, (-4.0, 1.0, 0.0, 10.0))
     for delta in (0.5, 2.0):
         scaled = scale_gain(G2, delta)
         qp = Quasipolynomial(2, scaled.l, delta)
         rect = (-4.0 / delta, 1.0 / delta, 0.0, 10.0 / delta)
-        res = roots_in_region(qp, rect, max(32, int(32 * delta)))
+        res = roots_in_region(qp, rect)
         assert len(res.roots) == len(base.roots)
         for (s, m), (bs, bm) in zip(res.roots, base.roots):
             assert m == bm
