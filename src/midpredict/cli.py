@@ -13,6 +13,7 @@ import json
 import math
 import os
 import sys
+import time
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -21,7 +22,7 @@ from . import __version__
 from .gainmargin import design_chain, max_gain_margin, upper_bound_gamma
 from .margins import stability_partition
 from .model import load_system
-from .simulate import DEMO_VARIANTS, SimConfig, integrate, run_demo_variant
+from .simulate import DEMO_VARIANTS, SimConfig, demo_config, integrate, run_demo_variant
 from .spectrum import Quasipolynomial, default_certification_rect, roots_in_region
 from .synthesis import GainVector, gain_star, multiplicity_at, scale_gain
 from .tradeoff import ahmed_conditions, lei_conditions
@@ -259,29 +260,18 @@ def _cmd_design(args):
 
 
 def _trace_rows(trace):
-    rows = []
-    for k, t in enumerate(trace.times):
-        row = [float(t)]
-        row.extend(float(v) for v in trace.x[k])
-        row.extend(float(v) for v in trace.e_chain[k])
-        row.append(float(trace.e_pred[k]))
-        rows.append(tuple(row))
-    return rows
+    return np.column_stack([trace.times, trace.x, trace.e_chain, trace.e_pred]).tolist()
 
 
 def _trace_header(trace):
-    n = trace.x.shape[1]
-    stages = trace.e_chain.shape[1]
-    cols = ["t"]
-    cols.extend("x%d" % (i + 1) for i in range(n))
-    cols.extend("e_stage%d" % (j + 1) for j in range(stages))
-    cols.append("e_pred")
-    return cols
+    states = ["x%d" % (i + 1) for i in range(trace.x.shape[1])]
+    stages = ["e_stage%d" % (j + 1) for j in range(trace.e_chain.shape[1])]
+    return ["t"] + states + stages + ["e_pred"]
 
 
 def _cmd_simulate(args):
     if args.variant:
-        trace = run_demo_variant(args.variant, args.h, t_end=args.t_end, dt=args.dt)
+        cfg = demo_config(args.variant, args.h, t_end=args.t_end, dt=args.dt)
         label = args.variant
     elif args.config:
         system = load_system(args.config)
@@ -290,11 +280,13 @@ def _cmd_simulate(args):
         cfg = SimConfig(
             system=system, gain=gain, lam=lam, N=args.N, t_end=args.t_end, dt=args.dt
         )
-        trace = integrate(cfg)
         label = "config"
     else:
         print("simulate requires --config or --variant", file=sys.stderr)
         return 2
+    start = time.perf_counter()
+    trace = integrate(cfg)
+    integrate_s = time.perf_counter() - start
     final = trace.e_pred[np.isfinite(trace.e_pred)]
     print("run '%s': %d nodes, divergent=%s" % (label, len(trace.times), trace.divergent))
     if len(final):
@@ -306,7 +298,14 @@ def _cmd_simulate(args):
         _trace_rows(trace),
     )
     emit_plot_script("error_norm", path)
-    _write_manifest(args, extra={"divergent": trace.divergent})
+    _write_manifest(args, extra={
+        "divergent": trace.divergent,
+        "nodes": len(trace.times),
+        "dt": trace.metadata["dt"],
+        "steps_per_stage_delay": trace.metadata["nodes_per_stage_delay"],
+        "divergence_time": float(trace.times[-1]) if trace.divergent else None,
+        "integrate_s": integrate_s,
+    })
     return 0
 
 
@@ -382,22 +381,17 @@ def _cmd_repro(args):
         # variants run at different steps; resample onto the coarsest grid
         # (the steps divide each other exactly, all being h/(50 N))
         dt_common = max(tr.metadata["dt"] for tr in traces)
-        strides = []
+        columns = []
         for tr in traces:
             stride = round(dt_common / tr.metadata["dt"])
             if abs(stride * tr.metadata["dt"] - dt_common) > 1e-12 * dt_common:
                 raise RuntimeError("variant grids do not nest; cannot overlay traces")
-            strides.append(stride)
-        count = max(
-            (len(tr.times) + s - 1) // s for tr, s in zip(traces, strides)
-        )
-        rows = []
-        for k in range(count):
-            row = [k * dt_common]
-            for tr, stride in zip(traces, strides):
-                idx = k * stride
-                row.append(float(tr.e_pred[idx]) if idx < len(tr.times) else math.nan)
-            rows.append(tuple(row))
+            columns.append(tr.e_pred[::stride])
+        table = np.full((max(map(len, columns)), len(columns) + 1), math.nan)
+        table[:, 0] = np.arange(len(table)) * dt_common
+        for i, column in enumerate(columns, start=1):
+            table[: len(column), i] = column
+        rows = table.tolist()
         path = _write_csv(
             os.path.join(args.outdir, "%s.csv" % figure),
             "error-norms.v1",

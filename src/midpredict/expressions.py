@@ -28,6 +28,7 @@ __all__ = [
     "free_variables",
     "to_source",
     "compile_expression",
+    "compile_field",
     "FUNCTIONS",
 ]
 
@@ -350,6 +351,19 @@ def _div(a, b):
     return a / b
 
 
+_NAMESPACE = {"_f_pow": _pow, "_f_div": _div, **{"_f_" + k: f for k, f in _FUNC_IMPL.items()}}
+
+
+def _compile(body, used, arg_names):
+    missing = used.difference(arg_names)
+    if missing:
+        raise EvaluationError("missing binding for '%s'" % sorted(missing)[0])
+    src = "def _expr(%s):\n    return %s\n" % (", ".join(arg_names), body)
+    namespace = dict(_NAMESPACE)
+    exec(compile(src, "<expression>", "exec"), namespace)
+    return namespace["_expr"]
+
+
 def compile_expression(node, arg_names):
     """Compile an AST to a fast positional callable over ``arg_names``.
 
@@ -357,13 +371,10 @@ def compile_expression(node, arg_names):
     Unused arguments are accepted and ignored.
     """
     used = set()
-    body = _emit(node, used)
-    missing = used.difference(arg_names)
-    if missing:
-        raise EvaluationError("missing binding for '%s'" % sorted(missing)[0])
-    src = "def _expr(%s):\n    return %s\n" % (", ".join(arg_names), body)
-    namespace = {"_f_pow": _pow, "_f_div": _div}
-    for name, impl in _FUNC_IMPL.items():
-        namespace["_f_" + name] = impl
-    exec(compile(src, "<expression>", "exec"), namespace)
-    return namespace["_expr"]
+    return _compile(_emit(node, used), used, arg_names)
+
+
+def compile_field(nodes, arg_names):
+    """Like compile_expression, for several ASTs evaluated in order into one tuple."""
+    used = set()
+    return _compile("(%s,)" % ", ".join(_emit(node, used) for node in nodes), used, arg_names)

@@ -17,6 +17,7 @@ from .expressions import (
     EvaluationError,
     Node,
     compile_expression,
+    compile_field,
     free_variables,
     parse_expression,
 )
@@ -102,19 +103,17 @@ class CanonicalSystem:
     gamma: tuple
     h: float
     u_signal: Node
-    _phi_fns: tuple = field(init=False, repr=False, compare=False)
+    _field: object = field(init=False, repr=False, compare=False)
     _u_fn: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         arg_names = ["x%d" % (i + 1) for i in range(self.n)] + ["u"]
-        phi_fns = tuple(compile_expression(p, arg_names) for p in self.phi)
-        object.__setattr__(self, "_phi_fns", phi_fns)
+        object.__setattr__(self, "_field", compile_field(self.phi, arg_names))
         object.__setattr__(self, "_u_fn", compile_expression(self.u_signal, ["t"]))
 
     def phi_value(self, x, u):
         """Evaluate the triangular field at state x and input value u."""
-        args = list(x) + [u]
-        return np.array([f(*args) for f in self._phi_fns])
+        return np.array(self._field(*x, u))
 
     def input_value(self, t):
         return self._u_fn(t)

@@ -67,7 +67,7 @@ class Quasipolynomial:
 
 @dataclass(frozen=True)
 class SpectrumResult:
-    roots: tuple  # ((complex, multiplicity), ...) sorted by (re, im)
+    roots: tuple  # ((complex, multiplicity), ...) by (re, im); see _sorted_roots
     region: tuple  # (re_min, re_max, im_min, im_max)
     count_by_argument_principle: int
     dominant: complex
@@ -385,9 +385,21 @@ def roots_in_region(qp, rect):
             s = complex(s.real, 0.0)
         if _inside(s, rect, 1e-9):
             kept.append((s, m))
-    kept.sort(key=lambda item: (item[0].real, item[0].imag))
+    kept = _sorted_roots(kept)
     dominant = max((s for s, _ in kept), key=lambda z: z.real, default=None)
     return SpectrumResult(tuple(kept), tuple(rect), sum(m for _, m in kept), dominant)
+
+
+def _sorted_roots(roots):
+    """Order (root, multiplicity) items by (re, im). Conjugate partners share
+    the smaller real part as key, so the last bit of either cannot swap them:
+    the partner with negative imaginary part always comes first."""
+    keys = [s.real for s, _ in roots]
+    for i, (s, m) in enumerate(roots):
+        for j, (z, k) in enumerate(roots):
+            if s.imag < 0 < z.imag and k == m and abs(z - s.conjugate()) <= 1e-8 * abs(z):
+                keys[i] = keys[j] = min(s.real, z.real)
+    return [r for _, r in sorted(zip(keys, roots), key=lambda kr: (kr[0], kr[1][0].imag))]
 
 
 def rightmost_in_region(qp, rect):

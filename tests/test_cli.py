@@ -1,3 +1,4 @@
+import json
 import math
 import os
 
@@ -118,6 +119,46 @@ def test_simulate_config_file(tmp_path, capsys):
     assert rc == 0
     capsys.readouterr()
     assert (tmp_path / "trace.csv").exists()
+
+
+def test_simulate_manifest_records_run(tmp_path, capsys):
+    config = tmp_path / "blowup.kv"
+    config.write_text('n = 1\nh = 0.2\nphi = ["x1^2"]\ngamma = [1.0]\n')
+    for argv, divergent in (
+        (("--variant", "ours_N5", "--h", "0.25", "--t-end", "1.0"), False),
+        (("--config", str(config), "--N", "2", "--t-end", "3.0"), True),
+    ):
+        assert run(tmp_path, "simulate", *argv) == 0
+        assert ("divergent=%s" % divergent) in capsys.readouterr().out
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        rows = (tmp_path / "trace.csv").read_text().splitlines()[2:]
+        assert manifest["divergent"] is divergent
+        assert manifest["nodes"] == len(rows)
+        assert manifest["steps_per_stage_delay"] == 50
+        assert manifest["dt"] == (0.25 / 5 if not divergent else 0.1) / 50
+        assert manifest["integrate_s"] > 0
+        if divergent:
+            # x' = x^2 from x(0) = 1 blows up at t = 1
+            assert manifest["divergence_time"] == float(rows[-1].split(",")[0])
+            assert 0.9 < manifest["divergence_time"] < 1.0
+        else:
+            assert manifest["divergence_time"] is None
+
+
+@pytest.mark.parametrize("phi", ["exp(1000*x1)", "2^(2000*x1)"])
+def test_simulate_overflow_at_start_is_divergence(tmp_path, capsys, phi):
+    config = tmp_path / "overflow.kv"
+    config.write_text('n = 1\nh = 0.5\nphi = ["%s"]\ngamma = [1.0]\n' % phi)
+    assert run(tmp_path, "simulate", "--config", str(config), "--N", "1", "--t-end", "1") == 0
+    assert "run 'config': 1 nodes, divergent=True" in capsys.readouterr().out
+
+
+def test_simulate_field_domain_error(tmp_path, capsys):
+    config = tmp_path / "log.kv"
+    config.write_text('n = 1\nh = 0.5\nphi = ["log(x1)"]\ngamma = [1.0]\n')
+    # the predictor starts from zero history, outside the domain of log
+    assert run(tmp_path, "simulate", "--config", str(config), "--N", "1") == 1
+    assert "error: log of a non-positive value" in capsys.readouterr().err
 
 
 def test_simulate_requires_source(tmp_path, capsys):

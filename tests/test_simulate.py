@@ -324,3 +324,129 @@ def test_scalar_delay_loop_matches_closed_form():
         return y_2h - a * y_h * s + a ** 2 * s ** 2 / 2 - a ** 3 * s ** 3 / 6
     for k, t in enumerate(trace.times):
         assert trace.xhat[k, 0, 0] == pytest.approx(exact(float(t)), abs=1e-12)
+
+
+def test_integer_scalar_gain_accepted():
+    cfg = SimConfig(system=demo_system(0.25), gain=gain_star(2), lam=20, N=1, t_end=0.5)
+    assert isinstance(cfg.lam, float)
+    trace = integrate(cfg)
+    assert trace.epsilon is not None and np.all(np.isfinite(trace.epsilon))
+
+
+def _reference_integrate(cfg):
+    """Per-block RK4 loop: each block's stage derivative on its own, delayed
+    reads from stored nodes or Hermite midpoints, norms one row at a time."""
+    sys_, N, lam = cfg.system, cfg.N, cfg.lam
+    n = sys_.n
+    h, h_e = sys_.h, sys_.h / cfg.N
+    m = max(1, math.ceil(h_e / cfg.dt - 1e-9))
+    dt = h_e / m
+    steps = math.ceil(cfg.t_end / dt - 1e-9)
+    inj = lam ** np.arange(1, n + 1) * np.asarray(cfg.gain.l)
+    hist = np.asarray(cfg.predictor_history)
+    values = np.empty((steps + 1, (N + 1) * n))
+    derivs = np.empty_like(values)
+    values[0] = np.concatenate([cfg.x0, hist.ravel()])
+
+    def delayed(j, k, half):
+        idx, c = k - m, j * n
+        if idx < 0:
+            return hist[j - 1, 0]
+        if not half:
+            return values[idx, c]
+        return 0.5 * (values[idx, c] + values[idx + 1, c]) + 0.125 * dt * (
+            derivs[idx, c] - derivs[idx + 1, c])
+
+    def rhs(t, y, k, half):
+        out = np.empty_like(y)
+        for j in range(N + 1):
+            blk = y[j * n:(j + 1) * n]
+            d = np.append(blk[1:], 0.0)
+            d += sys_.phi_value(blk, sys_.input_value(t - h + j * h_e))
+            if j > 0:
+                d += inj * (y[(j - 1) * n] - delayed(j, k, half))
+            out[j * n:(j + 1) * n] = d
+        return out
+
+    derivs[0] = rhs(0.0, values[0], 0, False)
+    count, divergent = steps + 1, False
+    for k in range(steps):
+        t, y, k1 = k * dt, values[k], derivs[k]
+        try:
+            k2 = rhs(t + 0.5 * dt, y + 0.5 * dt * k1, k, True)
+            k3 = rhs(t + 0.5 * dt, y + 0.5 * dt * k2, k, True)
+            k4 = rhs(t + dt, y + dt * k3, k + 1, False)
+            y_next = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if not np.all(np.isfinite(y_next)) or np.max(np.abs(y_next)) > 1e9:
+                raise OverflowError
+        except OverflowError:
+            count, divergent = k + 1, True
+            break
+        values[k + 1] = y_next
+        try:
+            derivs[k + 1] = rhs(t + dt, y_next, k + 1, False)
+        except OverflowError:
+            count, divergent = k + 2, True
+            break
+
+    state = values[:count].reshape(count, N + 1, n)
+
+    def block(j, idx):
+        return state[idx, j] if idx >= 0 else hist[j - 1]
+
+    def stage_norms(weights):
+        return np.array([[np.linalg.norm((block(j, k - j * m) - block(j - 1, k - (j - 1) * m))
+                                         * weights) for j in range(1, N + 1)]
+                         for k in range(count)]).reshape(count, N)
+
+    e_pred = np.array([np.linalg.norm(state[k - N * m, N] - state[k, 0]) if k >= N * m
+                       else np.nan for k in range(count)])
+    epsilon = stage_norms(lam ** -np.arange(1, n + 1)) if lam >= 1.0 else None
+    return dict(x=state[:, 0], xhat=state[:, 1:], e_chain=stage_norms(1.0), e_pred=e_pred,
+                epsilon=epsilon, divergent=divergent, times=np.arange(count) * dt)
+
+
+def _random_config(rng, n, N):
+    c = rng.uniform(0.1, 0.9, 4)
+    phi = ["%.3f*tanh(x1) - x1" % c[0],
+           "-x1 + %.3f*exp(-x2^2) + x1*u" % c[1],
+           "%.3f*tanh(x1 + x2 + x3) - x3 + %.3f*x2^2" % (c[2], c[3])][:n]
+    h = float(rng.uniform(0.2, 0.6))
+    return SimConfig(
+        system=make_system(n, phi, [1.0] * n, h, "0.1*sin(t)"),
+        gain=gain_star(n),
+        lam=float(rng.uniform(0.5, 6.0)),
+        N=N,
+        t_end=2.5 * h,
+        dt=h / N / int(rng.integers(3, 12)),
+        x0=tuple(rng.standard_normal(n)),
+        predictor_history=tuple(tuple(rng.standard_normal(n)) for _ in range(N)),
+    )
+
+
+def _diverging_configs():
+    # x' = x^2 from 2 passes the divergence threshold before t = 0.5;
+    # x' = exp(x) overflows inside a stage first
+    for phi, N in (("x1^2", 2), ("exp(x1)", 3)):
+        yield SimConfig(system=make_system(1, [phi], [1.0], 0.2, "0"), gain=gain_star(1),
+                        lam=4.0, N=N, t_end=2.0, dt=0.01, x0=(2.0,),
+                        predictor_history=tuple((0.5 * j,) for j in range(N)))
+
+
+def test_integrate_matches_per_block_reference_bitwise():
+    rng = np.random.default_rng(2024)
+    configs = [_random_config(rng, n, N) for n in (1, 2, 3) for N in (1, 2, 3, 4)]
+    configs.extend(_diverging_configs())
+    diverged = 0
+    for cfg in configs:
+        trace = integrate(cfg)
+        ref = _reference_integrate(cfg)
+        assert trace.divergent == ref["divergent"]
+        diverged += trace.divergent
+        for name in ("times", "x", "xhat", "e_chain", "e_pred", "epsilon"):
+            got = getattr(trace, name)
+            if ref[name] is None:
+                assert got is None
+            else:
+                assert np.array_equal(got, ref[name], equal_nan=True), name
+    assert diverged == 2

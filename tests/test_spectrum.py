@@ -212,3 +212,20 @@ def test_default_certification_rect():
     assert rect[3] == 50.0
     rect_small = default_certification_rect(-0.5, 0.05)
     assert rect_small[3] == pytest.approx(6 * math.pi / 0.1)
+
+
+def test_conjugate_pair_order_ignores_last_bit_of_real_part():
+    from midpredict.spectrum import _sorted_roots
+
+    re, up = -0.75, math.nextafter(-0.75, 1.0)
+    for a, b in ((re, up), (up, re)):
+        roots = [(complex(0.5, 1.0), 2), (complex(a, 3.0), 1), (complex(-2.0, 0.0), 1),
+                 (complex(b, -3.0), 1)]
+        assert [s.imag for s, _ in _sorted_roots(roots)] == [0.0, -3.0, 3.0, 1.0]
+    # a located spectrum over a window symmetric about the real axis
+    roots = roots_in_region(QP2, (-3.0, 1.0, -20.0, 20.0)).roots
+    complex_roots = [s for s, _ in roots if s.imag != 0.0]
+    assert complex_roots
+    for neg, pos in zip(complex_roots[::2], complex_roots[1::2]):
+        assert neg.imag < 0 < pos.imag
+        assert abs(neg - pos.conjugate()) <= 1e-8 * abs(pos)
