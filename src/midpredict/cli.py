@@ -495,7 +495,7 @@ def dispatch(argv):
     _ensure_outdir(args.outdir)
     try:
         return args.func(args)
-    except (ValueError, RuntimeError, OSError) as exc:
+    except (ValueError, ArithmeticError, RuntimeError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
 

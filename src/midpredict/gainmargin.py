@@ -7,17 +7,18 @@ slope parks a characteristic root at the origin. Feasibility of W < 0 at a
 given slope is decided by minimizing the largest eigenvalue of a block
 diagonal of W and the positivity constraints, a convex nonsmooth problem.
 The solver runs a log-sum-exp smoothing continuation under L-BFGS, then a
-small proximal bundle method (near-top eigenvector cuts, cutting-plane
-model, adaptive prox weight) to sharpen the nonsmooth tail. Every
-"feasible" answer ships the variables and is re-verified by a plain
-symmetric eigenvalue check before being believed; a negative answer is
-reported as unknown, never as a proof.
+scalar rescale line search. Every "feasible" answer ships the variables
+and is re-verified by a plain symmetric eigenvalue check before being
+believed; a negative answer is reported as unknown, never as a proof.
 
 W is written once, in assemble_W. The stacked matrix M(theta) is affine in
 the packed variables, so each query builds M0 = M(0) and a matrix J whose
 column k is vec(M(e_k) - M0) from assemble_W itself; the solver's oracles
-are then one eigh of M0 + J theta, cut gradients J' vec(v v') and the
-smoothed gradient J' vec(V diag(w) V').
+are then one eigh of M0 + J theta and the smoothed gradient
+J' vec(V diag(w) V').
+
+scipy is loaded on the first L-BFGS call, not on import, so subcommands
+that never query the LMI never pay for it.
 """
 
 from __future__ import annotations
@@ -26,9 +27,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import block_diag
-from scipy.optimize import minimize
 
+from ._scipy import minimize
 from .synthesis import GainVector, gain_star, sigma_star
 from .tradeoff import _kronecker_lyapunov, closed_loop_matrix
 
@@ -45,6 +45,9 @@ __all__ = [
 ]
 
 MAX_MARGIN_DIMENSION = 8
+# Halvings per bisection: the default tol needs about 10, and a bracket
+# whose lower end stays 0 would otherwise halve towards the denormals.
+MAX_BISECTION_STEPS = 64
 
 
 @dataclass(frozen=True)
@@ -181,10 +184,11 @@ def _affine_stack(packing, n, gain, h, gamma_m, eps):
 
     def stacked(theta):
         v = packing.unpack(theta)
-        w = assemble_W(n, gain, h, gamma_m, v)
-        return block_diag(
-            w + eps * np.eye(4 * n), eps * eye - v.P, eps * eye - v.R, eps * eye - v.S
-        )
+        m = np.zeros((7 * n, 7 * n))
+        m[: 4 * n, : 4 * n] = assemble_W(n, gain, h, gamma_m, v) + eps * np.eye(4 * n)
+        for k, mat in enumerate((v.P, v.R, v.S), start=4):
+            m[k * n : (k + 1) * n, k * n : (k + 1) * n] = eps * eye - mat
+        return m
 
     m0 = stacked(np.zeros(packing.dim))
     jac = np.column_stack([(stacked(e) - m0).reshape(-1) for e in np.eye(packing.dim)])
@@ -193,28 +197,6 @@ def _affine_stack(packing, n, gain, h, gamma_m, eps):
 
 def _eigensystem(theta, m0, jac):
     return np.linalg.eigh(m0 + (jac @ theta).reshape(m0.shape))
-
-
-def _objective_and_cuts(theta, m0, jac):
-    """Largest eigenvalue of M(theta) plus one valid cutting plane per
-    near-top eigenvector.
-
-    For any fixed unit vector v, v' M(theta') v underestimates the largest
-    eigenvalue everywhere, so each near-top eigenvector yields a cut; its
-    gradient is J' vec(v v'). The extra cuts matter: at the feasibility
-    boundary the top eigenvalue is typically multiple and a single-cut
-    model crawls.
-    """
-    vals, vecs = _eigensystem(theta, m0, jac)
-    f = vals[-1]
-    window = max(1e-7, 0.1 * abs(f))
-    cuts = []
-    for idx in range(len(vals) - 1, -1, -1):
-        if vals[idx] < f - window or len(cuts) >= 6:
-            break
-        v = vecs[:, idx]
-        cuts.append((vals[idx], jac.T @ np.outer(v, v).reshape(-1)))
-    return f, cuts
 
 
 def _smoothed_value_grad(theta, mu, m0, jac):
@@ -227,115 +209,6 @@ def _smoothed_value_grad(theta, mu, m0, jac):
     f = vmax + mu * math.log(total)
     weights /= total
     return f, jac.T @ ((vecs * weights) @ vecs.T).reshape(-1)
-
-
-def _project_simplex(v):
-    u = np.sort(v)[::-1]
-    cssv = np.cumsum(u) - 1.0
-    rho = np.nonzero(u * np.arange(1, len(v) + 1) > cssv)[0][-1]
-    theta = cssv[rho] / (rho + 1.0)
-    return np.maximum(v - theta, 0.0)
-
-
-def _bundle_dual(gmat, errs, t, alpha0=None):
-    """min over the simplex of t/2 |G a|^2 + e . a, by accelerated
-    projected gradient with warm starting."""
-    k = gmat.shape[0]
-    if alpha0 is not None and len(alpha0) == k:
-        alpha = alpha0.copy()
-    else:
-        alpha = np.full(k, 1.0 / k)
-    gram = gmat @ gmat.T
-    lip = t * max(np.max(np.linalg.eigvalsh(gram)), 1e-12) + 1e-12
-    y = alpha.copy()
-    tk = 1.0
-    for _ in range(500):
-        grad = t * (gram @ y) + errs
-        alpha_new = _project_simplex(y - grad / lip)
-        tk_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * tk * tk))
-        y = alpha_new + ((tk - 1.0) / tk_new) * (alpha_new - alpha)
-        moved = np.linalg.norm(alpha_new - alpha)
-        alpha, tk = alpha_new, tk_new
-        if moved < 1e-14:
-            break
-    return alpha
-
-
-def _minimize_eigenvalue(theta0, oracle, budget_iters=1200, target=0.0):
-    """Proximal bundle descent on a convex max-eigenvalue objective.
-
-    oracle(theta) returns (f, cuts) with cuts a list of (value, gradient)
-    linearizations valid at theta. Returns (best_theta, best_f) and stops
-    early once best_f < target.
-    """
-    center = theta0.copy()
-    f_center, first_cuts = oracle(center)
-    best_theta, best_f = center.copy(), f_center
-    cuts_g = [g for _, g in first_cuts]
-    cuts_f = [v for v, _ in first_cuts]
-    cuts_pt = [center.copy() for _ in first_cuts]
-    max_cuts = 36
-    t_init = 1.0 / max(np.linalg.norm(cuts_g[0]), 1e-9)
-    t = t_init
-    alpha = None
-    null_streak = 0
-    stall = 0
-    for _ in range(budget_iters):
-        if best_f < target:
-            break
-        if stall >= 250:
-            # no measurable progress for a long stretch; give up early
-            break
-        gmat = np.array(cuts_g)
-        errs = np.array(
-            [
-                f_center - (cf + cg @ (center - cp))
-                for cf, cg, cp in zip(cuts_f, cuts_g, cuts_pt)
-            ]
-        )
-        errs = np.maximum(errs, 0.0)
-        alpha = _bundle_dual(gmat, errs, t, alpha)
-        direction = gmat.T @ alpha
-        agg_err = float(errs @ alpha)
-        predicted = t * float(direction @ direction) + agg_err
-        if predicted < 1e-14 * max(1.0, abs(f_center)):
-            # model cannot improve the center further at this prox weight
-            t *= 4.0
-            alpha = None
-            if t > 1e8:
-                break
-            continue
-        theta_new = center - t * direction
-        f_new, new_cuts = oracle(theta_new)
-        if f_new < best_f - max(1e-14, 1e-6 * abs(best_f)):
-            stall = 0
-        else:
-            stall += 1
-        if f_new < best_f:
-            best_f, best_theta = f_new, theta_new.copy()
-        if f_new <= f_center - 0.1 * predicted:
-            center, f_center = theta_new, f_new
-            t = min(t * 2.0, 1e6)
-            null_streak = 0
-        else:
-            t = max(t / 1.6, 1e-12)
-            null_streak += 1
-            if null_streak >= 40:
-                # prox weight has collapsed; kick it back up
-                t = max(t, t_init / 10.0)
-                null_streak = 0
-        for val, grad in new_cuts:
-            cuts_g.append(grad)
-            cuts_f.append(val)
-            cuts_pt.append(theta_new)
-        if len(cuts_g) > max_cuts:
-            # keep the aggregated plane so trimming cannot lose convergence
-            drop = len(cuts_g) - max_cuts + 1
-            cuts_g = [direction.copy()] + cuts_g[drop:]
-            cuts_f = [f_center - agg_err] + cuts_f[drop:]
-            cuts_pt = [center.copy()] + cuts_pt[drop:]
-            alpha = None
-    return best_theta, best_f
 
 
 def _lyapunov_seed(n, gain):
@@ -391,24 +264,20 @@ _SMOOTHING_LADDER = (
 )
 
 
-def _solve_feasibility(theta0, m0, jac, eps, budget_iters):
-    """Hybrid descent: smoothed quasi-Newton continuation, a scalar rescale
-    line search, then the nonsmooth bundle as a finisher.
+def _solve_feasibility(theta0, m0, jac, eps):
+    """Smoothed quasi-Newton continuation, then a scalar rescale line search.
 
     The smoothing stage supplies curvature information that carries the
-    iterate down the thin feasibility needle; the bundle stage sharpens the
-    nonsmooth tail. Stops as soon as the exact objective is safely
-    negative, and bails out of the expensive deep-smoothing stages when
-    progress clearly died while still far from feasibility.
+    iterate down the thin feasibility needle. Stops as soon as the exact
+    objective is safely negative, and bails out of the expensive
+    deep-smoothing stages when progress clearly died while still far from
+    feasibility.
     """
     target = -0.25 * eps
 
     def exact(theta):
         vals, _ = _eigensystem(theta, m0, jac)
         return vals[-1]
-
-    def oracle(theta):
-        return _objective_and_cuts(theta, m0, jac)
 
     theta = theta0.copy()
     best_theta, best_f = theta.copy(), exact(theta)
@@ -442,19 +311,11 @@ def _solve_feasibility(theta0, m0, jac, eps, budget_iters):
     for c in np.logspace(-1.0, 1.5, 26):
         f = exact(c * best_theta)
         if f < best_f:
-            best_f = f
-            theta = c * best_theta
-            best_theta = theta
-    if best_f < target:
-        return best_theta, best_f
-    if 0.0 <= best_f <= 25.0 * eps:
-        theta, f = _minimize_eigenvalue(best_theta, oracle, budget_iters, target)
-        if f < best_f:
-            best_theta, best_f = theta, f
+            best_theta, best_f = c * best_theta, f
     return best_theta, best_f
 
 
-def lmi_feasible(n, gain, h, gamma_m, eps=None, warm_start=None, budget_iters=1200):
+def lmi_feasible(n, gain, h, gamma_m, eps=None, warm_start=None):
     """Search for a feasibility certificate of W < 0 at slope gamma_m.
 
     Returns (True, LmiVariables) only when the certificate passes the
@@ -475,7 +336,7 @@ def lmi_feasible(n, gain, h, gamma_m, eps=None, warm_start=None, budget_iters=12
     starts.append(packing.pack(_fallback_variables(n, gain)))
     best_f = math.inf
     for theta0 in starts:
-        theta, f = _solve_feasibility(theta0, m0, jac, eps, budget_iters)
+        theta, f = _solve_feasibility(theta0, m0, jac, eps)
         if f < 0.0:
             variables = packing.unpack(theta)
             if verify_certificate(n, gain, h, gamma_m, variables, eps):
@@ -497,12 +358,13 @@ def upper_bound_gamma(n):
     return gain_star(n).l[-1]
 
 
-def max_gain_margin(n, tol=None, budget_iters=1200, eps=None):
+def max_gain_margin(n, tol=None, eps=None):
     """Bisection bracket for the certified gain margin at unit delay.
 
     tol is the absolute bisection resolution, finite and positive; by default
     it scales with the analytic upper bound so small-margin dimensions still
-    resolve, and the bisection also stops at float resolution. The
+    resolve, and the bisection also stops at float resolution or after
+    MAX_BISECTION_STEPS halvings, whichever comes first. The
     strictness margin likewise shrinks with the expected slope magnitude:
     certificates for higher dimensions are intrinsically ill-conditioned
     (the attainable interior slack falls roughly with the square of the
@@ -521,19 +383,17 @@ def max_gain_margin(n, tol=None, budget_iters=1200, eps=None):
         raise ValueError("tol must be finite and positive")
     if eps is None:
         eps = min(1e-6, max(1e-2 * upper ** 2, 1e-11))
-    ok, cert = lmi_feasible(n, gain, 1.0, 0.0, eps=eps, budget_iters=budget_iters)
+    ok, cert = lmi_feasible(n, gain, 1.0, 0.0, eps=eps)
     if not ok:
         return MarginBracket(n=n, lower=0.0, upper=upper, certificate=None, eps=eps)
     lo, hi = 0.0, upper
     base = cert
     best = cert
-    while hi - lo > tol:
+    for _ in range(MAX_BISECTION_STEPS):
         mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:  # adjacent floats: tol is below the resolution
+        if hi - lo <= tol or not lo < mid < hi:  # adjacent floats: below resolution
             break
-        ok, result = lmi_feasible(
-            n, gain, 1.0, mid, eps=eps, warm_start=[best, base], budget_iters=budget_iters
-        )
+        ok, result = lmi_feasible(n, gain, 1.0, mid, eps=eps, warm_start=[best, base])
         if ok:
             lo, best = mid, result
         else:

@@ -35,6 +35,7 @@ __all__ = [
 POLISH_REL_TOL = 1e-10
 CONTOUR_REL_TOL = 1e-8
 CUT_FRACTIONS = (0.5, 0.47, 0.53, 0.41, 0.59)
+CONTOUR_FACTORS = (1.0, 1.7, 2.9, 4.3, 7.1)
 
 
 class SpectrumError(RuntimeError):
@@ -335,8 +336,10 @@ def roots_in_region(qp, rect):
 
     The counting contour is pushed slightly outside the requested rectangle
     so roots sitting exactly on an edge (real roots with im_min at 0, for
-    instance) are still resolved. The expanded box is then bisected on its
-    argument-principle count: a one-root box is done when _polish converges
+    instance) are still resolved. At delay delta < 1 the spectrum is spread
+    by 1/delta, so when every margin of the ladder meets a root the ladder
+    is tried again scaled by 1/delta. The expanded box is then bisected on
+    its argument-principle count: a one-root box is done when _polish converges
     inside it, and a box of k >= 2 roots that no cut can pass without
     meeting a root is one root of multiplicity k. Every root comes from a
     counted box, so together they account exactly for the boundary count.
@@ -347,8 +350,11 @@ def roots_in_region(qp, rect):
     if not (re1 > re0 and im1 > im0):
         raise ValueError("rectangle must have positive extent")
     base = min(0.02, 0.1 * min(re1 - re0, im1 - im0))
+    factors = CONTOUR_FACTORS
+    if 0 < qp.delta < 1:
+        factors += tuple(f / qp.delta for f in CONTOUR_FACTORS)
     ext = None
-    for factor in (1.0, 1.7, 2.9, 4.3, 7.1):
+    for factor in factors:
         trial = (re0 - base * factor, re1 + base * factor, im0 - base * factor, im1 + base * factor)
         try:
             target = count_roots_region(qp, trial)

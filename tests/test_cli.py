@@ -153,6 +153,13 @@ def test_simulate_overflow_at_start_is_divergence(tmp_path, capsys, phi):
     assert "run 'config': 1 nodes, divergent=True" in capsys.readouterr().out
 
 
+def test_simulate_input_overflow_is_domain_error(tmp_path, capsys):
+    config = tmp_path / "input.kv"
+    config.write_text('n = 1\nh = 0.5\nphi = ["-x1"]\ngamma = [1.0]\nu = "exp(1000 + t)"\n')
+    assert run(tmp_path, "simulate", "--config", str(config), "--N", "1", "--t-end", "1") == 1
+    assert capsys.readouterr().err.startswith("error: math range error")
+
+
 def test_simulate_field_domain_error(tmp_path, capsys):
     config = tmp_path / "log.kv"
     config.write_text('n = 1\nh = 0.5\nphi = ["log(x1)"]\ngamma = [1.0]\n')
@@ -268,3 +275,39 @@ def test_unbounded_inputs_fail_fast(tmp_path, argv):
     )
     assert proc.returncode == 1, proc.stderr
     assert proc.stderr.startswith("error:")
+
+
+COLD_START = """
+import sys
+from midpredict.cli import dispatch
+
+outdir, config = sys.argv[1:]
+for argv in (["synth", "--n", "2"], ["margins", "--n", "2"],
+             ["simulate", "--config", config, "--N", "1", "--t-end", "1"]):
+    assert dispatch(["--outdir", outdir] + argv) == 0, argv
+print("before:", sorted(m for m in sys.modules if m.startswith("scipy")))
+assert dispatch(["--outdir", outdir, "gainmargin", "--n", "1", "--tol", "0.005"]) == 0
+print("after:", any(m.startswith("scipy") for m in sys.modules))
+"""
+
+
+def test_cold_start_loads_scipy_only_for_gainmargin(tmp_path):
+    import subprocess
+    import sys
+
+    import midpredict
+
+    config = tmp_path / "linear.kv"
+    config.write_text('n = 2\nh = 1.0\nphi = ["0", "0"]\ngamma = [0.0, 0.0]\nu = "0"\n')
+    src = os.path.dirname(os.path.dirname(midpredict.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", COLD_START, str(tmp_path), str(config)],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=120.0,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "before: []" in proc.stdout
+    assert "certified lower bound 0.342013" in proc.stdout
+    assert "after: True" in proc.stdout

@@ -122,7 +122,7 @@ def test_feasible_below_reported_margin():
 
 
 def test_infeasible_above_analytic_ceiling():
-    ok, info = lmi_feasible(2, G2, 1.0, 0.10, budget_iters=300)
+    ok, info = lmi_feasible(2, G2, 1.0, 0.10)
     assert not ok
     assert info == "unknown"
 
@@ -242,3 +242,14 @@ def test_bisection_ends_at_float_resolution(monkeypatch):
     threshold = 0.1 * G1.l[-1]
     _threshold_oracle(monkeypatch, threshold)
     assert max_gain_margin(1, tol=1e-300).lower == threshold
+
+
+def test_bisection_step_budget(monkeypatch):
+    # only slope 0 is certified, so lo stays 0 and hi would halve towards
+    # the denormals, one "unknown" query per halving, without the budget
+    import midpredict.gainmargin as gm
+
+    slopes = _threshold_oracle(monkeypatch, 0.0)
+    bracket = max_gain_margin(1, tol=1e-300)
+    assert bracket.lower == 0.0
+    assert len(slopes) == 1 + gm.MAX_BISECTION_STEPS

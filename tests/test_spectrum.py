@@ -101,6 +101,18 @@ def test_roots_in_region_designed_loop_higher_order(n):
     assert sum(m for _, m in res.roots) == res.count_by_argument_principle
 
 
+def test_roots_in_region_rescaled_gain_wide_contour():
+    # at delta = 0.25 the (n+1)-fold root sits so flat that every contour of
+    # the unscaled ladder passes within CONTOUR_REL_TOL of it
+    n, delta = 7, 0.25
+    gain = gain_star(n)
+    qp = Quasipolynomial(n, scale_gain(gain, delta).l, delta)
+    res = roots_in_region(qp, default_certification_rect(gain.sigma_star / delta, delta))
+    assert res.dominant == pytest.approx(gain.sigma_star / delta, rel=1e-12)
+    assert dict(res.roots)[res.dominant] == n + 1
+    assert sum(m for _, m in res.roots) == res.count_by_argument_principle
+
+
 def test_roots_in_region_classic_double():
     res = roots_in_region(QP1, (-2.0, 0.0, -1.0, 1.0))
     assert len(res.roots) == 1
