@@ -123,9 +123,13 @@ def _write_csv(path, schema, header_cols, rows):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("# schema: %s\n" % schema)
         fh.write(",".join(header_cols) + "\n")
+        floats = ",".join(["%.17g"] * len(header_cols)) + "\n"
         for row in rows:
-            fh.write(",".join(_full(v) if isinstance(v, float) else str(v) for v in row))
-            fh.write("\n")
+            if set(map(type, row)) == {float}:
+                fh.write(floats % tuple(row))
+            else:
+                fh.write(",".join(_full(v) if isinstance(v, float) else str(v) for v in row))
+                fh.write("\n")
     return path
 
 

@@ -29,6 +29,7 @@ __all__ = [
     "to_source",
     "compile_expression",
     "compile_field",
+    "compile_chain_step",
     "FUNCTIONS",
 ]
 
@@ -328,12 +329,20 @@ def to_source(node):
     return "%s %s %s" % (left, node.op, right)
 
 
+def _literal(value):
+    """Source for a float constant; repr round-trips every finite value exactly."""
+    return repr(value) if math.isfinite(value) else "float(%r)" % repr(value)
+
+
 def _emit(node, names):
+    """Python source for the AST; ``names`` maps each variable to the local it reads."""
     if isinstance(node, Num):
-        return repr(node.value)
+        return _literal(node.value)
     if isinstance(node, Var):
-        names.add(node.name)
-        return node.name
+        try:
+            return names[node.name]
+        except KeyError:
+            raise EvaluationError("missing binding for '%s'" % node.name) from None
     if isinstance(node, Neg):
         return "(-%s)" % _emit(node.operand, names)
     if isinstance(node, Call):
@@ -354,14 +363,13 @@ def _div(a, b):
 _NAMESPACE = {"_f_pow": _pow, "_f_div": _div, **{"_f_" + k: f for k, f in _FUNC_IMPL.items()}}
 
 
-def _compile(body, used, arg_names):
-    missing = used.difference(arg_names)
-    if missing:
-        raise EvaluationError("missing binding for '%s'" % sorted(missing)[0])
-    src = "def _expr(%s):\n    return %s\n" % (", ".join(arg_names), body)
+def _define(name, params, body):
+    """Compile a function from generated source lines, never from user text."""
+    lines = "".join("    %s\n" % line for line in body)
     namespace = dict(_NAMESPACE)
-    exec(compile(src, "<expression>", "exec"), namespace)
-    return namespace["_expr"]
+    exec(compile("def %s(%s):\n%s" % (name, ", ".join(params), lines), "<expression>", "exec"),
+         namespace)
+    return namespace[name]
 
 
 def compile_expression(node, arg_names):
@@ -370,11 +378,80 @@ def compile_expression(node, arg_names):
     The source is generated from the validated AST, never from user text.
     Unused arguments are accepted and ignored.
     """
-    used = set()
-    return _compile(_emit(node, used), used, arg_names)
+    return _define("_expr", arg_names, ["return " + _emit(node, {a: a for a in arg_names})])
 
 
 def compile_field(nodes, arg_names):
     """Like compile_expression, for several ASTs evaluated in order into one tuple."""
-    used = set()
-    return _compile("(%s,)" % ", ".join(_emit(node, used) for node in nodes), used, arg_names)
+    names = {a: a for a in arg_names}
+    body = "return (%s,)" % ", ".join(_emit(node, names) for node in nodes)
+    return _define("_expr", arg_names, [body])
+
+
+def compile_chain_step(nodes, blocks, gains, dt):
+    """Compile the derivative and one classical RK4 step of a chain of blocks.
+
+    The state is ``blocks`` copies of the n-state field of ``nodes`` (over
+    x1..xn and u), stored flat, block after block. Component i of block j
+    moves with ``(x[i+1] + phi_i(x, u_j)) + gains[i] * (p_j - d_j)``, where
+    x[n] is the literal 0.0, and blocks j >= 1 carry the injection term, p_j
+    being the first component of block j - 1 and d_j its delayed read.
+
+    Returns ``(deriv, step)``. ``deriv(y, us, ds)`` is the derivative at the
+    flat state y, with one input per block in us and one delayed read per
+    injected block in ds. ``step(y, k1, us_mid, ds_mid, us_end, ds_end)`` is
+    the state one step dt after y, whose derivative is k1: stages 2 and 3
+    read the midpoint inputs and delays, stage 4 the end ones. Both are
+    straight-line code on floats with every field expression inlined and the
+    gains and step sizes embedded as exact literals, so each result equals
+    ``y + dt/6 * (((k1 + 2 k2) + 2 k3) + k4)`` evaluated block by block,
+    bitwise.
+    """
+    n = len(nodes)
+    inputs = ["u%d" % j for j in range(blocks)]
+    delays = ["d%d" % j for j in range(1, blocks)]
+
+    def state(prefix):
+        """Locals of a flat state: component i of block j is <prefix><j>_<i>."""
+        return ["%s%d_%d" % (prefix, j, i) for j in range(blocks) for i in range(n)]
+
+    def derivative(x):
+        """Expressions of the derivative at the state held in the locals x."""
+        exprs = []
+        for j in range(blocks):
+            block = x[j * n : (j + 1) * n]
+            names = {"x%d" % (i + 1): v for i, v in enumerate(block)}
+            names["u"] = inputs[j]
+            for i, node in enumerate(nodes):
+                shift = block[i + 1] if i + 1 < n else "0.0"
+                expr = "(%s + %s)" % (shift, _emit(node, names))
+                if j:
+                    expr += " + %s * (%s - %s)" % (_literal(gains[i]), x[(j - 1) * n], delays[j - 1])
+                exprs.append(expr)
+        return exprs
+
+    def advance(size, slope):
+        """Expressions of y + size * slope."""
+        return ["%s + %s * %s" % (v, _literal(size), d) for v, d in zip(y, slope)]
+
+    def unpack(targets, source):
+        return ["%s, = %s" % (", ".join(targets), source)] if targets else []
+
+    def assign(targets, exprs):
+        return ["%s = %s" % pair for pair in zip(targets, exprs)]
+
+    y, s = state("y"), state("s")
+    k1, k2, k3, k4 = state("a"), state("b"), state("c"), state("e")
+    deriv = unpack(y, "_y") + unpack(inputs, "_u") + unpack(delays, "_d")
+    deriv.append("return (%s,)" % ", ".join(derivative(y)))
+    step = unpack(y, "_y") + unpack(k1, "_k1") + unpack(inputs, "_um") + unpack(delays, "_dm")
+    step += assign(s, advance(0.5 * dt, k1)) + assign(k2, derivative(s))
+    step += assign(s, advance(0.5 * dt, k2)) + assign(k3, derivative(s))
+    step += unpack(inputs, "_ue") + unpack(delays, "_de")
+    step += assign(s, advance(dt, k3)) + assign(k4, derivative(s))
+    sixth = _literal(dt / 6.0)
+    step.append("return (%s,)" % ", ".join(
+        "%s + %s * (((%s + 2.0 * %s) + 2.0 * %s) + %s)" % (v, sixth, a, b, c, e)
+        for v, a, b, c, e in zip(y, k1, k2, k3, k4)))
+    return (_define("_deriv", ("_y", "_u", "_d"), deriv),
+            _define("_step", ("_y", "_k1", "_um", "_dm", "_ue", "_de"), step))

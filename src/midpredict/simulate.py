@@ -7,9 +7,11 @@ between two, where cubic Hermite interpolation from stored values and
 derivatives keeps the scheme at fourth order. The per-stage delay h/N is
 snapped to an exact multiple of the step for this reason.
 
-The field is compiled once per system into one function of math calls, and
-every RK4 stage advances all N + 1 blocks as one (N + 1, n) array with the
-float operations of the block-by-block scheme, so the traces equal it bitwise.
+Each run generates, from the field's expressions, the derivative of all
+N + 1 blocks and one whole RK4 step as straight-line float code
+(expressions.compile_chain_step); nodes and their derivatives are stored in
+preallocated arrays. The float operations are those of the block-by-block
+scheme in the same order, so the traces equal it bitwise.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .expressions import compile_chain_step
 from .synthesis import GainVector, gain_star
 
 __all__ = [
@@ -125,13 +128,18 @@ def integrate(config):
             "%d nodes of %d states exceed the budget of %d stored values; enlarge dt"
             % (steps + 1, width, MAX_STATE_VALUES)
         )
-    inj_gain = lam ** np.arange(1, n + 1) * np.asarray(config.gain.l)
+    # numpy's power, not Python's: the two can differ in the last bit
+    inj_gain = (lam ** np.arange(1, n + 1) * np.asarray(config.gain.l)).tolist()
+    deriv, step = compile_chain_step(sys_.phi, N + 1, inj_gain, dt)
+    u_fn = sys_._u_fn
     hist = np.asarray(config.predictor_history)  # (N, n)
-    field_fn, u_fn = sys_._field, sys_._u_fn
+    hist_first = hist[:, 0].tolist()
     half_dt, eighth_dt = 0.5 * dt, 0.125 * dt
     # block 0 is the plant, block j the j-th predictor
     values = np.empty((steps + 1, N + 1, n))
     derivs = np.empty((steps + 1, N + 1, n))
+    flat_values = values.reshape(steps + 1, width)
+    flat_derivs = derivs.reshape(steps + 1, width)
     values[0, 0] = config.x0
     values[0, 1:] = hist
 
@@ -140,24 +148,17 @@ def integrate(config):
         base = t - h
         return [u_fn(base + j * h_e) for j in range(N + 1)]
 
-    def rhs(Y, us, delayed):
-        """Stage derivative of all blocks: shift plus field, and block j > 0
-        injected with block j - 1's first coordinate minus its delayed read."""
-        D = np.zeros((N + 1, n))
-        D[:, :-1] = Y[:, 1:]
-        D += [field_fn(*row, u) for row, u in zip(Y.tolist(), us)]
-        D[1:] += inj_gain * (Y[:-1, 0] - delayed)[:, None]
-        return D
-
-    u_end, d_end = inputs(0.0), hist[:, 0]
-    d_mids = np.broadcast_to(hist[:, 0], (m, N))  # the first m steps read history
+    y = flat_values[0].tolist()
+    u_end, d_end = inputs(0.0), hist_first
+    d_mids = [hist_first] * m  # the first m steps read history
     count = 1  # stored nodes
     divergent = True  # unless every node gets its derivative
     for k in range(steps + 1):
         try:
-            derivs[k] = rhs(values[k], u_end, d_end)
+            k1 = deriv(y, u_end, d_end)
         except OverflowError:
             break
+        flat_derivs[k] = k1
         if k == steps:
             divergent = False
             break
@@ -165,25 +166,19 @@ def integrate(config):
             # delayed reads halfway between nodes k - m .. k, by cubic
             # Hermite interpolation, for the midpoint stages of the next m steps
             ys, fs = values[k - m : k + 1, 1:, 0], derivs[k - m : k + 1, 1:, 0]
-            d_mids = 0.5 * (ys[:-1] + ys[1:]) + eighth_dt * (fs[:-1] - fs[1:])
+            d_mids = (0.5 * (ys[:-1] + ys[1:]) + eighth_dt * (fs[:-1] - fs[1:])).tolist()
         t = k * dt
-        y = values[k]
-        k1 = derivs[k]
         try:
             # the two midpoint stages share their reads, as do the end stage
             # and the next node's derivative
-            u_mid, d_mid = inputs(t + half_dt), d_mids[k % m]
-            k2 = rhs(y + half_dt * k1, u_mid, d_mid)
-            k3 = rhs(y + half_dt * k2, u_mid, d_mid)
-            u_end = inputs(t + dt)
-            d_end = values[k + 1 - m, 1:, 0] if k + 1 >= m else hist[:, 0]
-            k4 = rhs(y + dt * k3, u_end, d_end)
-            y_next = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            u_mid, u_end = inputs(t + half_dt), inputs(t + dt)
+            d_end = values[k + 1 - m, 1:, 0].tolist() if k + 1 >= m else hist_first
+            y = step(y, k1, u_mid, d_mids[k % m], u_end, d_end)
         except OverflowError:
             break
-        if not np.abs(y_next).max() <= DIVERGENCE_NORM:  # NaN fails too
+        if not all(abs(v) <= DIVERGENCE_NORM for v in y):  # NaN fails too
             break
-        values[k + 1] = y_next
+        flat_values[k + 1] = y
         count = k + 2
 
     state = values[:count]

@@ -170,6 +170,12 @@ def test_compiled_matches_tree_walk(src):
     assert fn(0.7, -0.3, 0.05) == pytest.approx(expected, rel=1e-15, abs=1e-15)
 
 
+def test_compiled_overflowing_literal():
+    # "1e999" parses to inf, whose repr is not a Python literal
+    fn = compile_expression(parse_expression("1e999*x1", XU), XU)
+    assert fn(2.0, 0.0, 0.0) == math.inf
+
+
 def test_compiled_negative_fractional_power_raises():
     ast = parse_expression("x1^0.5", XU)
     fn = compile_expression(ast, XU)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from midpredict.expressions import FUNCTIONS
 from midpredict.model import demo_system, make_system
 from midpredict.simulate import (
     SimConfig,
@@ -450,3 +451,94 @@ def test_integrate_matches_per_block_reference_bitwise():
             else:
                 assert np.array_equal(got, ref[name], equal_nan=True), name
     assert diverged == 2
+
+
+def test_nan_in_a_later_component_is_divergence():
+    # plant parked at the origin; the predictor's second component reads
+    # inf - inf once 1e300*x1*x1 overflows (float products give inf, no
+    # error), so the step's first value stays finite and the NaN sits behind it
+    cfg = SimConfig(
+        system=make_system(2, ["0", "x2 + (1e300*x1*x1 - 1e300*x1*x1)"], [0.0, 1.0], 0.5, "0"),
+        gain=gain_star(2),
+        lam=1.0,
+        N=1,
+        t_end=30.0,
+        dt=0.05,
+        x0=(0.0, 0.0),
+        predictor_history=((1.0, 1.0),),
+    )
+    trace = integrate(cfg)
+    assert trace.divergent
+    assert len(trace.times) == 203
+    assert np.all(np.isfinite(trace.x)) and np.all(np.isfinite(trace.xhat))
+
+
+def test_integrate_matches_per_block_reference_on_random_fields():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    def expressions(names, functions, operators):
+        leaves = st.sampled_from(names) | st.floats(0.1, 3.0).map("%.3g".__mod__)
+
+        def extend(inner):
+            return (
+                st.tuples(inner, st.sampled_from(operators), inner).map("(%s %s %s)".__mod__)
+                | st.tuples(st.sampled_from(functions), inner).map("%s(%s)".__mod__)
+                | st.tuples(inner, st.sampled_from(("2", "3"))).map("(%s)^%s".__mod__)
+                | inner.map("-(%s)".__mod__)
+            )
+
+        return st.recursive(leaves, extend, max_leaves=6)
+
+    @st.composite
+    def configs(draw):
+        n, N = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+        # component i may read x1..xi and u
+        phi = [draw(expressions(["x%d" % (j + 1) for j in range(i + 1)] + ["u"], FUNCTIONS,
+                                "+-*/")) for i in range(n)]
+        u = draw(expressions(["t"], ("sin", "cos", "tanh"), "+-*"))  # raises nothing
+        h = draw(st.floats(0.2, 0.6))
+        # zeros of either sign in x0 show the sign of a zero derivative
+        coords = st.floats(-2.0, 2.0)
+        return SimConfig(
+            system=make_system(n, phi, [1.0] * n, h, u),
+            gain=gain_star(n),
+            lam=draw(st.floats(0.5, 6.0)),
+            N=N,
+            t_end=2.5 * h,
+            dt=h / N / draw(st.integers(1, 4)),
+            x0=tuple(draw(coords) for _ in range(n)),
+            predictor_history=tuple(tuple(draw(coords.filter(bool)) for _ in range(n))
+                                    for _ in range(N)),
+        )
+
+    @hypothesis.settings(max_examples=60, derandomize=True, deadline=None, database=None,
+                         suppress_health_check=list(hypothesis.HealthCheck))
+    @hypothesis.given(configs())
+    # from -0.0 the zero derivative 0.0 + -0.0 is +0.0, so x leaves -0.0
+    @hypothesis.example(SimConfig(system=make_system(1, ["x1"], [1.0], 0.3, "0"), gain=gain_star(1),
+                                  lam=2.0, N=1, t_end=0.6, dt=0.1, x0=(-0.0,),
+                                  predictor_history=((0.5,),)))
+    def check(cfg):
+        try:
+            ref = _reference_integrate(cfg)
+        except OverflowError:  # the reference leaves node 0 unguarded
+            trace = integrate(cfg)
+            assert trace.divergent and len(trace.times) == 1
+            return
+        except ValueError as err:  # a domain error in the field
+            with pytest.raises(type(err)) as raised:
+                integrate(cfg)
+            assert str(raised.value) == str(err)
+            return
+        trace = integrate(cfg)
+        assert trace.divergent == ref["divergent"]
+        for name in ("times", "x", "xhat", "e_chain", "e_pred", "epsilon"):
+            got = getattr(trace, name)
+            if ref[name] is None:
+                assert got is None
+            else:
+                assert np.array_equal(got, ref[name], equal_nan=True), name
+                assert np.array_equal(np.signbit(got), np.signbit(ref[name])), name
+
+    check()
