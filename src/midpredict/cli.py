@@ -123,13 +123,10 @@ def _write_csv(path, schema, header_cols, rows):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("# schema: %s\n" % schema)
         fh.write(",".join(header_cols) + "\n")
-        floats = ",".join(["%.17g"] * len(header_cols)) + "\n"
+        # rows hold floats and small ints, which %.17g writes as str() does
+        template = ",".join(["%.17g"] * len(header_cols)) + "\n"
         for row in rows:
-            if set(map(type, row)) == {float}:
-                fh.write(floats % tuple(row))
-            else:
-                fh.write(",".join(_full(v) if isinstance(v, float) else str(v) for v in row))
-                fh.write("\n")
+            fh.write(template % tuple(row))
     return path
 
 

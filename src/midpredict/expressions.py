@@ -360,6 +360,12 @@ def _div(a, b):
     return a / b
 
 
+# characters of generated source per chain-step kernel; compiling costs about
+# 0.5 us and 0.1 KiB per character on a 2-core x86 host (0.2 s and 40 MiB for
+# the two-state demo field with N = 400); the simulator's stored-values budget
+# alone admits kernels of about ten million characters (n = 46, N = 465)
+MAX_KERNEL_SOURCE = 1_000_000
+
 _NAMESPACE = {"_f_pow": _pow, "_f_div": _div, **{"_f_" + k: f for k, f in _FUNC_IMPL.items()}}
 
 
@@ -405,7 +411,8 @@ def compile_chain_step(nodes, blocks, gains, dt):
     straight-line code on floats with every field expression inlined and the
     gains and step sizes embedded as exact literals, so each result equals
     ``y + dt/6 * (((k1 + 2 k2) + 2 k3) + k4)`` evaluated block by block,
-    bitwise.
+    bitwise. A chain whose two functions would exceed MAX_KERNEL_SOURCE
+    characters of source is refused with ValueError before compiling.
     """
     n = len(nodes)
     inputs = ["u%d" % j for j in range(blocks)]
@@ -453,5 +460,11 @@ def compile_chain_step(nodes, blocks, gains, dt):
     step.append("return (%s,)" % ", ".join(
         "%s + %s * (((%s + 2.0 * %s) + 2.0 * %s) + %s)" % (v, sixth, a, b, c, e)
         for v, a, b, c, e in zip(y, k1, k2, k3, k4)))
+    size = sum(map(len, deriv)) + sum(map(len, step))
+    if size > MAX_KERNEL_SOURCE:
+        raise ValueError(
+            "a step kernel of %d blocks needs %d characters of source, above the "
+            "budget of %d; use fewer sub-predictors" % (blocks, size, MAX_KERNEL_SOURCE)
+        )
     return (_define("_deriv", ("_y", "_u", "_d"), deriv),
             _define("_step", ("_y", "_k1", "_um", "_dm", "_ue", "_de"), step))

@@ -11,7 +11,10 @@ Each run generates, from the field's expressions, the derivative of all
 N + 1 blocks and one whole RK4 step as straight-line float code
 (expressions.compile_chain_step); nodes and their derivatives are stored in
 preallocated arrays. The float operations are those of the block-by-block
-scheme in the same order, so the traces equal it bitwise.
+scheme in the same order, so the traces equal it bitwise. A run is refused
+with ValueError when it would store more than MAX_STATE_VALUES values or
+when its generated step would exceed expressions.MAX_KERNEL_SOURCE
+characters.
 """
 
 from __future__ import annotations

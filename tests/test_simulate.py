@@ -73,6 +73,15 @@ def test_integrate_refuses_oversized_run(dt):
         integrate(cfg)
 
 
+def test_integrate_refuses_oversized_step_kernel():
+    # 1 001 nodes of 1 001 blocks fit the stored-values budget, but the
+    # generated step would need more than a million characters of source
+    cfg = SimConfig(system=demo_system(0.25), gain=gain_star(2), lam=4.0, N=1000,
+                    t_end=0.25, dt=0.25 / 1000)
+    with pytest.raises(ValueError, match="step kernel of 1001 blocks"):
+        integrate(cfg)
+
+
 def test_step_snaps_to_stage_delay():
     cfg = SimConfig(system=demo_system(0.25), gain=gain_star(2), lam=4.0, N=1,
                     t_end=1.0, dt=0.0132)
