@@ -302,7 +302,8 @@ def _node_prec(node):
 def to_source(node):
     """Render an AST back to text; re-parsing yields a structurally equal AST."""
     if isinstance(node, Num):
-        return repr(node.value)
+        # a literal past the float range parses to inf, which repr cannot give back
+        return "1e999" if node.value == math.inf else repr(node.value)
     if isinstance(node, Var):
         return node.name
     if isinstance(node, Call):

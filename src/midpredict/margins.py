@@ -2,13 +2,13 @@
 
 Imaginary-axis roots of ``s**n + L(s)*exp(-delta*s)`` can only occur at
 frequencies where ``|L(j*w)| = w**n``; squaring turns that into a degree-n
-polynomial in w**2 whose positive roots are isolated exactly with Sturm
-sequences. Each frequency generates an arithmetic progression of delays
-where a conjugate root pair crosses the axis, and the crossing direction
-(independent of which delay in the progression) tells whether the unstable
-root count steps up or down by two. Walking the sorted crossing delays from
-the delay-free count partitions the axis into intervals of constant
-unstable-root count.
+integer polynomial in w**2 whose positive roots are isolated exactly, by a
+bisection certified with Descartes' rule of signs. Each frequency generates
+an arithmetic progression of delays where a conjugate root pair crosses the
+axis, and the crossing direction (independent of which delay in the
+progression) tells whether the unstable root count steps up or down by two.
+Walking the sorted crossing delays from the delay-free count partitions the
+axis into intervals of constant unstable-root count.
 """
 
 from __future__ import annotations
@@ -18,7 +18,16 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .polynomials import RealPolynomial, SturmChain, unstable_root_count
+from .polynomials import (
+    RealPolynomial,
+    _primitive,
+    _to_int_poly,
+    sign_at,
+    sign_variations,
+    squarefree_part,
+    taylor_shift,
+    unstable_root_count,
+)
 from .spectrum import Quasipolynomial, qp_eval, qp_kth_deriv
 from .synthesis import GainVector, delay_free_poly, gain_star
 
@@ -100,42 +109,34 @@ class StabilityPartition:
         raise ValueError("delta is a crossing point or outside the partition")
 
 
+def _square(p):
+    out = [0] * (2 * len(p) - 1)
+    for i, pi in enumerate(p):
+        for j, pj in enumerate(p):
+            out[i + j] += pi * pj
+    return out
+
+
 def _magnitude_squared_poly(gain):
     """|L(j*w)|**2 as an exact polynomial in x = w**2.
 
-    Exactness matters: the crossing-frequency counts are certified with
-    Sturm sequences over the rationals of these float products.
+    Exactness matters: the crossing-frequency counts are certified over the
+    rationals of these float products. Every gain is an integer over one
+    power-of-two denominator 2**e, so L(j*w) = A(x) + j*w*B(x) with integer
+    A and B over 2**e, and |L|**2 = A**2 + x*B**2 over 4**e.
     """
-    n = gain.n
-    c = [Fraction(0)] * n
-    for idx, value in enumerate(gain.l):
-        c[n - 1 - idx] = Fraction(value)  # coefficient of s**(n-1-idx)
-    a = [Fraction(0)] * n  # even part, coefficient of w**m
-    b = [Fraction(0)] * n  # odd part
-    for m in range(n):
-        if m % 2 == 0:
-            a[m] = c[m] * (-1) ** (m // 2)
-        else:
-            b[m] = c[m] * (-1) ** ((m - 1) // 2)
-
-    def square(p):
-        out = [Fraction(0)] * (2 * len(p) - 1)
-        for i, pi in enumerate(p):
-            if pi == 0:
-                continue
-            for j, pj in enumerate(p):
-                if pj == 0:
-                    continue
-                out[i + j] += pi * pj
-        return out
-
-    total = [Fraction(0)] * (2 * n - 1)
-    for i, v in enumerate(square(a)):
-        total[i] += v
-    for i, v in enumerate(square(b)):
-        total[i] += v
-    assert all(total[i] == 0 for i in range(1, len(total), 2))
-    return [total[i] for i in range(0, len(total), 2)]
+    ratios = [v.as_integer_ratio() for v in reversed(gain.l)]  # s**m at index m
+    e = max(den.bit_length() for _, den in ratios) - 1
+    c = [num << (e + 1 - den.bit_length()) for num, den in ratios]
+    a = [v if k % 2 == 0 else -v for k, v in enumerate(c[0::2])]
+    b = [v if k % 2 == 0 else -v for k, v in enumerate(c[1::2])]
+    total = _square(a)
+    if b:
+        total += [0] * (len(b) * 2 - len(total))
+        for i, v in enumerate(_square(b)):
+            total[i + 1] += v
+    den = 1 << (2 * e)
+    return [Fraction(v, den) for v in total]
 
 
 def crossing_polynomial(gain):
@@ -148,41 +149,65 @@ def crossing_polynomial(gain):
 
 
 def _isolate_positive_roots(coeffs):
-    """Disjoint rational intervals, one distinct positive root each.
+    """Disjoint rational intervals (lo, hi], one distinct positive root each.
 
-    Counts run on one Sturm chain of the exact coefficients; the float
-    polynomial returned with each interval is only for polishing.
+    The bisection of (0, bound] is decided by Descartes' rule of signs on
+    the squarefree part (Collins & Akritas, 1976): a node whose open
+    interval shows 0 sign variations holds no root there, one with 1 holds
+    exactly one, which exact signs at the midpoints then narrow. Each root
+    gets the node a Sturm bisection of the same dyadic tree stops at: the
+    largest one on the root's path that holds no other root and is
+    narrower than max(1, hi)/1000. Intervals come ascending.
     """
-    chain = SturmChain(coeffs)
-    v_zero, v_inf = chain.variations(0), chain.variations(math.inf)
-    total = v_zero - v_inf
-    if total == 0:
+    p = _primitive(_to_int_poly(coeffs))
+    if len(p) == 1 or sign_variations(p) == 0:
         return []
-    bound = Fraction(2) * max(abs(c) for c in coeffs) / abs(coeffs[-1])
-    bound = max(bound, Fraction(1))
-    v_bound = chain.variations(bound)
-    if v_zero - v_bound != total:
-        bound *= 4
-        v_bound = chain.variations(bound)
-        if v_zero - v_bound != total:
-            raise RuntimeError("positive root bound failed")
-    intervals = []
-    stack = [(Fraction(0), bound, v_zero, v_bound)]
+    bound = max(Fraction(2 * max(abs(c) for c in p), abs(p[-1])), Fraction(1))
+    bn, bd = bound.numerator, bound.denominator
+    p = squarefree_part(p)
+    d = len(p) - 1
+    # node (k, a) is the interval bound*(a/2**k, (a+1)/2**k]; its polynomial
+    # is a positive multiple of p(bound*(a + t)/2**k), t in (0, 1]
+    top = [c * bn ** i * bd ** (d - i) for i, c in enumerate(p)]
+    if sign_variations(taylor_shift(top)) != 0:
+        raise RuntimeError("positive root bound failed")
+
+    def narrow(k, a):
+        return 1000 * bn < max(bd << k, bn * (a + 1))
+
+    leaves = []
+    stack = [(0, 0, top, None)]
     while stack:
-        lo, hi, v_lo, v_hi = stack.pop()
-        k = v_lo - v_hi
-        if k == 0:
+        k, a, q, first = stack.pop()
+        if q is None:
+            # a narrow node whose subtree held one root is that root's leaf
+            if len(leaves) == first + 1:
+                leaves[first] = (k, a)
             continue
-        if k == 1 and (hi - lo) < Fraction(1, 1000) * max(1, hi):
-            intervals.append((lo, hi))
-            continue
-        mid = (lo + hi) / 2
-        v_mid = chain.variations(mid)
-        stack.append((lo, mid, v_lo, v_mid))
-        stack.append((mid, hi, v_mid, v_hi))
-    intervals.sort()
-    poly = RealPolynomial(tuple(float(c) for c in coeffs))
-    return [(float(lo), float(hi), poly) for lo, hi in intervals]
+        value = sum(q)
+        s_hi = (value > 0) - (value < 0)
+        # sign changes of (1 + t)**d q(1/(1 + t)): Descartes on the open node
+        inside = sign_variations(taylor_shift(q[::-1]))
+        if inside <= 1 and inside + (s_hi == 0) == 1:
+            # one root: on the open node, or at hi when s_hi == 0
+            while not narrow(k, a):
+                if s_hi == 0:
+                    a = 2 * a + 1
+                else:
+                    s_mid = sign_at(top, 2 * a + 1, 2 << k)
+                    if s_mid == -s_hi:
+                        a = 2 * a + 1
+                    else:
+                        a, s_hi = 2 * a, s_mid
+                k += 1
+            leaves.append((k, a))
+        elif inside:
+            if narrow(k, a):
+                stack.append((k, a, None, len(leaves)))
+            left = [c << (d - i) for i, c in enumerate(q)]
+            stack.append((k + 1, 2 * a + 1, taylor_shift(left), None))
+            stack.append((k + 1, 2 * a, left, None))
+    return [(bound * a / (1 << k), bound * (a + 1) / (1 << k)) for k, a in leaves]
 
 
 def _polish_root(poly, lo, hi):
@@ -249,13 +274,14 @@ def crossing_direction(gain, w_c, delta_k):
 def crossing_frequencies(gain):
     """All positive frequencies where an axis crossing is possible.
 
-    The count is exact (Sturm certificate on the squared-magnitude
+    The count is exact (Descartes certificates on the squared-magnitude
     polynomial); locations are polished in floating point afterwards.
     """
     coeffs = crossing_polynomial(gain)
+    poly = RealPolynomial(tuple(float(c) for c in coeffs))
     freqs = []
-    for lo, hi, poly in _isolate_positive_roots(coeffs):
-        x = _polish_root(poly, lo, hi)
+    for lo, hi in _isolate_positive_roots(coeffs):
+        x = _polish_root(poly, float(lo), float(hi))
         freqs.append(math.sqrt(x))
     freqs.sort(reverse=True)
     crossings = []

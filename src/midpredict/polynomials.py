@@ -3,9 +3,13 @@
 Coefficients are stored ascending by degree. Counting runs in exact
 rational arithmetic (the float coefficients convert to binary rationals
 without error), so certificates like "this polynomial has exactly k distinct
-negative real roots" are decisions, not estimates. A SturmChain is built
-once per polynomial and counts sign variations at as many points as asked,
-by integer Horner evaluation; unstable_root_count is an exact Routh count.
+negative real roots" are decisions, not estimates. Two exact tools count
+roots: a SturmChain, built once per polynomial, counts distinct roots in any
+interval; Descartes' rule of signs bounds the roots in (0, inf) by the sign
+variations of the coefficients, exactly when that bound is 0 or 1, and
+reaches any other interval through a Taylor shift (Collins & Akritas, 1976).
+Both evaluate integer polynomials at rationals by one homogeneous Horner
+sum; unstable_root_count is an exact Routh count.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd
 
 import numpy as np
@@ -20,6 +25,10 @@ import numpy as np
 __all__ = [
     "RealPolynomial",
     "SturmChain",
+    "sign_at",
+    "sign_variations",
+    "taylor_shift",
+    "squarefree_part",
     "sturm_root_certificate",
     "count_real_roots_below",
     "count_real_roots_above",
@@ -81,6 +90,44 @@ def _primitive(p):
     return p
 
 
+def sign_at(p, num, den):
+    """Sign (-1, 0 or 1) of the integer polynomial p at num/den, den > 0.
+
+    The homogeneous Horner sum c_i num**i den**(d - i) is den**d times the
+    value, so it has the value's sign and no Fraction is normalised.
+    """
+    acc = p[-1]
+    scale = 1
+    for c in reversed(p[:-1]):
+        scale *= den
+        acc = acc * num + c * scale
+    return (acc > 0) - (acc < 0)
+
+
+def sign_variations(values):
+    """Sign changes along a sequence, zeros skipped.
+
+    On the coefficients of p this is Descartes' bound on the positive roots
+    of p counted with multiplicity: exact when it is 0 or 1, and of the same
+    parity otherwise.
+    """
+    signs = [v > 0 for v in values if v]
+    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+
+def taylor_shift(p, a=1):
+    """Coefficients of p(x + a) for an integer polynomial p and integer a.
+
+    Horner's scheme run d times on the descending coefficients; each pass is
+    one running sum, so a shift by 1 is additions only.
+    """
+    desc = p[::-1]
+    step = None if a == 1 else (lambda acc, c: acc * a + c)
+    for m in range(len(desc), 1, -1):
+        desc[:m] = accumulate(desc[:m], step)
+    return desc[::-1]
+
+
 def _pseudo_rem(a, b):
     """Integer pseudo-remainder of a by b with the sign of the true remainder."""
     da, db = len(a) - 1, len(b) - 1
@@ -134,10 +181,8 @@ def _sturm_chain(coeffs):
 class SturmChain:
     """Sturm sequence of one polynomial, built once and counted at many points.
 
-    Members are primitive integer polynomials. A member of degree d is
-    evaluated at x = p/q (q > 0) as the integer sum c_i p**i q**(d - i),
-    which is q**d times its value and so has its sign; no Fraction is
-    normalised. Points are rationals (anything Fraction accepts) or +-inf.
+    Members are primitive integer polynomials, evaluated at a point by
+    sign_at. Points are rationals (anything Fraction accepts) or +-inf.
     """
 
     def __init__(self, coeffs):
@@ -158,22 +203,52 @@ class SturmChain:
             signs = [m[-1] if x > 0 or len(m) % 2 else -m[-1] for m in self.members]
         else:
             x = Fraction(x)
-            num, den = x.numerator, x.denominator
-            den_pow = [1]
-            for _ in range(len(self.members[0]) - 1):
-                den_pow.append(den_pow[-1] * den)
-            signs = []
-            for m in self.members:
-                acc = m[-1]
-                for i, c in enumerate(reversed(m[:-1]), 1):
-                    acc = acc * num + c * den_pow[i]
-                signs.append(acc)
-        signs = [v for v in signs if v != 0]
-        return sum(1 for a, b in zip(signs, signs[1:]) if (a < 0) != (b < 0))
+            signs = [sign_at(m, x.numerator, x.denominator) for m in self.members]
+        return sign_variations(signs)
 
     def count_between(self, a, b):
         """Distinct real roots in (a, b], exact."""
         return self.variations(a) - self.variations(b)
+
+
+# the integers modulo a prime form a field, where Euclid's gcd runs on
+# numbers of 127 bits; a squarefree p fails the certificate only when this
+# prime divides the resultant of p and p'
+SQUAREFREE_PRIME = 2 ** 127 - 1
+
+
+def _rem_mod(a, b, prime):
+    """Remainder of a by b over the integers modulo prime; b[-1] != 0."""
+    a = list(a)
+    inv = pow(b[-1], -1, prime)
+    head = b[:-1]
+    while len(a) >= len(b):
+        factor = a.pop() * inv % prime
+        shift = len(a) - len(head)
+        for i, c in enumerate(head):
+            a[shift + i] = (a[shift + i] - factor * c) % prime
+        while a and a[-1] == 0:
+            a.pop()
+    return a
+
+
+def squarefree_part(p):
+    """A primitive integer polynomial with the distinct roots of p, each once.
+
+    p is a nonconstant primitive integer polynomial. When gcd(p, p') is
+    constant modulo SQUAREFREE_PRIME and neither leading coefficient
+    vanishes there, the resultant of p and p' is nonzero modulo the prime,
+    so it is nonzero, and p itself is squarefree. Otherwise the exact answer
+    comes from the Sturm chain; correctness never depends on the prime.
+    """
+    a = [c % SQUAREFREE_PRIME for c in p]
+    b = [k * c % SQUAREFREE_PRIME for k, c in enumerate(p) if k > 0]
+    if b and a[-1] and b[-1]:
+        while b:
+            if len(b) == 1:
+                return p
+            a, b = b, _rem_mod(a, b, SQUAREFREE_PRIME)
+    return SturmChain(p).members[0]
 
 
 def count_real_roots_below(p, x):
@@ -220,22 +295,32 @@ def _newton_refine(p, x0, tol):
 
 
 def rightmost_root(p):
-    """Largest real root, companion-seeded Newton with an exact Sturm check."""
+    """Largest real root: companion-seeded Newton, checked exactly.
+
+    The Newton candidate c is accepted when p changes sign across
+    [c - pad, c + pad] and Descartes' rule sees no root above c + pad; a
+    Sturm bisection brackets the root otherwise.
+    """
     if p.degree < 1:
         raise ValueError("no real roots")
     roots = np.roots(list(reversed(p.coeffs)))
     tol_imag = 1e-8
     real_parts = [z.real for z in roots if abs(z.imag) <= tol_imag * (1.0 + abs(z))]
     tol = 1e-13 * p.coeff_norm()
-    chain = SturmChain(p.coeffs)
     if real_parts:
         candidate = _newton_refine(p, max(real_parts), tol)
-        pad = max(1e-9, 1e-9 * abs(candidate))
-        if (
-            chain.count_between(candidate + pad, math.inf) == 0
-            and chain.count_between(candidate - pad, math.inf) >= 1
-        ):
-            return float(candidate)
+        if math.isfinite(candidate):
+            pad = max(1e-9, 1e-9 * abs(candidate))
+            ints = _to_int_poly(p.coeffs)
+            lo, hi = Fraction(candidate - pad), Fraction(candidate + pad)
+            # den**d p((y + num)/den) for hi = num/den: its roots y > 0 are
+            # the roots of p above hi
+            d, num, den = len(ints) - 1, hi.numerator, hi.denominator
+            above = taylor_shift([c * den ** (d - i) for i, c in enumerate(ints)], num)
+            change = sign_at(ints, lo.numerator, lo.denominator) * sign_at(ints, num, den)
+            if change < 0 and sign_variations(above) == 0:
+                return float(candidate)
+    chain = SturmChain(p.coeffs)
     # Sturm bisection fallback: bracket the largest real root exactly.
     if chain.count_between(-math.inf, math.inf) == 0:
         raise ValueError("no real roots")

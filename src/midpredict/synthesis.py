@@ -14,7 +14,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -116,29 +115,35 @@ def gain_star(n):
     The double sum has alternating terms as large as 4**n that cancel down
     to O(1); summing them in floating point destroys the gains beyond
     n around 25. The coefficients of each power of the root are therefore
-    collected exactly in big-integer arithmetic and the polynomial is
-    evaluated in rational arithmetic, so the only rounding left is the root
-    itself and the final conversion.
+    collected exactly in big-integer arithmetic. With the root written as
+    num/den, each gain is one integer over one integer, and Python rounds
+    that quotient correctly, so the only rounding left is the root itself,
+    that division and the product with exp(root).
     """
     if not 1 <= n <= MAX_GAIN_DIMENSION:
         raise ValueError("dimension must be in 1..%d" % MAX_GAIN_DIMENSION)
     sig = sigma_star(n)
-    sig_frac = Fraction(sig)
+    num, den = sig.as_integer_ratio()
     esig = math.exp(sig)
+    nf = math.factorial(n - 1)
+    # the coefficient of sig**(i-1) has denominator (i-1)!, here scaled to nf
+    weights = [nf // math.factorial(i - 1) for i in range(1, n + 1)]
+    binom_n = [math.comb(n, m) for m in range(n + 1)]
+    num_pow = [num ** m for m in range(2 * n)]
+    den_pow = [den ** m for m in range(2 * n)]
     gains = []
     for k in range(1, n + 1):
-        # coefficient of sig**(i-1), exact: sum over j of signed binomials
-        coeffs = []
+        binom_k = [math.comb(j - 1, n - k) if j else 0 for j in range(n + 1)]
+        total = 0
         for i in range(1, n + 1):
+            # coefficient of sig**(i-1), times (i-1)!: signed binomials
             acc = 0
             for j in range(max(n - k + 1, i), n + 1):
-                term = math.comb(n, j - i) * math.comb(j - 1, n - k)
+                term = binom_n[j - i] * binom_k[j]
                 acc += -term if (n + j + k) % 2 else term
-            coeffs.append(Fraction(acc, math.factorial(i - 1)))
-        value = Fraction(0)
-        for c in reversed(coeffs):
-            value = value * sig_frac + c
-        gains.append(float(value * sig_frac ** k) * esig)
+            # sig**(i-1+k) over the common denominator nf * den**(n-1+k)
+            total += acc * weights[i - 1] * num_pow[i - 1 + k] * den_pow[n - i]
+        gains.append(total / (nf * den_pow[n - 1 + k]) * esig)
     return GainVector(l=tuple(gains), n=n, sigma_star=sig)
 
 

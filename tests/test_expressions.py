@@ -170,6 +170,12 @@ def test_compiled_matches_tree_walk(src):
     assert fn(0.7, -0.3, 0.05) == pytest.approx(expected, rel=1e-15, abs=1e-15)
 
 
+@pytest.mark.parametrize("src", ["1e999*x1", "-1e999"])
+def test_pretty_print_round_trip_overflowing_literal(src):
+    ast = parse_expression(src, XU)
+    assert parse_expression(to_source(ast), XU) == ast
+
+
 def test_compiled_overflowing_literal():
     # "1e999" parses to inf, whose repr is not a Python literal
     fn = compile_expression(parse_expression("1e999*x1", XU), XU)

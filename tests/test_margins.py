@@ -1,17 +1,25 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from midpredict.margins import (
+    _isolate_positive_roots,
     crossing_direction,
     crossing_frequencies,
     crossing_points,
+    crossing_polynomial,
     hurwitz_check,
     partition_for_gain,
     stability_partition,
 )
-from midpredict.polynomials import RealPolynomial, unstable_root_count
+from midpredict.polynomials import (
+    SQUAREFREE_PRIME,
+    RealPolynomial,
+    SturmChain,
+    unstable_root_count,
+)
 from midpredict.spectrum import Quasipolynomial, count_roots_region, qp_eval
 from midpredict.synthesis import GainVector, delay_free_poly, gain_star
 
@@ -224,3 +232,128 @@ def test_crossing_points_rejects_unbounded_delta_max():
     for bad in (0.0, -1.0, 1e7):
         with pytest.raises(ValueError):
             crossing_points(cs, bad)
+
+
+def _sturm_isolate(coeffs):
+    """The isolation by Sturm bisection of (0, bound], kept as the reference."""
+    chain = SturmChain(coeffs)
+    v_zero, v_inf = chain.variations(0), chain.variations(math.inf)
+    if v_zero == v_inf:
+        return []
+    bound = max(Fraction(2) * max(abs(c) for c in coeffs) / abs(coeffs[-1]), Fraction(1))
+    v_bound = chain.variations(bound)
+    assert v_bound == v_inf
+    intervals = []
+    stack = [(Fraction(0), bound, v_zero, v_bound)]
+    while stack:
+        lo, hi, v_lo, v_hi = stack.pop()
+        k = v_lo - v_hi
+        if k == 0:
+            continue
+        if k == 1 and (hi - lo) < Fraction(1, 1000) * max(1, hi):
+            intervals.append((lo, hi))
+            continue
+        mid = (lo + hi) / 2
+        v_mid = chain.variations(mid)
+        stack.append((lo, mid, v_lo, v_mid))
+        stack.append((mid, hi, v_mid, v_hi))
+    return sorted(intervals)
+
+
+def _fraction_magnitude_squared(gain):
+    """|L(j*w)|**2 in x = w**2 by Fraction products of the even and odd parts."""
+    n = gain.n
+    c = [Fraction(v) for v in reversed(gain.l)]
+    a = [c[m] * (-1) ** (m // 2) if m % 2 == 0 else Fraction(0) for m in range(n)]
+    b = [c[m] * (-1) ** (m // 2) if m % 2 else Fraction(0) for m in range(n)]
+    total = [Fraction(0)] * (2 * n - 1)
+    for part in (a, b):
+        for i, pi in enumerate(part):
+            for j, pj in enumerate(part):
+                total[i + j] += pi * pj
+    return [total[i] for i in range(0, len(total), 2)]
+
+
+def test_crossing_polynomial_matches_fraction_products():
+    for n in range(1, 47):
+        expected = [-v for v in _fraction_magnitude_squared(gain_star(n))] + [Fraction(1)]
+        got = crossing_polynomial(gain_star(n))
+        assert got == expected, n
+        assert all(type(v) is Fraction for v in got)
+
+
+def test_isolation_matches_sturm_bisection_on_crossing_polynomials():
+    # the reference alone takes 0.4 s at n = 46, so n > 30 is sampled
+    for n in list(range(1, 31)) + [36, 46]:
+        coeffs = crossing_polynomial(gain_star(n))
+        assert _isolate_positive_roots(coeffs) == _sturm_isolate(coeffs), n
+
+
+def _expand(roots, pairs, scale):
+    p = [Fraction(scale)]
+    factors = [[-r, Fraction(1)] for r in roots]
+    factors += [[re * re + im2, -2 * re, Fraction(1)] for re, im2 in pairs]
+    for f in factors:
+        out = [Fraction(0)] * (len(p) + len(f) - 1)
+        for i, x in enumerate(p):
+            for j, y in enumerate(f):
+                out[i + j] += x * y
+        p = out
+    return p
+
+
+def test_isolation_matches_sturm_bisection_on_random_polynomials():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    dyadic = st.builds(lambda a, k: Fraction(a, 2 ** k), st.integers(-300, 300),
+                       st.integers(0, 8))
+    rational = st.builds(Fraction, st.integers(-300, 300), st.integers(1, 60))
+    unit = st.builds(lambda a: Fraction(a, 256), st.integers(-256, 256))
+    # complex pairs re +- i*sqrt(im2), from 1/2 down to 2**-40 off the axis
+    near_axis = st.builds(lambda k: Fraction(1, 4 ** k), st.integers(1, 40))
+
+    @st.composite
+    def polys(draw):
+        # on the grid, every root lies within 1/degree of 0; then no
+        # coefficient outgrows the leading one, the bound is 2, and each
+        # dyadic root sits on a bisection midpoint
+        on_grid = draw(st.booleans())
+        roots = []
+        for r in draw(st.lists(unit if on_grid else dyadic | rational, max_size=5)):
+            roots += [r] * draw(st.sampled_from((1, 1, 2, 3)))
+        pairs = draw(st.lists(st.tuples(unit if on_grid else dyadic, near_axis), max_size=2))
+        if not roots and not pairs:
+            roots = [Fraction(1)]
+        if on_grid:
+            shrink = 2 ** ((len(roots) + 2 * len(pairs)).bit_length() + 1)
+            roots = [r / shrink for r in roots]
+            pairs = [(re / shrink, im2 / shrink ** 2) for re, im2 in pairs]
+        coeffs = _expand(roots, pairs, draw(st.sampled_from((1, -3, Fraction(5, 7)))))
+        assert not on_grid or max(map(abs, coeffs)) == abs(coeffs[-1])
+        return coeffs
+
+    @hypothesis.settings(max_examples=150, derandomize=True, deadline=None, database=None,
+                         suppress_health_check=list(hypothesis.HealthCheck))
+    @hypothesis.given(polys())
+    # x**2 - 1/4: the root 1/2 is the midpoint of (0, 1]
+    @hypothesis.example([Fraction(-1, 4), Fraction(0), Fraction(1)])
+    # (x - 1/2)**2 (x - 3/4)(x**2 + 1/16): repeated midpoint root, a pair
+    @hypothesis.example(_expand([Fraction(1, 2)] * 2 + [Fraction(3, 4)], [(0, Fraction(1, 16))], 1))
+    # x**5 - x**4 - x**3 - x**2 - x - 43/64 has bound 2 and a root in
+    # (1000/512, 1001/512], a leaf only because its width is below hi/1000
+    @hypothesis.example([Fraction(-43, 64)] + [Fraction(-1)] * 4 + [Fraction(1)])
+    # a pair 2**-20 off the axis next to a simple root
+    @hypothesis.example(_expand([Fraction(1, 3)], [(Fraction(5, 16), Fraction(1, 4 ** 20))], 1))
+    def check(coeffs):
+        assert _isolate_positive_roots(coeffs) == _sturm_isolate(coeffs)
+
+    check()
+
+
+def test_isolation_takes_exact_route_when_modular_gcd_is_nonconstant(chains_built):
+    # (x - 1)(x - 1 - P) is squarefree, but (x - 1)**2 modulo P
+    coeffs = [1 + SQUAREFREE_PRIME, -2 - SQUAREFREE_PRIME, 1]
+    intervals = _isolate_positive_roots(coeffs)
+    assert chains_built == [coeffs]
+    assert intervals == _sturm_isolate(coeffs)
+    assert [lo < r <= hi for (lo, hi), r in zip(intervals, (1, 1 + SQUAREFREE_PRIME))] == [True] * 2

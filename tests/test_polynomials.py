@@ -5,12 +5,17 @@ import numpy as np
 import pytest
 
 from midpredict.polynomials import (
+    SQUAREFREE_PRIME,
     RealPolynomial,
     SturmChain,
     count_real_roots_above,
     count_real_roots_between,
     rightmost_root,
+    sign_at,
+    sign_variations,
+    squarefree_part,
     sturm_root_certificate,
+    taylor_shift,
     unstable_root_count,
 )
 
@@ -178,3 +183,58 @@ def test_unstable_root_count_exact_randomized():
         coeffs = np.real(np.poly(roots))[::-1]
         expected = sum(1 for z in roots if z.real > 0)
         assert unstable_root_count(RealPolynomial(tuple(coeffs))) == expected
+
+
+def test_taylor_shift_matches_binomial_expansion():
+    rng = np.random.default_rng(29)
+    for _ in range(40):
+        p = [int(v) for v in rng.integers(-50, 51, int(rng.integers(1, 9)))]
+        for a in (1, -1, 0, 3, -7, 2 ** 70 + 1):
+            expected = [
+                sum(c * math.comb(i, j) * a ** (i - j) for i, c in enumerate(p) if i >= j)
+                for j in range(len(p))
+            ]
+            assert taylor_shift(p, a) == expected, (p, a)
+
+
+def test_sign_at_and_sign_variations():
+    p = [-6, 11, -6, 1]  # roots 1, 2, 3
+    assert sign_variations(p) == 3
+    assert sign_variations([0, 1, 0, 0, -2, 0]) == 1
+    assert sign_variations([]) == 0
+    for x in (Fraction(1, 2), 1, Fraction(3, 2), 2, Fraction(5, 2), 3, Fraction(7, 2)):
+        x = Fraction(x)
+        value = sum(c * x ** i for i, c in enumerate(p))
+        assert sign_at(p, x.numerator, x.denominator) == (value > 0) - (value < 0)
+
+
+def test_squarefree_part_certifies_modulo_the_prime(chains_built):
+    p = [-2, 1, 1]  # (x - 1)(x + 2)
+    assert squarefree_part(p) is p
+    assert chains_built == []
+
+
+@pytest.mark.parametrize("p, part", [
+    # (x - 1)**2 (x + 2): repeated root, exact squarefree part (x - 1)(x + 2)
+    ([2, -3, 0, 1], [-2, 1, 1]),
+    # x (x - P): squarefree, but x**2 modulo P
+    ([0, -SQUAREFREE_PRIME, 1], [0, -SQUAREFREE_PRIME, 1]),
+    # P x**2 - 1: squarefree, but its leading coefficient vanishes modulo P
+    ([-1, 0, SQUAREFREE_PRIME], [-1, 0, SQUAREFREE_PRIME]),
+])
+def test_squarefree_part_takes_exact_route_without_certificate(chains_built, p, part):
+    assert squarefree_part(p) == part
+    assert chains_built == [p]
+
+
+def test_rightmost_root_simple_root_builds_no_sturm_chain(chains_built):
+    assert rightmost_root(RealPolynomial((-6.0, 11.0, -6.0, 1.0))) == pytest.approx(3.0, abs=1e-12)
+    assert chains_built == []
+
+
+def test_rightmost_root_double_root_falls_back_to_bisection(chains_built):
+    # (x - 1)**2 (x + 2): no sign change at the rightmost root, so the Newton
+    # candidate 1.0000000155... is refused and the Sturm bisection gives 1.0
+    p = RealPolynomial((2.0, -3.0, 0.0, 1.0))
+    assert rightmost_root(p) == 1.0
+    assert chains_built == [list(p.coeffs)]

@@ -202,3 +202,28 @@ def test_factorization_of_designed_loop():
 def test_delay_free_poly():
     g = GainVector((2.0, 1.0), 2)
     assert delay_free_poly(g).coeffs == (1.0, 2.0, 1.0)
+
+
+def _fraction_gain_star(n):
+    """Gains by Fraction Horner on the exact per-power coefficients."""
+    sig = sigma_star(n)
+    sig_frac = Fraction(sig)
+    gains = []
+    for k in range(1, n + 1):
+        coeffs = []
+        for i in range(1, n + 1):
+            acc = 0
+            for j in range(max(n - k + 1, i), n + 1):
+                term = math.comb(n, j - i) * math.comb(j - 1, n - k)
+                acc += -term if (n + j + k) % 2 else term
+            coeffs.append(Fraction(acc, math.factorial(i - 1)))
+        value = Fraction(0)
+        for c in reversed(coeffs):
+            value = value * sig_frac + c
+        gains.append(float(value * sig_frac ** k) * math.exp(sig))
+    return tuple(gains)
+
+
+def test_gain_star_bitwise_equals_fraction_horner():
+    for n in range(1, 47):
+        assert gain_star(n).l == _fraction_gain_star(n), n
