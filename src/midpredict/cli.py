@@ -130,6 +130,29 @@ def _write_csv(path, schema, header_cols, rows):
     return path
 
 
+def _write_spectrum_csv(path, result):
+    return _write_csv(
+        path,
+        "spectrum.v1",
+        ("re", "im", "multiplicity"),
+        [(float(s.real), float(s.imag), m) for s, m in result.roots],
+    )
+
+
+def _write_partition_csv(path, partitions):
+    rows = []
+    for part in partitions:
+        for (lo, hi), count in zip(part.intervals, part.unstable_counts):
+            rows.append((part.n, float(lo), float(hi), count))
+    return _write_csv(path, "partition.v1", ("n", "delta_lo", "delta_hi", "unstable_count"), rows)
+
+
+def _write_gainmargin_csv(path, brackets):
+    return _write_csv(
+        path, "gainmargin.v1", ("n", "lower", "upper"), [(b.n, b.lower, b.upper) for b in brackets]
+    )
+
+
 def _cmd_synth(args):
     gain = gain_star(args.n)
     rows = [("sigma_star", gain.sigma_star)]
@@ -184,12 +207,7 @@ def _cmd_spectrum(args):
         print("  %s %+sj  multiplicity %d" % (_fmt(s.real), _fmt(s.imag), m))
     if result.dominant is not None:
         print("dominant: %s %+sj" % (_fmt(result.dominant.real), _fmt(result.dominant.imag)))
-    path = _write_csv(
-        os.path.join(args.outdir, "spectrum.csv"),
-        "spectrum.v1",
-        ("re", "im", "multiplicity"),
-        [(float(s.real), float(s.imag), m) for s, m in result.roots],
-    )
+    path = _write_spectrum_csv(os.path.join(args.outdir, "spectrum.csv"), result)
     emit_plot_script("spectrum", path)
     _write_manifest(args)
     return 0
@@ -204,17 +222,10 @@ def _cmd_margins(args):
             % (_fmt(c.frequency), _fmt(c.argument), c.direction)
         )
     print("partition up to delta_max = %s:" % _fmt(part.delta_max))
-    rows = []
     for (lo, hi), count in zip(part.intervals, part.unstable_counts):
         marker = "stable" if count == 0 else "%d unstable" % count
         print("  (%s, %s): %s" % (_fmt(lo), _fmt(hi), marker))
-        rows.append((args.n, float(lo), float(hi), count))
-    path = _write_csv(
-        os.path.join(args.outdir, "partition.csv"),
-        "partition.v1",
-        ("n", "delta_lo", "delta_hi", "unstable_count"),
-        rows,
-    )
+    path = _write_partition_csv(os.path.join(args.outdir, "partition.csv"), [part])
     emit_plot_script("partition", path)
     _write_manifest(args)
     return 0
@@ -236,12 +247,7 @@ def _cmd_gainmargin(args):
                 fh.write("%s =\n" % name)
                 for row in getattr(bracket.certificate, name):
                     fh.write("  " + " ".join(_full(float(v)) for v in row) + "\n")
-    _write_csv(
-        os.path.join(args.outdir, "gainmargin.csv"),
-        "gainmargin.v1",
-        ("n", "lower", "upper"),
-        [(args.n, bracket.lower, bracket.upper)],
-    )
+    _write_gainmargin_csv(os.path.join(args.outdir, "gainmargin.csv"), [bracket])
     _write_manifest(args)
     return 0
 
@@ -344,36 +350,18 @@ def _cmd_repro(args):
         qp = Quasipolynomial(2, scaled.l, 0.25)
         rect = default_certification_rect(gain.sigma_star / 0.25, 0.25)
         result = roots_in_region(qp, rect)
-        path = _write_csv(
-            os.path.join(args.outdir, "spectrum025.csv"),
-            "spectrum.v1",
-            ("re", "im", "multiplicity"),
-            [(float(s.real), float(s.imag), m) for s, m in result.roots],
-        )
+        path = _write_spectrum_csv(os.path.join(args.outdir, "spectrum025.csv"), result)
         emit_plot_script("spectrum", path)
     elif figure == "d_vs_n":
-        rows = []
-        for part in map(stability_partition, range(1, args.n_max + 1)):
-            for (lo, hi), count in zip(part.intervals, part.unstable_counts):
-                rows.append((part.n, float(lo), float(hi), count))
-        path = _write_csv(
+        path = _write_partition_csv(
             os.path.join(args.outdir, "d_vs_n.csv"),
-            "partition.v1",
-            ("n", "delta_lo", "delta_hi", "unstable_count"),
-            rows,
+            map(stability_partition, range(1, args.n_max + 1)),
         )
         emit_plot_script("partition", path)
     elif figure == "gamma_vs_n":
-        n_values = list(range(1, min(args.n_max, 8) + 1))
-        rows = []
-        for n in n_values:
-            bracket = max_gain_margin(n)
-            rows.append((n, bracket.lower, bracket.upper))
-        path = _write_csv(
+        path = _write_gainmargin_csv(
             os.path.join(args.outdir, "gamma_vs_n.csv"),
-            "gainmargin.v1",
-            ("n", "lower", "upper"),
-            rows,
+            map(max_gain_margin, range(1, min(args.n_max, 8) + 1)),
         )
         emit_plot_script("margin_bounds", path)
     elif figure in ("normError025", "normError050"):

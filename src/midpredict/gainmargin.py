@@ -6,10 +6,10 @@ ceiling is the trailing design gain, because a constant perturbation of that
 slope parks a characteristic root at the origin. Feasibility of W < 0 at a
 given slope is decided by minimizing the largest eigenvalue of a block
 diagonal of W and the positivity constraints, a convex nonsmooth problem.
-The solver runs a log-sum-exp smoothing continuation under L-BFGS, then a
-scalar rescale line search. Every "feasible" answer ships the variables
-and is re-verified by a plain symmetric eigenvalue check before being
-believed; a negative answer is reported as unknown, never as a proof.
+The solver runs a log-sum-exp smoothing continuation under L-BFGS from one
+start per query. Every "feasible" answer ships the variables and is
+re-verified by a plain symmetric eigenvalue check before being believed;
+a negative answer is reported as unknown, never as a proof.
 
 W is written once, in assemble_W. The stacked matrix M(theta) is affine in
 the packed variables, so each query builds M0 = M(0) and a matrix J whose
@@ -30,7 +30,7 @@ import numpy as np
 
 from ._scipy import minimize
 from .synthesis import GainVector, gain_star, sigma_star
-from .tradeoff import _kronecker_lyapunov, closed_loop_matrix
+from .tradeoff import _injection_matrix, _kronecker_lyapunov, closed_loop_matrix
 
 __all__ = [
     "LmiVariables",
@@ -81,16 +81,6 @@ class ChainDesign:
     sigma_star_per_t: float
 
 
-def _shift_matrix(n):
-    return np.eye(n, k=1)
-
-
-def _injection_matrix(gain):
-    a1 = np.zeros((gain.n, gain.n))
-    a1[:, 0] = -np.asarray(gain.l)
-    return a1
-
-
 def assemble_W(n, gain, h, gamma_m, variables):
     """The 4x4-block descriptor matrix; symmetric by construction."""
     if h <= 0:
@@ -100,8 +90,8 @@ def assemble_W(n, gain, h, gamma_m, variables):
     for mat in (p, r, s, p2, p3, p4):
         if mat.shape != (n, n):
             raise ValueError("all variables must be n x n")
-    a = _shift_matrix(n)
-    a1 = _injection_matrix(gain)
+    a = np.eye(n, k=1)
+    a1 = -_injection_matrix(gain)
     eye = np.eye(n)
     w11 = a.T @ p2 + p2.T @ a + s - r + gamma_m ** 2 * eye
     w12 = p - p2.T + a.T @ p3
@@ -211,11 +201,6 @@ def _smoothed_value_grad(theta, mu, m0, jac):
     return f, jac.T @ ((vecs * weights) @ vecs.T).reshape(-1)
 
 
-def _lyapunov_seed(n, gain):
-    p0 = _kronecker_lyapunov(closed_loop_matrix(gain))
-    return p0 / max(np.max(np.abs(p0)), 1.0)
-
-
 def _initial_variables(n, gain):
     """Heuristic start: delay-free Lyapunov shape with heavy multipliers.
 
@@ -224,7 +209,8 @@ def _initial_variables(n, gain):
     nearly vanishing; starting in that regime is what lets the smoothed
     descent reach the thin feasible needle at dimensions above three.
     """
-    p0 = _lyapunov_seed(n, gain)
+    p0 = _kronecker_lyapunov(closed_loop_matrix(gain))
+    p0 = p0 / max(np.max(np.abs(p0)), 1.0)
     eye = np.eye(n)
     return LmiVariables(
         P=2.0 * p0,
@@ -233,20 +219,6 @@ def _initial_variables(n, gain):
         P2=20.0 * p0,
         P3=15.0 * p0,
         P4=15.0 * eye,
-    )
-
-
-def _fallback_variables(n, gain):
-    """Balanced-scale start kept as a second attempt."""
-    p0 = _lyapunov_seed(n, gain)
-    eye = np.eye(n)
-    return LmiVariables(
-        P=2.0 * p0,
-        R=0.5 * eye,
-        S=0.5 * eye,
-        P2=1.0 * p0,
-        P3=0.5 * p0,
-        P4=0.5 * eye,
     )
 
 
@@ -265,7 +237,7 @@ _SMOOTHING_LADDER = (
 
 
 def _solve_feasibility(theta0, m0, jac, eps):
-    """Smoothed quasi-Newton continuation, then a scalar rescale line search.
+    """Smoothed quasi-Newton continuation from theta0.
 
     The smoothing stage supplies curvature information that carries the
     iterate down the thin feasibility needle. Stops as soon as the exact
@@ -308,19 +280,17 @@ def _solve_feasibility(theta0, m0, jac, eps):
                 break
         else:
             slow_stages = 0
-    for c in np.logspace(-1.0, 1.5, 26):
-        f = exact(c * best_theta)
-        if f < best_f:
-            best_theta, best_f = c * best_theta, f
     return best_theta, best_f
 
 
 def lmi_feasible(n, gain, h, gamma_m, eps=None, warm_start=None):
     """Search for a feasibility certificate of W < 0 at slope gamma_m.
 
-    Returns (True, LmiVariables) only when the certificate passes the
-    independent eigenvalue verification; otherwise (False, "unknown"). The
-    negative answer is never a proof of infeasibility.
+    One smoothing continuation runs, from warm_start (one LmiVariables)
+    when given, else from the heuristic start. Returns (True, LmiVariables)
+    only when the certificate passes the independent eigenvalue
+    verification; otherwise (False, "unknown"). The negative answer is
+    never a proof of infeasibility.
     """
     if gamma_m < 0:
         raise ValueError("gain-margin slope must be nonnegative")
@@ -328,23 +298,12 @@ def lmi_feasible(n, gain, h, gamma_m, eps=None, warm_start=None):
         eps = _default_eps(gamma_m)
     packing = _Packing(n)
     m0, jac = _affine_stack(packing, n, gain, h, gamma_m, eps)
-    starts = []
-    if warm_start is not None:
-        warm_list = warm_start if isinstance(warm_start, (list, tuple)) else [warm_start]
-        starts.extend(packing.pack(w) for w in warm_list)
-    starts.append(packing.pack(_initial_variables(n, gain)))
-    starts.append(packing.pack(_fallback_variables(n, gain)))
-    best_f = math.inf
-    for theta0 in starts:
-        theta, f = _solve_feasibility(theta0, m0, jac, eps)
-        if f < 0.0:
-            variables = packing.unpack(theta)
-            if verify_certificate(n, gain, h, gamma_m, variables, eps):
-                return True, variables
-        best_f = min(best_f, f)
-        if best_f > 1000.0 * eps and len(starts) > 2:
-            # hopelessly far on a warm-started query; skip remaining starts
-            break
+    start = warm_start if warm_start is not None else _initial_variables(n, gain)
+    theta, f = _solve_feasibility(packing.pack(start), m0, jac, eps)
+    if f < 0.0:
+        variables = packing.unpack(theta)
+        if verify_certificate(n, gain, h, gamma_m, variables, eps):
+            return True, variables
     return False, "unknown"
 
 
@@ -383,17 +342,15 @@ def max_gain_margin(n, tol=None, eps=None):
         raise ValueError("tol must be finite and positive")
     if eps is None:
         eps = min(1e-6, max(1e-2 * upper ** 2, 1e-11))
-    ok, cert = lmi_feasible(n, gain, 1.0, 0.0, eps=eps)
+    ok, best = lmi_feasible(n, gain, 1.0, 0.0, eps=eps)
     if not ok:
         return MarginBracket(n=n, lower=0.0, upper=upper, certificate=None, eps=eps)
     lo, hi = 0.0, upper
-    base = cert
-    best = cert
     for _ in range(MAX_BISECTION_STEPS):
         mid = 0.5 * (lo + hi)
         if hi - lo <= tol or not lo < mid < hi:  # adjacent floats: below resolution
             break
-        ok, result = lmi_feasible(n, gain, 1.0, mid, eps=eps, warm_start=[best, base])
+        ok, result = lmi_feasible(n, gain, 1.0, mid, eps=eps, warm_start=best)
         if ok:
             lo, best = mid, result
         else:

@@ -28,7 +28,7 @@ from .polynomials import (
     taylor_shift,
     unstable_root_count,
 )
-from .spectrum import Quasipolynomial, qp_eval, qp_kth_deriv
+from .spectrum import Quasipolynomial, _injection_value, qp_eval, qp_kth_deriv
 from .synthesis import GainVector, delay_free_poly, gain_star
 
 __all__ = [
@@ -239,10 +239,7 @@ def _polish_root(poly, lo, hi):
 def _arg_g(gain, w):
     """Argument of G(j*w) = -L(j*w)/(j*w)**n in [0, 2*pi)."""
     s = 1j * w
-    num = 0.0 + 0.0j
-    for coef in gain.l:
-        num = num * s + coef
-    g = -num / s ** gain.n
+    g = -_injection_value(gain, s) / s ** gain.n
     angle = math.atan2(g.imag, g.real)
     return angle % (2 * math.pi)
 
@@ -255,10 +252,9 @@ def crossing_direction(gain, w_c, delta_k):
     """
     qp = Quasipolynomial(gain.n, gain.l, delta_k)
     s = 1j * w_c
-    num = 0.0 + 0.0j
+    num = _injection_value(gain, s)
     mag = 0.0
     for coef in gain.l:
-        num = num * s + coef
         mag = mag * abs(s) + abs(coef)
     d_delta = -s * num * cmath.exp(-delta_k * s)
     d_s = qp_kth_deriv(qp, s, 1)

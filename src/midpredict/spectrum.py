@@ -74,9 +74,10 @@ class SpectrumResult:
     dominant: complex
 
 
-def _injection_value(qp, s):
-    acc = qp.l[0]
-    for coef in qp.l[1:]:
+def _injection_value(gain, s):
+    """L(s) = l1*s**(n-1)+...+ln by Horner; gain is anything with gains l."""
+    acc = gain.l[0]
+    for coef in gain.l[1:]:
         acc = acc * s + coef
     return acc
 

@@ -36,12 +36,16 @@ class TradeoffVerdict:
     derived: dict  # named intermediate quantities
 
 
+def _injection_matrix(gain):
+    """L C: the gains in the first column, C = e1' reading the first state."""
+    lc = np.zeros((gain.n, gain.n))
+    lc[:, 0] = gain.l
+    return lc
+
+
 def closed_loop_matrix(gain):
     """A - L C: companion form with characteristic polynomial from the gains."""
-    n = gain.n
-    m = np.eye(n, k=1)
-    m[:, 0] -= np.asarray(gain.l)
-    return m
+    return np.eye(gain.n, k=1) - _injection_matrix(gain)
 
 
 def _require_hurwitz(gain):
@@ -76,14 +80,12 @@ def _spectral_norm(m):
 def matrix_norms(gain):
     """Spectral norms of the pieces entering both sets of conditions."""
     m = closed_loop_matrix(gain)
-    lvec = np.asarray(gain.l)
-    lc = np.zeros((gain.n, gain.n))
-    lc[:, 0] = lvec
+    lc = _injection_matrix(gain)
     p = lyapunov_solve(gain)
     eigs = np.linalg.eigvalsh(p)
     return {
         "A_minus_LC": _spectral_norm(m),
-        "L": float(np.linalg.norm(lvec)),
+        "L": float(np.linalg.norm(gain.l)),
         "LC": _spectral_norm(lc),
         "PLC": _spectral_norm(p @ lc),
         "P_cond_ratio": float(eigs[-1] / eigs[0]),

@@ -311,3 +311,31 @@ def test_cold_start_loads_scipy_only_for_gainmargin(tmp_path):
     assert "before: []" in proc.stdout
     assert "certified lower bound 0.342013" in proc.stdout
     assert "after: True" in proc.stdout
+
+
+BLAS_THREADS = """
+import os
+import midpredict
+print([os.environ.get(v) for v in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")])
+"""
+
+
+@pytest.mark.parametrize(
+    "preset, expected",
+    [({}, "['1', '1', '1']"), ({"OPENBLAS_NUM_THREADS": "2"}, "['1', '2', '1']")],
+)
+def test_import_pins_blas_threads_unless_set(preset, expected):
+    # a child process, since numpy reads the variables once, when it loads
+    import subprocess
+    import sys
+
+    import midpredict
+
+    src = os.path.dirname(os.path.dirname(midpredict.__file__))
+    env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+    env.update(preset, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", BLAS_THREADS], env=env, capture_output=True, text=True, timeout=60.0
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == expected

@@ -127,6 +127,29 @@ def test_infeasible_above_analytic_ceiling():
     assert info == "unknown"
 
 
+def test_each_query_runs_one_continuation(monkeypatch):
+    import midpredict.gainmargin as gm
+
+    runs = []
+    solve = gm._solve_feasibility
+
+    def counted(*args):
+        runs.append(args[0])
+        return solve(*args)
+
+    monkeypatch.setattr(gm, "_solve_feasibility", counted)
+    ok, cert = lmi_feasible(1, G1, 1.0, 0.3)
+    assert ok and len(runs) == 1
+    ok, info = lmi_feasible(1, G1, 1.0, 0.5)
+    assert (ok, info) == (False, "unknown") and len(runs) == 2
+    packing = gm._Packing(1)
+    for slope, certified in ((0.32, True), (0.5, False)):
+        ok, _ = lmi_feasible(1, G1, 1.0, slope, warm_start=cert)
+        assert ok == certified
+        assert np.array_equal(runs[-1], packing.pack(cert))
+    assert len(runs) == 4
+
+
 def test_rejects_negative_slope():
     with pytest.raises(ValueError):
         lmi_feasible(2, G2, 1.0, -0.1)
@@ -166,8 +189,12 @@ def test_max_gain_margin_n1_bracket():
 
 
 def test_max_gain_margin_lower_bounds_n1_n2():
-    for n, lower in ((1, 0.3420129179640753), (2, 0.0642869011632653)):
-        bracket = max_gain_margin(n, tol=0.005)
+    for n, tol, lower in (
+        (1, 0.005, 0.3420129179640753),
+        (2, 0.005, 0.0642869011632653),
+        (3, 0.002, 0.00906589929638385),
+    ):
+        bracket = max_gain_margin(n, tol=tol)
         assert bracket.lower == lower
         assert verify_certificate(
             n, gain_star(n), 1.0, bracket.lower, bracket.certificate, bracket.eps
