@@ -84,7 +84,6 @@ from .synthesis import (
     gain_from_derivative_system,
     gain_star,
     multiplicity_at,
-    q_poly,
     rk_poly,
     scale_gain,
     sigma_star,

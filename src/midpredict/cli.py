@@ -1,9 +1,10 @@
 """Command-line front end: synthesis, certification, simulation, repro.
 
 All numeric console output is printed at six significant digits; files are
-written at full precision. Every run drops a manifest next to its outputs
-so a result can be regenerated from the recorded flags alone, and CSV
-schemas are version-tagged in their headers for golden-file comparisons.
+written at full precision. Every run that succeeds drops a manifest next
+to its outputs so a result can be regenerated from the recorded flags
+alone, and CSV schemas are version-tagged in their headers for golden-file
+comparisons.
 """
 
 from __future__ import annotations
@@ -46,11 +47,6 @@ def _fmt(value):
 
 def _full(value):
     return "%.17g" % value
-
-
-def _ensure_outdir(path):
-    os.makedirs(path, exist_ok=True)
-    return path
 
 
 def _write_manifest(args, extra=None):
@@ -180,8 +176,6 @@ def _cmd_synth(args):
             for name, value in rows:
                 fh.write("%s = %s\n" % (name, _full(value)))
             fh.write("multiplicity = %d\n" % mult)
-    _write_manifest(args)
-    return 0
 
 
 def _parse_rect(text):
@@ -209,8 +203,6 @@ def _cmd_spectrum(args):
         print("dominant: %s %+sj" % (_fmt(result.dominant.real), _fmt(result.dominant.imag)))
     path = _write_spectrum_csv(os.path.join(args.outdir, "spectrum.csv"), result)
     emit_plot_script("spectrum", path)
-    _write_manifest(args)
-    return 0
 
 
 def _cmd_margins(args):
@@ -227,8 +219,6 @@ def _cmd_margins(args):
         print("  (%s, %s): %s" % (_fmt(lo), _fmt(hi), marker))
     path = _write_partition_csv(os.path.join(args.outdir, "partition.csv"), [part])
     emit_plot_script("partition", path)
-    _write_manifest(args)
-    return 0
 
 
 def _cmd_gainmargin(args):
@@ -248,8 +238,6 @@ def _cmd_gainmargin(args):
                 for row in getattr(bracket.certificate, name):
                     fh.write("  " + " ".join(_full(float(v)) for v in row) + "\n")
     _write_gainmargin_csv(os.path.join(args.outdir, "gainmargin.csv"), [bracket])
-    _write_manifest(args)
-    return 0
 
 
 def _cmd_design(args):
@@ -262,8 +250,6 @@ def _cmd_design(args):
     print("sub-predictors N = %d" % chain.N)
     print("scalar gain lambda = %s" % _fmt(chain.lam))
     print("dominant decay rate per time unit = %s" % _fmt(chain.sigma_star_per_t))
-    _write_manifest(args)
-    return 0
 
 
 def _trace_rows(trace):
@@ -280,7 +266,7 @@ def _cmd_simulate(args):
     if args.variant:
         cfg = demo_config(args.variant, args.h, t_end=args.t_end, dt=args.dt)
         label = args.variant
-    elif args.config:
+    else:
         system = load_system(args.config)
         gain = gain_star(system.n)
         lam = args.lam if args.lam is not None else args.N / system.h
@@ -288,9 +274,6 @@ def _cmd_simulate(args):
             system=system, gain=gain, lam=lam, N=args.N, t_end=args.t_end, dt=args.dt
         )
         label = "config"
-    else:
-        print("simulate requires --config or --variant", file=sys.stderr)
-        return 2
     start = time.perf_counter()
     trace = integrate(cfg)
     integrate_s = time.perf_counter() - start
@@ -305,15 +288,14 @@ def _cmd_simulate(args):
         _trace_rows(trace),
     )
     emit_plot_script("error_norm", path)
-    _write_manifest(args, extra={
+    return {
         "divergent": trace.divergent,
         "nodes": len(trace.times),
         "dt": trace.metadata["dt"],
         "steps_per_stage_delay": trace.metadata["nodes_per_stage_delay"],
         "divergence_time": float(trace.times[-1]) if trace.divergent else None,
         "integrate_s": integrate_s,
-    })
-    return 0
+    }
 
 
 def _cmd_compare(args):
@@ -338,8 +320,6 @@ def _cmd_compare(args):
             "%-8s %-10s lambda_star=%s, N=%d, lambda=N/h=%s"
             % ("ours", str(bool(ours_ok)), _fmt(chain.lambda_star), chain.N, _fmt(chain.lam))
         )
-    _write_manifest(args)
-    return 0
 
 
 def _cmd_repro(args):
@@ -364,7 +344,7 @@ def _cmd_repro(args):
             map(max_gain_margin, range(1, min(args.n_max, 8) + 1)),
         )
         emit_plot_script("margin_bounds", path)
-    elif figure in ("normError025", "normError050"):
+    else:  # normError025 or normError050, the choices left
         h = 0.25 if figure == "normError025" else 0.5
         traces = [run_demo_variant(v, h) for v in DEMO_VARIANTS]
         # variants run at different steps; resample onto the coarsest grid
@@ -391,12 +371,7 @@ def _cmd_repro(args):
         for tr, name in zip(traces, DEMO_VARIANTS):
             if tr.divergent:
                 print("variant %s diverged (trace truncated)" % name)
-    else:
-        print("unknown figure '%s'" % figure, file=sys.stderr)
-        return 2
     print("wrote %s outputs to %s" % (figure, args.outdir))
-    _write_manifest(args)
-    return 0
 
 
 def _build_parser():
@@ -442,8 +417,9 @@ def _build_parser():
     p.set_defaults(func=_cmd_design)
 
     p = sub.add_parser("simulate", help="integrate the closed prediction loop")
-    p.add_argument("--config", default=None, help="system definition file")
-    p.add_argument("--variant", choices=DEMO_VARIANTS, default=None)
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--config", default=None, help="system definition file")
+    source.add_argument("--variant", choices=DEMO_VARIANTS, default=None)
     p.add_argument("--h", type=float, default=0.25)
     p.add_argument("--N", type=int, default=1)
     p.add_argument("--lam", type=float, default=None)
@@ -472,7 +448,13 @@ def _build_parser():
 
 
 def dispatch(argv):
-    """Route argv to a subcommand; 0 ok, 1 domain error, 2 usage error."""
+    """Route argv to a subcommand; 0 ok, 1 domain error, 2 usage error.
+
+    A subcommand prints and writes its own outputs and returns the fields it
+    adds to the manifest, or None. dispatch keeps the run's books: it makes
+    the outdir, maps errors to exit codes and writes manifest.json once,
+    after a run that succeeded.
+    """
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -481,12 +463,13 @@ def dispatch(argv):
     if not getattr(args, "subcommand", None):
         parser.print_usage(sys.stderr)
         return 2
-    _ensure_outdir(args.outdir)
+    os.makedirs(args.outdir, exist_ok=True)
     try:
-        return args.func(args)
+        _write_manifest(args, args.func(args))
     except (ValueError, ArithmeticError, RuntimeError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
+    return 0
 
 
 def main():

@@ -317,7 +317,7 @@ def upper_bound_gamma(n):
     return gain_star(n).l[-1]
 
 
-def max_gain_margin(n, tol=None, eps=None):
+def max_gain_margin(n, tol=None):
     """Bisection bracket for the certified gain margin at unit delay.
 
     tol is the absolute bisection resolution, finite and positive; by default
@@ -340,8 +340,7 @@ def max_gain_margin(n, tol=None, eps=None):
         tol = 1e-3 * upper
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError("tol must be finite and positive")
-    if eps is None:
-        eps = min(1e-6, max(1e-2 * upper ** 2, 1e-11))
+    eps = min(1e-6, max(1e-2 * upper ** 2, 1e-11))
     ok, best = lmi_feasible(n, gain, 1.0, 0.0, eps=eps)
     if not ok:
         return MarginBracket(n=n, lower=0.0, upper=upper, certificate=None, eps=eps)

@@ -18,16 +18,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .polynomials import (
-    RealPolynomial,
-    _primitive,
-    _to_int_poly,
-    sign_at,
-    sign_variations,
-    squarefree_part,
-    taylor_shift,
-    unstable_root_count,
-)
+from .polynomials import RealPolynomial, isolate_positive_roots, unstable_root_count
 from .spectrum import Quasipolynomial, _injection_value, qp_eval, qp_kth_deriv
 from .synthesis import GainVector, delay_free_poly, gain_star
 
@@ -148,68 +139,6 @@ def crossing_polynomial(gain):
     return coeffs
 
 
-def _isolate_positive_roots(coeffs):
-    """Disjoint rational intervals (lo, hi], one distinct positive root each.
-
-    The bisection of (0, bound] is decided by Descartes' rule of signs on
-    the squarefree part (Collins & Akritas, 1976): a node whose open
-    interval shows 0 sign variations holds no root there, one with 1 holds
-    exactly one, which exact signs at the midpoints then narrow. Each root
-    gets the node a Sturm bisection of the same dyadic tree stops at: the
-    largest one on the root's path that holds no other root and is
-    narrower than max(1, hi)/1000. Intervals come ascending.
-    """
-    p = _primitive(_to_int_poly(coeffs))
-    if len(p) == 1 or sign_variations(p) == 0:
-        return []
-    bound = max(Fraction(2 * max(abs(c) for c in p), abs(p[-1])), Fraction(1))
-    bn, bd = bound.numerator, bound.denominator
-    p = squarefree_part(p)
-    d = len(p) - 1
-    # node (k, a) is the interval bound*(a/2**k, (a+1)/2**k]; its polynomial
-    # is a positive multiple of p(bound*(a + t)/2**k), t in (0, 1]
-    top = [c * bn ** i * bd ** (d - i) for i, c in enumerate(p)]
-    if sign_variations(taylor_shift(top)) != 0:
-        raise RuntimeError("positive root bound failed")
-
-    def narrow(k, a):
-        return 1000 * bn < max(bd << k, bn * (a + 1))
-
-    leaves = []
-    stack = [(0, 0, top, None)]
-    while stack:
-        k, a, q, first = stack.pop()
-        if q is None:
-            # a narrow node whose subtree held one root is that root's leaf
-            if len(leaves) == first + 1:
-                leaves[first] = (k, a)
-            continue
-        value = sum(q)
-        s_hi = (value > 0) - (value < 0)
-        # sign changes of (1 + t)**d q(1/(1 + t)): Descartes on the open node
-        inside = sign_variations(taylor_shift(q[::-1]))
-        if inside <= 1 and inside + (s_hi == 0) == 1:
-            # one root: on the open node, or at hi when s_hi == 0
-            while not narrow(k, a):
-                if s_hi == 0:
-                    a = 2 * a + 1
-                else:
-                    s_mid = sign_at(top, 2 * a + 1, 2 << k)
-                    if s_mid == -s_hi:
-                        a = 2 * a + 1
-                    else:
-                        a, s_hi = 2 * a, s_mid
-                k += 1
-            leaves.append((k, a))
-        elif inside:
-            if narrow(k, a):
-                stack.append((k, a, None, len(leaves)))
-            left = [c << (d - i) for i, c in enumerate(q)]
-            stack.append((k + 1, 2 * a + 1, taylor_shift(left), None))
-            stack.append((k + 1, 2 * a, left, None))
-    return [(bound * a / (1 << k), bound * (a + 1) / (1 << k)) for k, a in leaves]
-
-
 def _polish_root(poly, lo, hi):
     x = 0.5 * (lo + hi)
     dp = poly.derivative()
@@ -276,7 +205,7 @@ def crossing_frequencies(gain):
     coeffs = crossing_polynomial(gain)
     poly = RealPolynomial(tuple(float(c) for c in coeffs))
     freqs = []
-    for lo, hi in _isolate_positive_roots(coeffs):
+    for lo, hi in isolate_positive_roots(coeffs):
         x = _polish_root(poly, float(lo), float(hi))
         freqs.append(math.sqrt(x))
     freqs.sort(reverse=True)
@@ -338,7 +267,7 @@ def partition_for_gain(gain, delta_max=None):
             merged[-1][1].append(freq)
         else:
             merged.append((delta, [freq]))
-    count = unstable_root_count(delay_free_poly(gain))
+    count = unstable_root_count(delay_free_poly(gain).coeffs)
     counts = [count]
     boundaries = [0.0]
     for delta, freqs in merged:
@@ -360,8 +289,6 @@ def partition_for_gain(gain, delta_max=None):
 
 def stability_partition(n, delta_max=None):
     """Partition for the multiplicity-designed gain at dimension n."""
-    if not 1 <= n <= 46:
-        raise ValueError("dimension must be in 1..46")
     return partition_for_gain(gain_star(n), delta_max)
 
 
@@ -374,6 +301,6 @@ def hurwitz_check(p):
     if p.coeffs[-1] <= 0:
         raise ValueError("leading coefficient must be positive")
     try:
-        return unstable_root_count(p) == 0
+        return unstable_root_count(p.coeffs) == 0
     except ValueError:
         return False

@@ -1,15 +1,16 @@
-"""Dense real polynomials plus exact root counting.
+"""Dense real polynomials plus exact real-root work.
 
-Coefficients are stored ascending by degree. Counting runs in exact
-rational arithmetic (the float coefficients convert to binary rationals
-without error), so certificates like "this polynomial has exactly k distinct
-negative real roots" are decisions, not estimates. Two exact tools count
-roots: a SturmChain, built once per polynomial, counts distinct roots in any
-interval; Descartes' rule of signs bounds the roots in (0, inf) by the sign
-variations of the coefficients, exactly when that bound is 0 or 1, and
-reaches any other interval through a Taylor shift (Collins & Akritas, 1976).
-Both evaluate integer polynomials at rationals by one homogeneous Horner
-sum; unstable_root_count is an exact Routh count.
+Coefficients are ascending by degree. RealPolynomial is the float
+evaluator. Every exact routine reads a plain sequence of exact coefficients
+(ints, Fractions or floats, each the rational it is), so a polynomial with
+integer coefficients beyond 2**53 is counted as itself, never as its float
+rounding. Two exact tools count roots: a SturmChain, built once per
+polynomial, counts distinct roots in any interval; Descartes' rule of signs
+bounds the roots in (0, inf) by the sign variations of the coefficients,
+exactly when that bound is 0 or 1, and reaches any other interval through a
+Taylor shift, which isolate_positive_roots bisects on (Collins & Akritas,
+1976). Both evaluate integer polynomials at rationals by one homogeneous
+Horner sum; unstable_root_count is an exact Routh count.
 """
 
 from __future__ import annotations
@@ -30,9 +31,7 @@ __all__ = [
     "taylor_shift",
     "squarefree_part",
     "sturm_root_certificate",
-    "count_real_roots_below",
-    "count_real_roots_above",
-    "count_real_roots_between",
+    "isolate_positive_roots",
     "rightmost_root",
     "unstable_root_count",
 ]
@@ -64,9 +63,6 @@ class RealPolynomial:
         if self.degree == 0:
             return RealPolynomial((0.0,))
         return RealPolynomial(tuple(k * c for k, c in enumerate(self.coeffs) if k > 0))
-
-    def coeff_norm(self):
-        return float(np.linalg.norm(self.coeffs))
 
 
 def _to_int_poly(coeffs):
@@ -251,29 +247,78 @@ def squarefree_part(p):
     return SturmChain(p).members[0]
 
 
-def count_real_roots_below(p, x):
-    """Distinct real roots of p in (-inf, x], exact."""
-    return SturmChain(p.coeffs).count_between(-math.inf, x)
+def isolate_positive_roots(coeffs):
+    """Disjoint rational intervals (lo, hi], one distinct positive root each.
+
+    The bisection of (0, bound] is decided by Descartes' rule of signs on
+    the squarefree part (Collins & Akritas, 1976): a node whose open
+    interval shows 0 sign variations holds no root there, one with 1 holds
+    exactly one, which exact signs at the midpoints then narrow. Each root
+    gets the node a Sturm bisection of the same dyadic tree stops at: the
+    largest one on the root's path that holds no other root and is
+    narrower than max(1, hi)/1000. Intervals come ascending.
+    """
+    p = _primitive(_to_int_poly(coeffs))
+    if len(p) == 1 or sign_variations(p) == 0:
+        return []
+    bound = max(Fraction(2 * max(abs(c) for c in p), abs(p[-1])), Fraction(1))
+    bn, bd = bound.numerator, bound.denominator
+    p = squarefree_part(p)
+    d = len(p) - 1
+    # node (k, a) is the interval bound*(a/2**k, (a+1)/2**k]; its polynomial
+    # is a positive multiple of p(bound*(a + t)/2**k), t in (0, 1]
+    top = [c * bn ** i * bd ** (d - i) for i, c in enumerate(p)]
+    if sign_variations(taylor_shift(top)) != 0:
+        raise RuntimeError("positive root bound failed")
+
+    def narrow(k, a):
+        return 1000 * bn < max(bd << k, bn * (a + 1))
+
+    leaves = []
+    stack = [(0, 0, top, None)]
+    while stack:
+        k, a, q, first = stack.pop()
+        if q is None:
+            # a narrow node whose subtree held one root is that root's leaf
+            if len(leaves) == first + 1:
+                leaves[first] = (k, a)
+            continue
+        value = sum(q)
+        s_hi = (value > 0) - (value < 0)
+        # sign changes of (1 + t)**d q(1/(1 + t)): Descartes on the open node
+        inside = sign_variations(taylor_shift(q[::-1]))
+        if inside <= 1 and inside + (s_hi == 0) == 1:
+            # one root: on the open node, or at hi when s_hi == 0
+            while not narrow(k, a):
+                if s_hi == 0:
+                    a = 2 * a + 1
+                else:
+                    s_mid = sign_at(top, 2 * a + 1, 2 << k)
+                    if s_mid == -s_hi:
+                        a = 2 * a + 1
+                    else:
+                        a, s_hi = 2 * a, s_mid
+                k += 1
+            leaves.append((k, a))
+        elif inside:
+            if narrow(k, a):
+                stack.append((k, a, None, len(leaves)))
+            left = [c << (d - i) for i, c in enumerate(q)]
+            stack.append((k + 1, 2 * a + 1, taylor_shift(left), None))
+            stack.append((k + 1, 2 * a, left, None))
+    return [(bound * a / (1 << k), bound * (a + 1) / (1 << k)) for k, a in leaves]
 
 
-def count_real_roots_above(p, x):
-    """Distinct real roots of p in (x, +inf), exact."""
-    return SturmChain(p.coeffs).count_between(x, math.inf)
-
-
-def count_real_roots_between(p, a, b):
-    """Distinct real roots of p in (a, b], exact."""
-    return SturmChain(p.coeffs).count_between(a, b)
-
-
-def sturm_root_certificate(p):
+def sturm_root_certificate(coeffs):
     """Exact count of distinct negative real roots plus a squarefree flag.
 
-    Returns (count_negative, all_distinct).
+    coeffs are ascending and exact: ints, Fractions or floats, each read as
+    the rational it is, so the certificate speaks for that polynomial and
+    not for a float rounding of it. Returns (count_negative, all_distinct).
     """
-    if p.degree < 1:
+    chain = SturmChain(coeffs)
+    if len(chain.members[0]) < 2:
         raise ValueError("certificate requires a nonconstant polynomial")
-    chain = SturmChain(p.coeffs)
     return chain.count_between(-math.inf, 0), chain.squarefree
 
 
@@ -294,24 +339,29 @@ def _newton_refine(p, x0, tol):
     return x
 
 
-def rightmost_root(p):
-    """Largest real root: companion-seeded Newton, checked exactly.
+def rightmost_root(coeffs):
+    """Largest real root of the polynomial with exact ascending coeffs.
 
-    The Newton candidate c is accepted when p changes sign across
-    [c - pad, c + pad] and Descartes' rule sees no root above c + pad; a
-    Sturm bisection brackets the root otherwise.
+    coeffs are read as in sturm_root_certificate. Newton runs in floats on
+    their rounding, seeded by the companion eigenvalues; its candidate c is
+    accepted when the exact polynomial changes sign across
+    [c - pad, c + pad], pad about 1e-9 |c|, and Descartes' rule sees no
+    root above c + pad. Otherwise a Sturm bisection of the exact polynomial
+    brackets the root and Newton polishes it. Either way the result is a
+    Newton float near the root, not the correctly rounded root.
     """
-    if p.degree < 1:
+    ints = _to_int_poly(coeffs)
+    if len(ints) < 2:
         raise ValueError("no real roots")
+    p = RealPolynomial(tuple(coeffs))
     roots = np.roots(list(reversed(p.coeffs)))
     tol_imag = 1e-8
     real_parts = [z.real for z in roots if abs(z.imag) <= tol_imag * (1.0 + abs(z))]
-    tol = 1e-13 * p.coeff_norm()
+    tol = 1e-13 * float(np.linalg.norm(p.coeffs))
     if real_parts:
         candidate = _newton_refine(p, max(real_parts), tol)
         if math.isfinite(candidate):
             pad = max(1e-9, 1e-9 * abs(candidate))
-            ints = _to_int_poly(p.coeffs)
             lo, hi = Fraction(candidate - pad), Fraction(candidate + pad)
             # den**d p((y + num)/den) for hi = num/den: its roots y > 0 are
             # the roots of p above hi
@@ -320,11 +370,11 @@ def rightmost_root(p):
             change = sign_at(ints, lo.numerator, lo.denominator) * sign_at(ints, num, den)
             if change < 0 and sign_variations(above) == 0:
                 return float(candidate)
-    chain = SturmChain(p.coeffs)
+    chain = SturmChain(coeffs)
     # Sturm bisection fallback: bracket the largest real root exactly.
     if chain.count_between(-math.inf, math.inf) == 0:
         raise ValueError("no real roots")
-    hi = Fraction(max(2.0, 2.0 * max(abs(c) for c in p.coeffs) / abs(p.coeffs[-1])))
+    hi = max(Fraction(2), Fraction(2 * max(map(abs, ints)), abs(ints[-1])))
     lo = -hi
     v_inf = chain.variations(math.inf)
     if chain.variations(hi) != v_inf:
@@ -338,7 +388,7 @@ def rightmost_root(p):
     return float(_newton_refine(p, float((lo + hi) / 2), tol))
 
 
-def unstable_root_count(p):
+def unstable_root_count(coeffs):
     """Roots with positive real part, counted with multiplicity, exact.
 
     Sign changes down the first column of the Routh array. The rows are kept
@@ -347,7 +397,7 @@ def unstable_root_count(p):
     (always met when a root lies on the imaginary axis) leaves no count and
     raises ValueError.
     """
-    desc = list(reversed(_to_int_poly(p.coeffs)))
+    desc = list(reversed(_to_int_poly(coeffs)))
     if len(desc) == 1:
         return 0
     width = (len(desc) + 1) // 2

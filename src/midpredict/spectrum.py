@@ -136,7 +136,7 @@ def _wrap_angle(x):
     return (x + math.pi) % (2 * math.pi) - math.pi
 
 
-def _phase_sweep(qp, points, budget, vanish_tol=CONTOUR_REL_TOL):
+def _phase_sweep(qp, points, budget):
     """Total continuous argument change of D along a polyline of points.
 
     A step is subdivided when its wrapped phase jump exceeds 1 radian, and
@@ -149,7 +149,7 @@ def _phase_sweep(qp, points, budget, vanish_tol=CONTOUR_REL_TOL):
     values = qp_eval(qp, pts)
     scales = qp_scale(qp, pts)
     rel = np.abs(values) / scales
-    if np.any(rel < vanish_tol):
+    if np.any(rel < CONTOUR_REL_TOL):
         raise RootOnContourError("characteristic value vanishes on the contour")
     angles = np.angle(values)
     total = 0.0
@@ -171,12 +171,12 @@ def _phase_sweep(qp, points, budget, vanish_tol=CONTOUR_REL_TOL):
         if not needs_split(a, b, w_a, w_b, rel_a, rel_b, jump):
             return jump
         if depth >= 60 or used[0] > budget:
-            raise SpectrumError("contour refinement budget exceeded; enlarge contour_points")
+            raise SpectrumError("contour refinement budget exceeded")
         mid = (a + b) / 2
         w = qp_eval(qp, mid)
         scale_m = float(qp_scale(qp, np.asarray(mid)))
         rel_m = abs(w) / scale_m
-        if rel_m < vanish_tol:
+        if rel_m < CONTOUR_REL_TOL:
             raise RootOnContourError("characteristic value vanishes on the contour")
         used[0] += 1
         ang_m = cmath.phase(w)
@@ -218,25 +218,24 @@ def _rect_boundary(rect, samples_per_unit):
     return pts
 
 
-def count_roots_region(qp, rect, contour_points=None):
+def count_roots_region(qp, rect):
     """Exact root count (with multiplicity) inside a rectangle.
 
-    contour_points bounds the total boundary evaluations; refinement past
-    that budget raises rather than returning a wrong count.
+    The boundary is sampled at max(8, 4 delta) points per unit length, plus
+    64; refinement past 64 times that many evaluations raises rather than
+    returning a wrong count.
     """
     re0, re1, im0, im1 = rect
     if not (re1 > re0 and im1 > im0):
         raise ValueError("rectangle must have positive extent")
     perimeter = 2 * (re1 - re0) + 2 * (im1 - im0)
-    if contour_points is None:
-        per_unit = max(8.0, 4.0 * qp.delta)
-        contour_points = int(perimeter * per_unit) + 64
+    contour_points = int(perimeter * max(8.0, 4.0 * qp.delta)) + 64
     points = _rect_boundary(rect, max(2.0, contour_points / perimeter))
     total = _phase_sweep(qp, points, budget=64 * contour_points)
     winding = total / (2 * math.pi)
     nearest = round(winding)
     if abs(winding - nearest) > 0.05:
-        raise SpectrumError("non-integral winding number; refine contour_points")
+        raise SpectrumError("non-integral winding number")
     return int(nearest)
 
 

@@ -17,13 +17,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .polynomials import RealPolynomial, rightmost_root, sturm_root_certificate
+from .polynomials import RealPolynomial, rightmost_root
 from .spectrum import _injection_derivative
 
 __all__ = [
     "GainVector",
     "q_coefficients",
-    "q_poly",
     "rk_terms",
     "rk_poly",
     "sigma_star",
@@ -32,13 +31,13 @@ __all__ = [
     "scale_gain",
     "multiplicity_at",
     "delay_free_poly",
-    "sturm_root_certificate",
 ]
 
 MAX_Q_DIMENSION = 60
 # the delay-axis sweep needs gains up to the largest dimension whose
 # crossing-frequency pattern is characterized (five frequencies at n = 46)
 MAX_GAIN_DIMENSION = 46
+MULTIPLICITY_REL_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -72,10 +71,6 @@ def q_coefficients(n):
     return [math.comb(n, j) * nf // math.factorial(j) for j in range(n + 1)]
 
 
-def q_poly(n):
-    return RealPolynomial(tuple(float(c) for c in q_coefficients(n)))
-
-
 def rk_terms(n, k):
     """Exact terms of the k-th derivative polynomial R_k.
 
@@ -106,7 +101,7 @@ def rk_poly(n, k, delta):
 def sigma_star(n):
     """Rightmost root of q, the only multiplicity-(n+1) assignment that is
     also dominant."""
-    return rightmost_root(q_poly(n))
+    return rightmost_root(q_coefficients(n))
 
 
 def gain_star(n):
@@ -196,12 +191,13 @@ def scale_gain(gain, delta):
     return GainVector(l=scaled, n=gain.n, sigma_star=gain.sigma_star)
 
 
-def multiplicity_at(gain, delta, s0, rel_tol=1e-8):
+def multiplicity_at(gain, delta, s0):
     """Largest m <= n+1 with the first m derivative conditions satisfied at s0.
 
     Conditions are evaluated in the exp(+delta*s)-multiplied form, which for
     roots in the left half-plane keeps every term at coefficient scale.
-    Tolerances are relative to the largest term magnitude per condition.
+    A condition holds when its value is at most MULTIPLICITY_REL_TOL times
+    the largest term magnitude in it.
     """
     if delta < 0:
         raise ValueError("delay must be nonnegative")
@@ -217,7 +213,7 @@ def multiplicity_at(gain, delta, s0, rel_tol=1e-8):
             inj_val, inj_scale = _injection_derivative(gain, s0, k)
             value += inj_val
             scale = max(scale, inj_scale)
-        if abs(value) <= rel_tol * max(scale, 1e-300):
+        if abs(value) <= MULTIPLICITY_REL_TOL * max(scale, 1e-300):
             count += 1
         else:
             break

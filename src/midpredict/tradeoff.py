@@ -48,11 +48,6 @@ def closed_loop_matrix(gain):
     return np.eye(gain.n, k=1) - _injection_matrix(gain)
 
 
-def _require_hurwitz(gain):
-    if not hurwitz_check(delay_free_poly(gain)):
-        raise ValueError("A - LC must be Hurwitz for this condition")
-
-
 def _kronecker_lyapunov(m):
     """Symmetrised solution P of P m + m'P = -I, via the vectorized linear system."""
     eye = np.eye(m.shape[0])
@@ -64,7 +59,8 @@ def _kronecker_lyapunov(m):
 def lyapunov_solve(gain):
     """Unique symmetric positive definite P with
     P(A-LC) + (A-LC)'P = -I, via the vectorized linear system."""
-    _require_hurwitz(gain)
+    if not hurwitz_check(delay_free_poly(gain)):
+        raise ValueError("A - LC must be Hurwitz for this condition")
     m = closed_loop_matrix(gain)
     p = _kronecker_lyapunov(m)
     residual = np.linalg.norm(p @ m + m.T @ p + np.eye(gain.n))
@@ -77,19 +73,23 @@ def _spectral_norm(m):
     return float(np.linalg.norm(m, 2))
 
 
-def matrix_norms(gain):
-    """Spectral norms of the pieces entering both sets of conditions."""
-    m = closed_loop_matrix(gain)
+def _norms_of(gain, p):
+    """matrix_norms for the Lyapunov solution p of gain, and p's eigenvalues."""
     lc = _injection_matrix(gain)
-    p = lyapunov_solve(gain)
     eigs = np.linalg.eigvalsh(p)
-    return {
-        "A_minus_LC": _spectral_norm(m),
+    norms = {
+        "A_minus_LC": _spectral_norm(closed_loop_matrix(gain)),
         "L": float(np.linalg.norm(gain.l)),
         "LC": _spectral_norm(lc),
         "PLC": _spectral_norm(p @ lc),
         "P_cond_ratio": float(eigs[-1] / eigs[0]),
     }
+    return norms, eigs
+
+
+def matrix_norms(gain):
+    """Spectral norms of the pieces entering both sets of conditions."""
+    return _norms_of(gain, lyapunov_solve(gain))[0]
 
 
 def ahmed_conditions(n, gain, lam, h, gamma_phi):
@@ -101,7 +101,6 @@ def ahmed_conditions(n, gain, lam, h, gamma_phi):
     """
     if not (0 < lam < math.inf and 0 <= h < math.inf):
         raise ValueError("gain must be finite and positive, delay finite and nonnegative")
-    _require_hurwitz(gain)
     p0 = lyapunov_solve(gain)
     p = h * lam ** 2 * p0
     norm_p = _spectral_norm(p)
@@ -136,10 +135,7 @@ def lei_conditions(n, gain, lam, h):
     Lyapunov solution of the delay-free loop."""
     if not (0 < lam < math.inf and 0 <= h < math.inf):
         raise ValueError("gain must be finite and positive, delay finite and nonnegative")
-    _require_hurwitz(gain)
-    p = lyapunov_solve(gain)
-    eigs = np.linalg.eigvalsh(p)
-    norms = matrix_norms(gain)
+    norms, eigs = _norms_of(gain, lyapunov_solve(gain))
     sigma = max(
         8.0 * norms["A_minus_LC"] ** 2 * eigs[-1] / eigs[0],
         8.0 * norms["PLC"] ** 2,

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 
 import pytest
 
@@ -173,6 +174,51 @@ def test_simulate_requires_source(tmp_path, capsys):
     capsys.readouterr()
 
 
+SIMULATE_FIELDS = {"divergence_time": None, "divergent": False, "dt": 0.005, "integrate_s": 0,
+                   "nodes": 401, "steps_per_stage_delay": 50}
+
+
+@pytest.mark.parametrize("argv, rc, flags", [
+    (["synth", "--n", "2", "--delta", "0.25"], 0, {"n": 2, "delta": 0.25, "out": None}),
+    (["spectrum", "--n", "2", "--delta", "1"], 0, {"n": 2, "delta": 1.0, "rect": None}),
+    (["margins", "--n", "2"], 0, {"n": 2, "delta_max": None}),
+    (["gainmargin", "--n", "1", "--tol", "0.05"], 0, {"n": 1, "tol": 0.05}),
+    (["design", "--n", "2", "--gamma-phi", "1.1", "--h", "0.25", "--gamma-m", "0.0673"], 0,
+     {"n": 2, "gamma_phi": 1.1, "h": 0.25, "gamma_m": 0.0673}),
+    (["simulate", "--variant", "ours_N1", "--t-end", "2"], 0,
+     {"N": 1, "config": None, "dt": None, "h": 0.25, "lam": None, "t_end": 2.0,
+      "variant": "ours_N1"}),
+    (["compare", "--n", "2", "--h", "0.25", "--lambda", "2", "--L", "2,1", "--gamma-phi", "1.1",
+      "--gamma-m", "0.0673"], 0,
+     {"n": 2, "h": 0.25, "lam": 2.0, "L": "2,1", "gamma_phi": 1.1, "gamma_m": 0.0673}),
+    (["repro", "--figure", "d_vs_n", "--n-max", "2"], 0, {"figure": "d_vs_n", "n_max": 2}),
+    (["synth", "--n", "0"], 1, None),
+    (["margins", "--n", "47"], 1, None),
+    (["simulate"], 2, None),
+    (["simulate", "--variant", "ours_N1", "--config", "system.kv"], 2, None),
+    (["repro", "--figure", "nope"], 2, None),
+])
+def test_each_successful_run_writes_one_manifest(tmp_path, capsys, argv, rc, flags):
+    from midpredict import __version__
+
+    outdir = tmp_path / "out"
+    assert dispatch(["--outdir", str(outdir)] + argv) == rc
+    capsys.readouterr()
+    manifests = list(tmp_path.rglob("manifest.json"))
+    if rc:
+        assert manifests == []
+        return
+    assert manifests == [outdir / "manifest.json"]
+    out = "<outdir>"
+    expected = {"subcommand": argv[0], "flags": dict(flags, outdir=out, seed=0, subcommand=argv[0]),
+                "config_path": None, "outdir": out, "seed": 0, "version": __version__}
+    if argv[0] == "simulate":
+        expected.update(SIMULATE_FIELDS)
+    text = manifests[0].read_text().replace(str(outdir), out)
+    text = re.sub(r'"integrate_s": [^,]+,', '"integrate_s": 0,', text)
+    assert text == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+
+
 def test_compare_table(tmp_path, capsys):
     rc = run(
         tmp_path,
@@ -315,6 +361,7 @@ def test_cold_start_loads_scipy_only_for_gainmargin(tmp_path):
 
 BLAS_THREADS = """
 import os
+import re
 import midpredict
 print([os.environ.get(v) for v in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")])
 """

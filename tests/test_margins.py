@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from midpredict.margins import (
-    _isolate_positive_roots,
     crossing_direction,
     crossing_frequencies,
     crossing_points,
@@ -18,6 +17,7 @@ from midpredict.polynomials import (
     SQUAREFREE_PRIME,
     RealPolynomial,
     SturmChain,
+    isolate_positive_roots,
     unstable_root_count,
 )
 from midpredict.spectrum import Quasipolynomial, count_roots_region, qp_eval
@@ -203,13 +203,13 @@ def test_hurwitz_agrees_with_eigenvalues_randomized():
         roots = rng.uniform(-2.0, 0.5, n)
         coeffs = np.poly(roots)[::-1]
         p = RealPolynomial(tuple(coeffs))
-        assert hurwitz_check(p) == (unstable_root_count(p) == 0 and np.all(roots < 0))
+        assert hurwitz_check(p) == (unstable_root_count(coeffs) == 0 and np.all(roots < 0))
 
 
 def test_exact_unstable_count_beyond_dimension_26():
     # np.roots overcounts from n = 27; the exact Routh count stays at 2
     for n in range(27, 31):
-        assert unstable_root_count(delay_free_poly(gain_star(n))) == 2, n
+        assert unstable_root_count(delay_free_poly(gain_star(n)).coeffs) == 2, n
         assert stability_partition(n).count_at(1.0) == 0, n
 
 
@@ -223,7 +223,7 @@ def test_hurwitz_zero_pivot_is_not_stable():
     p = RealPolynomial((1.0, 1.0, 1.0, 1.0))
     assert hurwitz_check(p) is False
     with pytest.raises(ValueError):
-        unstable_root_count(p)
+        unstable_root_count(p.coeffs)
 
 
 def test_crossing_points_rejects_unbounded_delta_max():
@@ -286,7 +286,7 @@ def test_isolation_matches_sturm_bisection_on_crossing_polynomials():
     # the reference alone takes 0.4 s at n = 46, so n > 30 is sampled
     for n in list(range(1, 31)) + [36, 46]:
         coeffs = crossing_polynomial(gain_star(n))
-        assert _isolate_positive_roots(coeffs) == _sturm_isolate(coeffs), n
+        assert isolate_positive_roots(coeffs) == _sturm_isolate(coeffs), n
 
 
 def _expand(roots, pairs, scale):
@@ -345,7 +345,7 @@ def test_isolation_matches_sturm_bisection_on_random_polynomials():
     # a pair 2**-20 off the axis next to a simple root
     @hypothesis.example(_expand([Fraction(1, 3)], [(Fraction(5, 16), Fraction(1, 4 ** 20))], 1))
     def check(coeffs):
-        assert _isolate_positive_roots(coeffs) == _sturm_isolate(coeffs)
+        assert isolate_positive_roots(coeffs) == _sturm_isolate(coeffs)
 
     check()
 
@@ -353,7 +353,7 @@ def test_isolation_matches_sturm_bisection_on_random_polynomials():
 def test_isolation_takes_exact_route_when_modular_gcd_is_nonconstant(chains_built):
     # (x - 1)(x - 1 - P) is squarefree, but (x - 1)**2 modulo P
     coeffs = [1 + SQUAREFREE_PRIME, -2 - SQUAREFREE_PRIME, 1]
-    intervals = _isolate_positive_roots(coeffs)
+    intervals = isolate_positive_roots(coeffs)
     assert chains_built == [coeffs]
     assert intervals == _sturm_isolate(coeffs)
     assert [lo < r <= hi for (lo, hi), r in zip(intervals, (1, 1 + SQUAREFREE_PRIME))] == [True] * 2

@@ -8,8 +8,6 @@ from midpredict.polynomials import (
     SQUAREFREE_PRIME,
     RealPolynomial,
     SturmChain,
-    count_real_roots_above,
-    count_real_roots_between,
     rightmost_root,
     sign_at,
     sign_variations,
@@ -39,43 +37,42 @@ def test_derivative():
 
 
 def test_certificate_double_root():
-    count, distinct = sturm_root_certificate(RealPolynomial((1.0, 2.0, 1.0)))
+    count, distinct = sturm_root_certificate((1, 2, 1))
     assert count == 1
     assert distinct is False
 
 
 def test_certificate_complex_pair():
-    count, distinct = sturm_root_certificate(RealPolynomial((1.0, 0.0, 1.0)))
+    count, distinct = sturm_root_certificate((1, 0, 1))
     assert count == 0
     assert distinct is True
 
 
 def test_certificate_rejects_constant():
     with pytest.raises(ValueError):
-        sturm_root_certificate(RealPolynomial((3.0,)))
+        sturm_root_certificate((3, 0))
 
 
 def test_counting_intervals():
     # roots at 1, 2, 3
-    p = RealPolynomial((-6.0, 11.0, -6.0, 1.0))
-    assert count_real_roots_above(p, 0.0) == 3
-    assert count_real_roots_above(p, 2.5) == 1
-    assert count_real_roots_between(p, 0.5, 2.5) == 2
+    chain = SturmChain((-6, 11, -6, 1))
+    assert chain.count_between(0.0, math.inf) == 3
+    assert chain.count_between(2.5, math.inf) == 1
+    assert chain.count_between(0.5, 2.5) == 2
+    assert chain.count_between(-math.inf, 1.5) == 1
 
 
 def test_rightmost_root_simple():
-    p = RealPolynomial((-6.0, 11.0, -6.0, 1.0))
-    assert rightmost_root(p) == pytest.approx(3.0, abs=1e-12)
+    assert rightmost_root((-6, 11, -6, 1)) == pytest.approx(3.0, abs=1e-12)
 
 
 def test_rightmost_root_quadratic_surd():
-    p = RealPolynomial((2.0, 4.0, 1.0))
-    assert rightmost_root(p) == pytest.approx(-2.0 + math.sqrt(2.0), abs=1e-13)
+    assert rightmost_root((2, 4, 1)) == pytest.approx(-2.0 + math.sqrt(2.0), abs=1e-13)
 
 
 def test_rightmost_root_no_real():
     with pytest.raises(ValueError):
-        rightmost_root(RealPolynomial((1.0, 0.0, 1.0)))
+        rightmost_root((1, 0, 1))
 
 
 def test_rightmost_root_random_cross_check():
@@ -83,16 +80,13 @@ def test_rightmost_root_random_cross_check():
     for _ in range(50):
         roots = np.sort(rng.uniform(-3.0, 3.0, rng.integers(1, 6)))
         coeffs = np.poly(roots)[::-1]
-        p = RealPolynomial(tuple(coeffs))
-        assert rightmost_root(p) == pytest.approx(roots[-1], abs=1e-8)
+        assert rightmost_root(tuple(coeffs)) == pytest.approx(roots[-1], abs=1e-8)
 
 
 def test_unstable_root_count():
     # roots -1 and +2
-    p = RealPolynomial((-2.0, -1.0, 1.0))
-    assert unstable_root_count(p) == 1
-    stable = RealPolynomial((2.0, 3.0, 1.0))
-    assert unstable_root_count(stable) == 0
+    assert unstable_root_count((-2, -1, 1)) == 1
+    assert unstable_root_count((2, 3, 1)) == 0
 
 
 def _reference_variations(members, x):
@@ -182,7 +176,7 @@ def test_unstable_root_count_exact_randomized():
             continue
         coeffs = np.real(np.poly(roots))[::-1]
         expected = sum(1 for z in roots if z.real > 0)
-        assert unstable_root_count(RealPolynomial(tuple(coeffs))) == expected
+        assert unstable_root_count(tuple(coeffs)) == expected
 
 
 def test_taylor_shift_matches_binomial_expansion():
@@ -228,13 +222,13 @@ def test_squarefree_part_takes_exact_route_without_certificate(chains_built, p, 
 
 
 def test_rightmost_root_simple_root_builds_no_sturm_chain(chains_built):
-    assert rightmost_root(RealPolynomial((-6.0, 11.0, -6.0, 1.0))) == pytest.approx(3.0, abs=1e-12)
+    assert rightmost_root((-6, 11, -6, 1)) == pytest.approx(3.0, abs=1e-12)
     assert chains_built == []
 
 
 def test_rightmost_root_double_root_falls_back_to_bisection(chains_built):
     # (x - 1)**2 (x + 2): no sign change at the rightmost root, so the Newton
     # candidate 1.0000000155... is refused and the Sturm bisection gives 1.0
-    p = RealPolynomial((2.0, -3.0, 0.0, 1.0))
+    p = (2, -3, 0, 1)
     assert rightmost_root(p) == 1.0
-    assert chains_built == [list(p.coeffs)]
+    assert chains_built == [list(p)]

@@ -118,6 +118,22 @@ def test_lei_necessary_bound():
         assert lei_conditions(n, gain, lam, h).satisfied is False
 
 
+@pytest.mark.parametrize("condition", [
+    lambda: ahmed_conditions(2, COMPARISON_GAIN, 2.0, 0.25, 1.1),
+    lambda: lei_conditions(2, COMPARISON_GAIN, 2.0, 0.25),
+])
+def test_each_condition_counts_roots_and_solves_lyapunov_once(monkeypatch, condition):
+    import midpredict.margins as margins
+    import midpredict.tradeoff as tradeoff
+
+    calls = []
+    for owner, name in ((margins, "unstable_root_count"), (tradeoff, "_kronecker_lyapunov")):
+        original = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *a, f=original, n=name: calls.append(n) or f(*a))
+    condition()
+    assert sorted(calls) == ["_kronecker_lyapunov", "unstable_root_count"]
+
+
 def test_matrix_norms_values():
     norms = matrix_norms(COMPARISON_GAIN)
     assert norms["L"] == pytest.approx(math.sqrt(5.0), abs=1e-12)
