@@ -41,7 +41,6 @@ from .gainmargin import (
 from .margins import (
     CrossingSet,
     StabilityPartition,
-    crossing_direction,
     crossing_frequencies,
     crossing_points,
     hurwitz_check,

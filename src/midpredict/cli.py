@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import __version__
-from .gainmargin import design_chain, max_gain_margin, upper_bound_gamma
+from .gainmargin import design_chain, max_gain_margin
 from .margins import stability_partition
 from .model import load_system
 from .simulate import DEMO_VARIANTS, SimConfig, demo_config, integrate, run_demo_variant
@@ -37,7 +37,6 @@ class RunManifest:
     flags: dict
     config_path: str | None
     outdir: str
-    seed: int
     version: str
 
 
@@ -60,7 +59,6 @@ def _write_manifest(args, extra=None):
         flags=flags,
         config_path=getattr(args, "config", None),
         outdir=args.outdir,
-        seed=args.seed,
         version=__version__,
     )
     payload = asdict(manifest)
@@ -384,7 +382,6 @@ def _build_parser():
         default=os.environ.get("MIDPREDICT_OUTDIR", "midpredict-out"),
         help="output directory (env MIDPREDICT_OUTDIR)",
     )
-    parser.add_argument("--seed", type=int, default=0, help="seed recorded in the manifest")
     sub = parser.add_subparsers(dest="subcommand")
 
     p = sub.add_parser("synth", help="compute the multiplicity-assigning gains")

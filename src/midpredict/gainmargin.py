@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._scipy import minimize
-from .synthesis import GainVector, gain_star, sigma_star
+from .synthesis import gain_star, sigma_star
 from .tradeoff import _injection_matrix, _kronecker_lyapunov, closed_loop_matrix
 
 __all__ = [

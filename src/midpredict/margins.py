@@ -1,25 +1,33 @@
 """Delay-axis stability decomposition for the delayed-injection loop.
 
 Imaginary-axis roots of ``s**n + L(s)*exp(-delta*s)`` can only occur at
-frequencies where ``|L(j*w)| = w**n``; squaring turns that into a degree-n
-integer polynomial in w**2 whose positive roots are isolated exactly, by a
-bisection certified with Descartes' rule of signs. Each frequency generates
-an arithmetic progression of delays where a conjugate root pair crosses the
-axis, and the crossing direction (independent of which delay in the
-progression) tells whether the unstable root count steps up or down by two.
-Walking the sorted crossing delays from the delay-free count partitions the
-axis into intervals of constant unstable-root count.
+frequencies where ``|L(j*w)| = w**n``; squaring gives the degree-n integer
+crossing polynomial F(x) = x**n - |L(j*sqrt(x))|**2, whose positive roots
+are isolated exactly by a bisection certified with Descartes' rule of signs.
+Each frequency generates an arithmetic progression of delays where a
+conjugate root pair crosses the axis, rightward as the delay grows exactly
+when F increases through w**2 (Cooke & van den Driessche, "On zeroes of some
+transcendental equations", Funkcialaj Ekvacioj 29, 1986). So the count steps
+by +-2 by an exact sign of F; a repeated root of F touches the axis with no
+direction. Walking the sorted crossing delays from the delay-free count
+partitions the axis into intervals of constant unstable-root count.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .polynomials import RealPolynomial, isolate_positive_roots, unstable_root_count
-from .spectrum import Quasipolynomial, _injection_value, qp_eval, qp_kth_deriv
+from .polynomials import (
+    RealPolynomial,
+    SturmChain,
+    isolate_positive_roots,
+    sign_at,
+    squarefree_part,
+    unstable_root_count,
+)
+from .spectrum import _injection_value
 from .synthesis import GainVector, delay_free_poly, gain_star
 
 __all__ = [
@@ -29,7 +37,6 @@ __all__ = [
     "DegenerateCrossingError",
     "crossing_frequencies",
     "crossing_points",
-    "crossing_direction",
     "stability_partition",
     "partition_for_gain",
     "hurwitz_check",
@@ -41,7 +48,8 @@ MAX_CROSSING_POINTS = 10_000
 
 
 class DegenerateCrossingError(RuntimeError):
-    pass
+    """A crossing at a repeated root of the crossing polynomial: a tangential
+    touch of the imaginary axis, which has no direction."""
 
 
 @dataclass(frozen=True)
@@ -108,13 +116,14 @@ def _square(p):
     return out
 
 
-def _magnitude_squared_poly(gain):
-    """|L(j*w)|**2 as an exact polynomial in x = w**2.
+def _crossing_numerators(gain):
+    """The crossing polynomial as primitive integers f over one denominator.
 
-    Exactness matters: the crossing-frequency counts are certified over the
-    rationals of these float products. Every gain is an integer over one
-    power-of-two denominator 2**e, so L(j*w) = A(x) + j*w*B(x) with integer
-    A and B over 2**e, and |L|**2 = A**2 + x*B**2 over 4**e.
+    Exactness matters: the crossing-frequency counts and directions are
+    certified over the rationals of these float products. Every gain is an
+    integer over one power-of-two denominator 2**e, so L(j*w) = A(x) +
+    j*w*B(x) with integer A and B over 2**e, and |L|**2 = A**2 + x*B**2
+    over 4**e. Returns (f, den) with x**n - |L|**2 = f/den.
     """
     ratios = [v.as_integer_ratio() for v in reversed(gain.l)]  # s**m at index m
     e = max(den.bit_length() for _, den in ratios) - 1
@@ -127,16 +136,16 @@ def _magnitude_squared_poly(gain):
         for i, v in enumerate(_square(b)):
             total[i + 1] += v
     den = 1 << (2 * e)
-    return [Fraction(v, den) for v in total]
+    f = [-v for v in total] + [0] * (gain.n + 1 - len(total))
+    f[gain.n] += den
+    content = math.gcd(*f)
+    return [v // content for v in f], den // content
 
 
 def crossing_polynomial(gain):
     """x**n - |L(j*sqrt(x))|**2 with exact rational coefficients."""
-    n = gain.n
-    coeffs = [-v for v in _magnitude_squared_poly(gain)]
-    coeffs += [Fraction(0)] * (n + 1 - len(coeffs))
-    coeffs[n] += 1
-    return coeffs
+    f, den = _crossing_numerators(gain)
+    return [Fraction(v, den) for v in f]
 
 
 def _polish_root(poly, lo, hi):
@@ -173,49 +182,40 @@ def _arg_g(gain, w):
     return angle % (2 * math.pi)
 
 
-def crossing_direction(gain, w_c, delta_k):
-    """Sign of the real-part velocity of the root at j*w_c as delay grows.
-
-    Implicit differentiation of D(s, delta) = 0 gives
-    ds/ddelta = -(dD/ddelta)/(dD/ds); +1 is destabilizing.
-    """
-    qp = Quasipolynomial(gain.n, gain.l, delta_k)
-    s = 1j * w_c
-    num = _injection_value(gain, s)
-    mag = 0.0
-    for coef in gain.l:
-        mag = mag * abs(s) + abs(coef)
-    d_delta = -s * num * cmath.exp(-delta_k * s)
-    d_s = qp_kth_deriv(qp, s, 1)
-    ds_scale = gain.n * abs(s) ** (gain.n - 1) + (1.0 + delta_k) * max(mag, 1e-300)
-    if abs(d_s) < 1e-12 * ds_scale:
-        raise DegenerateCrossingError(
-            "dD/ds vanishes at the crossing; perturb the delay and retry"
-        )
-    velocity = -d_delta / d_s
-    return 1 if velocity.real > 0 else -1
-
-
 def crossing_frequencies(gain):
     """All positive frequencies where an axis crossing is possible.
 
-    The count is exact (Descartes certificates on the squared-magnitude
-    polynomial); locations are polished in floating point afterwards.
+    The count is exact (Descartes certificates on the crossing polynomial
+    F); locations are polished in floating point afterwards. Each direction
+    is the exact sign of F at the upper end hi of the root's isolating
+    interval, or of F' when the root is hi: +1 where F increases through
+    the root. A repeated root of F raises DegenerateCrossingError.
     """
-    coeffs = crossing_polynomial(gain)
-    poly = RealPolynomial(tuple(float(c) for c in coeffs))
-    freqs = []
-    for lo, hi in isolate_positive_roots(coeffs):
-        x = _polish_root(poly, float(lo), float(hi))
-        freqs.append(math.sqrt(x))
-    freqs.sort(reverse=True)
-    crossings = []
-    for w in freqs:
-        arg = _arg_g(gain, w)
-        delta_first = arg / w if arg > 0 else (2 * math.pi) / w
-        direction = crossing_direction(gain, w, delta_first)
-        crossings.append(Crossing(frequency=w, argument=arg, direction=direction))
-    return CrossingSet(crossings=tuple(crossings))
+    f, den = _crossing_numerators(gain)
+    df = [k * v for k, v in enumerate(f) if k > 0]
+    intervals = isolate_positive_roots(f)
+    if intervals and len(squarefree_part(f)) < len(f):
+        # the real roots of F**2 + F'**2 are the repeated roots of F
+        touches = SturmChain([u + v for u, v in zip(_square(f), _square(df) + [0, 0])])
+        repeated = [(lo, hi) for lo, hi in intervals if touches.count_between(lo, hi)]
+        if repeated:
+            raise DegenerateCrossingError(
+                "the crossing polynomial has a repeated root at some w in (%.6g, %.6g]: "
+                "roots touch the imaginary axis there without crossing it"
+                % tuple(math.sqrt(x) for x in repeated[0])
+            )
+    poly = RealPolynomial(tuple(v / den for v in f))
+    found = []
+    for lo, hi in intervals:
+        at_hi = (hi.numerator, hi.denominator)
+        direction = sign_at(f, *at_hi) or sign_at(df, *at_hi)
+        found.append((math.sqrt(_polish_root(poly, float(lo), float(hi))), direction))
+    found.sort(reverse=True)
+    crossings = tuple(
+        Crossing(frequency=w, argument=_arg_g(gain, w), direction=direction)
+        for w, direction in found
+    )
+    return CrossingSet(crossings=crossings)
 
 
 def crossing_points(crossing_set, delta_max):

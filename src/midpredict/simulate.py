@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .expressions import compile_chain_step
+from .model import CanonicalSystem, demo_system
 from .synthesis import GainVector, gain_star
 
 __all__ = [
@@ -235,8 +236,6 @@ def demo_config(variant, h, t_end=60.0, dt=None):
     designed gains with scalar gain 1/h. "ours_N5": five predictors at the
     designed gains with scalar gain N/h.
     """
-    from .model import demo_system
-
     if variant not in DEMO_VARIANTS:
         raise ValueError("variant must be one of %s" % (DEMO_VARIANTS,))
     system = demo_system(h)

@@ -210,8 +210,8 @@ def test_each_successful_run_writes_one_manifest(tmp_path, capsys, argv, rc, fla
         return
     assert manifests == [outdir / "manifest.json"]
     out = "<outdir>"
-    expected = {"subcommand": argv[0], "flags": dict(flags, outdir=out, seed=0, subcommand=argv[0]),
-                "config_path": None, "outdir": out, "seed": 0, "version": __version__}
+    expected = {"subcommand": argv[0], "flags": dict(flags, outdir=out, subcommand=argv[0]),
+                "config_path": None, "outdir": out, "version": __version__}
     if argv[0] == "simulate":
         expected.update(SIMULATE_FIELDS)
     text = manifests[0].read_text().replace(str(outdir), out)

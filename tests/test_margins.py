@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from midpredict.margins import (
-    crossing_direction,
+    DegenerateCrossingError,
     crossing_frequencies,
     crossing_points,
     crossing_polynomial,
@@ -71,26 +71,36 @@ def test_crossing_points_vanish_on_delayed_loop():
 
 
 def test_crossing_direction_examples():
-    cs2 = crossing_frequencies(G2)
-    pts = crossing_points(cs2, 4.0)
-    assert crossing_direction(G2, pts[0][1], pts[0][0]) == 1
-    cs1 = crossing_frequencies(G1)
-    pts1 = crossing_points(cs1, 5.0)
-    assert crossing_direction(G1, pts1[0][1], pts1[0][0]) == 1
+    # both designed loops lose stability at their first crossing
+    assert [c.direction for c in crossing_frequencies(G2).crossings] == [1]
+    assert [c.direction for c in crossing_frequencies(G1).crossings] == [1]
 
 
 def test_crossing_direction_matches_root_tracking():
-    # finite-difference continuation of the rightmost axis-adjacent root
-    gain = gain_star(9)
-    cs = crossing_frequencies(gain)
-    assert len(cs) == 3
-    c = cs.crossings[0]  # largest frequency
-    delta_c = crossing_points(CrossingSetOnly(c), 50.0)[0][0]
-    step = 1e-4
-    root_lo = _root_near(gain, c.frequency, delta_c - step)
-    root_hi = _root_near(gain, c.frequency, delta_c + step)
-    drift = (root_hi.real - root_lo.real) / (2 * step)
-    assert (1 if drift > 0 else -1) == c.direction
+    # finite-difference continuation of the root through every crossing
+    for n, crossings in ((2, 1), (9, 3), (23, 3), (26, 5)):
+        gain = gain_star(n)
+        cs = crossing_frequencies(gain)
+        assert len(cs) == crossings
+        for c in cs.crossings:
+            delta_c = crossing_points(CrossingSetOnly(c), 50.0)[0][0]
+            step = 1e-4
+            root_lo = _root_near(gain, c.frequency, delta_c - step)
+            root_hi = _root_near(gain, c.frequency, delta_c + step)
+            assert abs(root_lo - 1j * c.frequency) < 1e-3, (n, c)
+            assert abs(root_hi - 1j * c.frequency) < 1e-3, (n, c)
+            drift = (root_hi.real - root_lo.real) / (2 * step)
+            assert (1 if drift > 0 else -1) == c.direction, (n, c)
+
+
+def test_tangential_touch_is_degenerate():
+    # F(x) = x**3 - |3(j w)**2 + 4|**2 = (x - 4)**2 (x - 1): a double root at w = 2
+    gain = GainVector((3.0, 0.0, 4.0), 3)
+    assert crossing_polynomial(gain) == [-16, 24, -9, 1]
+    with pytest.raises(DegenerateCrossingError):
+        crossing_frequencies(gain)
+    with pytest.raises(DegenerateCrossingError):
+        partition_for_gain(gain, 10.0)
 
 
 def CrossingSetOnly(c):
@@ -176,12 +186,13 @@ def test_crossing_frequency_count_bands():
 
 
 def test_partition_for_custom_gain():
-    gain = GainVector((2.0, 1.0), 2)
-    part = partition_for_gain(gain, delta_max=3.0)
-    # this comparison tuning loses stability near 0.647
-    assert part.crossing_points[1] == pytest.approx(0.6474, abs=1e-3)
-    assert part.unstable_counts[0] == 0
-    assert part.unstable_counts[1] == 2
+    # (2, 1) is the comparison tuning, which loses stability near 0.647; for
+    # L = 1, F(x) = x - 1 has its root on an isolating interval's upper end,
+    # where F' decides the direction
+    for gain, first in ((GainVector((2.0, 1.0), 2), 0.6474), (GainVector((1.0,), 1), math.pi / 2)):
+        part = partition_for_gain(gain, delta_max=3.0)
+        assert part.crossing_points[1] == pytest.approx(first, abs=1e-3)
+        assert part.unstable_counts[:2] == (0, 2)
 
 
 def test_hurwitz_basics():

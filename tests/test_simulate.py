@@ -1,10 +1,11 @@
 import math
+import typing
 
 import numpy as np
 import pytest
 
 from midpredict.expressions import FUNCTIONS
-from midpredict.model import demo_system, make_system
+from midpredict.model import CanonicalSystem, demo_system, make_system
 from midpredict.simulate import (
     SimConfig,
     fit_decay_rate,
@@ -30,6 +31,12 @@ def _error_only_config(n, h, lam, t_end, history, dt=None):
         x0=tuple(0.0 for _ in range(n)),
         predictor_history=(history,),
     )
+
+
+def test_config_type_hints_resolve():
+    hints = typing.get_type_hints(SimConfig)
+    assert hints["system"] is CanonicalSystem
+    assert hints["gain"] is GainVector
 
 
 def test_config_validation():
