@@ -2,10 +2,12 @@
 
 ``D(s) = s**n + (l1*s**(n-1) + ... + ln) * exp(-delta*s)`` is entire, so an
 argument-principle count over a rectangle boundary is an exact root count
-with multiplicity. Roots inside a rectangle are located by bisecting it on
-that count (Delves & Lyness, Math. Comp. 21, 1967): boxes holding one root
-are polished by a multiplicity-robust Newton iteration on D/D', and a
-cluster that no cut can split is located as one multiple root through the
+with multiplicity. The boundary is sampled and then refined level by level
+until no step can hide a full turn of the argument; each level is one array
+evaluation. Roots inside a rectangle are located by bisecting it on that
+count (Delves & Lyness, Math. Comp. 21, 1967): boxes holding one root are
+polished by a multiplicity-robust Newton iteration on D/D', and a cluster
+that no cut can split is located as one multiple root through the
 derivative of matching order. The count is the only route, so the roots
 returned account for it exactly.
 """
@@ -36,6 +38,7 @@ POLISH_REL_TOL = 1e-10
 CONTOUR_REL_TOL = 1e-8
 CUT_FRACTIONS = (0.5, 0.47, 0.53, 0.41, 0.59)
 CONTOUR_FACTORS = (1.0, 1.7, 2.9, 4.3, 7.1)
+MAX_CONTOUR_POINTS = 10**7
 
 
 class SpectrumError(RuntimeError):
@@ -82,20 +85,24 @@ def _injection_value(gain, s):
     return acc
 
 
+def _argument(s):
+    """s as a complex array with np.exp, or as a Python complex with cmath.exp."""
+    if np.ndim(s):
+        return np.asarray(s, dtype=complex), np.exp
+    return complex(s), cmath.exp
+
+
 def qp_eval(qp, s):
     """Evaluate D(s); accepts scalars or numpy arrays."""
-    s = np.asarray(s, dtype=complex) if not np.isscalar(s) else complex(s)
-    poly = _injection_value(qp, s)
-    if np.ndim(s):
-        return s ** qp.n + poly * np.exp(-qp.delta * s)
-    return s ** qp.n + poly * cmath.exp(-qp.delta * s)
+    s, exp = _argument(s)
+    return s ** qp.n + _injection_value(qp, s) * exp(-qp.delta * s)
 
 
 def _injection_derivative(gain, s, k):
     """k-th derivative of l1*s**(n-1)+...+ln at s, with the largest term magnitude.
 
     gain is anything with gains l and dimension n: a Quasipolynomial or a
-    synthesis GainVector.
+    synthesis GainVector. s is a scalar or a numpy array.
     """
     n = gain.n
     total = 0.0 + 0.0j
@@ -106,20 +113,20 @@ def _injection_derivative(gain, s, k):
             continue
         term = coef * math.perm(power, k) * s ** (power - k)
         total += term
-        scale = max(scale, abs(term))
+        scale = np.maximum(scale, abs(term))
     return total, scale
 
 
 def qp_kth_deriv(qp, s, k):
-    """k-th derivative of D at a scalar point."""
-    s = complex(s)
+    """k-th derivative of D; accepts scalars or numpy arrays."""
+    s, exp = _argument(s)
     if k == 0:
         return qp_eval(qp, s)
     head = math.perm(qp.n, k) * s ** (qp.n - k) if k <= qp.n else 0.0
     tail = 0.0 + 0.0j
     for j in range(k + 1):
         tail += math.comb(k, j) * (-qp.delta) ** (k - j) * _injection_derivative(qp, s, j)[0]
-    return head + tail * cmath.exp(-qp.delta * s)
+    return head + tail * exp(-qp.delta * s)
 
 
 def qp_scale(qp, s):
@@ -132,74 +139,57 @@ def qp_scale(qp, s):
     return mag ** qp.n + acc * np.exp(-qp.delta * s.real) + 1e-300
 
 
-def _wrap_angle(x):
-    return (x + math.pi) % (2 * math.pi) - math.pi
-
-
 def _phase_sweep(qp, points, budget):
     """Total continuous argument change of D along a polyline of points.
 
-    A step is subdivided when its wrapped phase jump exceeds 1 radian, and
-    also whenever the walk passes close to a root relative to the step
-    length (|D/D'| underestimates the distance to the nearest root, so this
-    is the safe side). Fast full turns between samples would otherwise wrap
-    invisibly and corrupt the winding number.
+    A step is halved when its wrapped phase jump exceeds 1 radian, and also
+    when the walk passes close to a root relative to the step length
+    (|D/D'| underestimates the distance to the nearest root, so this is the
+    safe side). Fast full turns between samples would otherwise wrap
+    invisibly and corrupt the winding number. Whether a step is halved
+    depends on its two ends alone, so the polyline is refined level by
+    level: each level tests all of its steps at once and evaluates all of
+    its new midpoints in one call. A split needed at depth 60, or a sweep
+    whose samples before its last split exceed budget, raises SpectrumError.
     """
-    pts = np.asarray(points, dtype=complex)
-    values = qp_eval(qp, pts)
-    scales = qp_scale(qp, pts)
-    rel = np.abs(values) / scales
+    values = qp_eval(qp, points)
+    rel = np.abs(values) / qp_scale(qp, points)
     if np.any(rel < CONTOUR_REL_TOL):
         raise RootOnContourError("characteristic value vanishes on the contour")
-    angles = np.angle(values)
+    ends = (points, values, rel, np.angle(values))
+    first, last = [x[:-1] for x in ends], [x[1:] for x in ends]
     total = 0.0
-    used = [len(points)]
-
-    def needs_split(a, b, w_a, w_b, rel_a, rel_b, jump):
-        if abs(jump) > 1.0:
-            return True
-        rel_min = min(rel_a, rel_b)
-        if rel_min >= 0.1:
-            return False
-        w_small, at = (w_a, a) if rel_a <= rel_b else (w_b, b)
-        dp = qp_kth_deriv(qp, at, 1)
-        dist_est = abs(w_small) / max(abs(dp), 1e-300)
-        return abs(b - a) > 0.5 * dist_est
-
-    def refine(a, b, w_a, w_b, rel_a, rel_b, ang_a, ang_b, depth):
-        jump = _wrap_angle(ang_b - ang_a)
-        if not needs_split(a, b, w_a, w_b, rel_a, rel_b, jump):
-            return jump
-        if depth >= 60 or used[0] > budget:
+    used = len(points)
+    for depth in range(61):
+        (a, w_a, rel_a, ang_a), (b, w_b, rel_b, ang_b) = first, last
+        jump = (ang_b - ang_a + math.pi) % (2 * math.pi) - math.pi
+        split = np.abs(jump) > 1.0
+        near = ~split & (np.minimum(rel_a, rel_b) < 0.1)
+        if near.any():
+            at_a = rel_a[near] <= rel_b[near]
+            w_small = np.where(at_a, w_a[near], w_b[near])
+            dp = qp_kth_deriv(qp, np.where(at_a, a[near], b[near]), 1)
+            dist_est = np.abs(w_small) / np.maximum(np.abs(dp), 1e-300)
+            split[near] = np.abs(b[near] - a[near]) > 0.5 * dist_est
+        total += jump[~split].sum()
+        halved = np.flatnonzero(split)
+        if not halved.size:
+            return total
+        used += halved.size
+        if depth == 60 or used - 1 > budget:
             raise SpectrumError("contour refinement budget exceeded")
-        mid = (a + b) / 2
+        mid = (a[halved] + b[halved]) / 2
         w = qp_eval(qp, mid)
-        scale_m = float(qp_scale(qp, np.asarray(mid)))
-        rel_m = abs(w) / scale_m
-        if rel_m < CONTOUR_REL_TOL:
+        rel_m = np.abs(w) / qp_scale(qp, mid)
+        if np.any(rel_m < CONTOUR_REL_TOL):
             raise RootOnContourError("characteristic value vanishes on the contour")
-        used[0] += 1
-        ang_m = cmath.phase(w)
-        return refine(a, mid, w_a, w, rel_a, rel_m, ang_a, ang_m, depth + 1) + refine(
-            mid, b, w, w_b, rel_m, rel_b, ang_m, ang_b, depth + 1
-        )
-
-    for i in range(len(points) - 1):
-        total += refine(
-            pts[i],
-            pts[i + 1],
-            values[i],
-            values[i + 1],
-            rel[i],
-            rel[i + 1],
-            angles[i],
-            angles[i + 1],
-            0,
-        )
-    return total
+        middle = (mid, w, rel_m, np.angle(w))
+        first = [np.concatenate((x[halved], m)) for x, m in zip(first, middle)]
+        last = [np.concatenate((m, x[halved])) for x, m in zip(last, middle)]
 
 
 def _rect_boundary(rect, samples_per_unit):
+    """Closed polyline around the rectangle, as one complex array."""
     re0, re1, im0, im1 = rect
     corners = [
         complex(re0, im0),
@@ -208,28 +198,32 @@ def _rect_boundary(rect, samples_per_unit):
         complex(re0, im1),
         complex(re0, im0),
     ]
-    pts = []
+    sides = []
     for a, b in zip(corners, corners[1:]):
-        length = abs(b - a)
-        k = max(2, int(math.ceil(length * samples_per_unit)) + 1)
-        seg = a + (b - a) * np.linspace(0.0, 1.0, k)
-        pts.extend(seg[:-1].tolist())
-    pts.append(corners[-1])
-    return pts
+        k = max(2, int(math.ceil(abs(b - a) * samples_per_unit)) + 1)
+        sides.append(a + (b - a) * np.linspace(0.0, 1.0, k)[:-1])
+    return np.concatenate(sides + [np.array([corners[-1]])])
 
 
 def count_roots_region(qp, rect):
     """Exact root count (with multiplicity) inside a rectangle.
 
     The boundary is sampled at max(8, 4 delta) points per unit length, plus
-    64; refinement past 64 times that many evaluations raises rather than
-    returning a wrong count.
+    64; a contour of more than MAX_CONTOUR_POINTS such samples is refused
+    with ValueError before any is made. Refinement past 64 times that many
+    evaluations raises rather than returning a wrong count.
     """
     re0, re1, im0, im1 = rect
     if not (re1 > re0 and im1 > im0):
         raise ValueError("rectangle must have positive extent")
     perimeter = 2 * (re1 - re0) + 2 * (im1 - im0)
-    contour_points = int(perimeter * max(8.0, 4.0 * qp.delta)) + 64
+    samples = perimeter * max(8.0, 4.0 * qp.delta)
+    if not samples + 64 <= MAX_CONTOUR_POINTS:
+        raise ValueError(
+            "the contour around %s needs %.3g samples, above the budget of %d"
+            % (rect, samples + 64, MAX_CONTOUR_POINTS)
+        )
+    contour_points = int(samples) + 64
     points = _rect_boundary(rect, max(2.0, contour_points / perimeter))
     total = _phase_sweep(qp, points, budget=64 * contour_points)
     winding = total / (2 * math.pi)

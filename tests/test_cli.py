@@ -301,6 +301,9 @@ def test_margins_builds_crossings_once(tmp_path, capsys, monkeypatch):
         ("compare", "--n", "2", "--h", "nan", "--lambda", "2", "--L", "2,1",
          "--gamma-phi", "1.1", "--gamma-m", "0.06"),
         ("simulate", "--variant", "ours_N1", "--dt", "1e-6"),
+        ("spectrum", "--n", "2", "--delta", "1e-300"),
+        ("spectrum", "--n", "2", "--delta", "1e7"),
+        ("spectrum", "--n", "2", "--delta", "1", "--rect=-1e9,0,0,1e9"),
     ],
 )
 def test_unbounded_inputs_fail_fast(tmp_path, argv):

@@ -7,10 +7,14 @@ import pytest
 from midpredict.spectrum import (
     Quasipolynomial,
     RootOnContourError,
+    SpectrumError,
+    _phase_sweep,
+    _rect_boundary,
     count_roots_region,
     default_certification_rect,
     qp_eval,
     qp_kth_deriv,
+    qp_scale,
     rightmost_in_region,
     roots_in_region,
 )
@@ -42,9 +46,11 @@ def test_qp_eval_classic_double_root():
 
 def test_qp_eval_array_matches_scalar():
     z = np.array([0.3 + 0.2j, -1.0 + 0.0j, -0.5 + 2.0j])
-    vec = qp_eval(QP2, z)
-    for zi, vi in zip(z, vec):
-        assert vi == pytest.approx(qp_eval(QP2, complex(zi)), rel=1e-14)
+    for k in (0, 1, 2):
+        vec = qp_eval(QP2, z) if k == 0 else qp_kth_deriv(QP2, z, k)
+        assert vec.shape == z.shape
+        for zi, vi in zip(z, vec):
+            assert vi == pytest.approx(qp_kth_deriv(QP2, complex(zi), k), rel=1e-14)
 
 
 def test_qp_derivatives_finite_difference():
@@ -73,6 +79,94 @@ def test_count_right_half_plane_stable():
 def test_count_root_on_contour_raises():
     with pytest.raises(RootOnContourError):
         count_roots_region(QP1, (-1.0, 0.0, -1.0, 1.0))
+
+
+def _recursive_sweep(qp, points, budget):
+    """The depth-first scalar sweep that _phase_sweep replaced, kept as its reference."""
+    pts = np.asarray(points, dtype=complex)
+    values = qp_eval(qp, pts)
+    rel = np.abs(values) / qp_scale(qp, pts)
+    if np.any(rel < 1e-8):
+        raise RootOnContourError("characteristic value vanishes on the contour")
+    angles = np.angle(values)
+    used = [len(points)]
+
+    def refine(a, b, w_a, w_b, rel_a, rel_b, ang_a, ang_b, depth):
+        jump = (ang_b - ang_a + math.pi) % (2 * math.pi) - math.pi
+        split = abs(jump) > 1.0
+        if not split and not min(rel_a, rel_b) >= 0.1:
+            w_small, at = (w_a, a) if rel_a <= rel_b else (w_b, b)
+            dist_est = abs(w_small) / max(abs(qp_kth_deriv(qp, at, 1)), 1e-300)
+            split = abs(b - a) > 0.5 * dist_est
+        if not split:
+            return jump
+        if depth >= 60 or used[0] > budget:
+            raise SpectrumError("contour refinement budget exceeded")
+        mid = (a + b) / 2
+        w = qp_eval(qp, mid)
+        rel_m = abs(w) / float(qp_scale(qp, np.asarray(mid)))
+        if rel_m < 1e-8:
+            raise RootOnContourError("characteristic value vanishes on the contour")
+        used[0] += 1
+        ang_m = cmath.phase(w)
+        return refine(a, mid, w_a, w, rel_a, rel_m, ang_a, ang_m, depth + 1) + refine(
+            mid, b, w, w_b, rel_m, rel_b, ang_m, ang_b, depth + 1
+        )
+
+    return sum(
+        refine(pts[i], pts[i + 1], values[i], values[i + 1], rel[i], rel[i + 1],
+               angles[i], angles[i + 1], 0)
+        for i in range(len(points) - 1)
+    )
+
+
+def _sweep_outcome(sweep, qp, points, budget):
+    try:
+        return sweep(qp, points, budget) / (2 * math.pi)
+    except SpectrumError as exc:
+        return type(exc)
+
+
+def test_level_sweep_matches_recursive_sweep():
+    # coarse samples and tight budgets make the refinement, and its budget,
+    # decide most of these cases
+    rng = np.random.default_rng(13)
+    outcomes = []
+    for _ in range(300):
+        n = int(rng.integers(1, 7))
+        gains = rng.standard_normal(n) * 10.0 ** rng.uniform(-1.0, 3.0)
+        gains[-1] = math.copysign(max(abs(gains[-1]), 1e-3), gains[-1])
+        qp = Quasipolynomial(n, tuple(gains), float(rng.uniform(0.0, 40.0)))
+        re0, im0 = rng.uniform(-4.0, 1.0), rng.uniform(-6.0, 6.0)
+        rect = (re0, re0 + rng.uniform(0.1, 4.0), im0, im0 + rng.uniform(0.1, 8.0))
+        points = _rect_boundary(rect, rng.uniform(0.5, 8.0))
+        budget = int(len(points) * 2.0 ** rng.uniform(0.0, 6.0))
+        level = _sweep_outcome(_phase_sweep, qp, points, budget)
+        recursive = _sweep_outcome(_recursive_sweep, qp, points, budget)
+        if isinstance(level, type):
+            assert level is recursive
+        else:
+            assert level == pytest.approx(recursive, abs=1e-6)
+        outcomes.append(level)
+    assert sum(o is SpectrumError for o in outcomes) >= 30
+    assert sum(not isinstance(o, type) and round(o) != 0 for o in outcomes) >= 30
+    # the smallest budget with which the recursion finishes, and one less
+    points = _rect_boundary((-3.0, 0.5, -5.0, 5.0), 0.5)
+    lo, hi = len(points), 64 * len(points)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if _sweep_outcome(_recursive_sweep, QP2, points, mid) is SpectrumError:
+            lo = mid + 1
+        else:
+            hi = mid
+    assert len(points) < lo < 64 * len(points)
+    assert _sweep_outcome(_phase_sweep, QP2, points, lo - 1) is SpectrumError
+    assert _sweep_outcome(_phase_sweep, QP2, points, lo) == pytest.approx(3.0, abs=1e-6)
+    # a root at a corner sample, and a root at the first midpoint of a step
+    for points in (_rect_boundary((-1.0, 0.0, 0.0, 1.0), 4.0), np.array([-1.5, -0.5 + 0j])):
+        for sweep in (_phase_sweep, _recursive_sweep):
+            with pytest.raises(RootOnContourError):
+                sweep(QP1, points, 64 * len(points))
 
 
 def test_roots_in_region_designed_loop():
