@@ -19,14 +19,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .polynomials import (
-    RealPolynomial,
-    SturmChain,
-    isolate_positive_roots,
-    sign_at,
-    squarefree_part,
-    unstable_root_count,
-)
+from .polynomials import RealPolynomial, isolate_positive_roots, sign_at, unstable_root_count
 from .spectrum import _injection_value
 from .synthesis import GainVector, delay_free_poly, gain_star
 
@@ -193,17 +186,13 @@ def crossing_frequencies(gain):
     """
     f, den = _crossing_numerators(gain)
     df = [k * v for k, v in enumerate(f) if k > 0]
-    intervals = isolate_positive_roots(f)
-    if intervals and len(squarefree_part(f)) < len(f):
-        # the real roots of F**2 + F'**2 are the repeated roots of F
-        touches = SturmChain([u + v for u, v in zip(_square(f), _square(df) + [0, 0])])
-        repeated = [(lo, hi) for lo, hi in intervals if touches.count_between(lo, hi)]
-        if repeated:
-            raise DegenerateCrossingError(
-                "the crossing polynomial has a repeated root at some w in (%.6g, %.6g]: "
-                "roots touch the imaginary axis there without crossing it"
-                % tuple(math.sqrt(x) for x in repeated[0])
-            )
+    intervals, repeated = isolate_positive_roots(f)
+    if repeated:
+        raise DegenerateCrossingError(
+            "the crossing polynomial has a repeated root at some w in (%.6g, %.6g]: "
+            "roots touch the imaginary axis there without crossing it"
+            % tuple(math.sqrt(x) for x in repeated[0])
+        )
     poly = RealPolynomial(tuple(v / den for v in f))
     found = []
     for lo, hi in intervals:

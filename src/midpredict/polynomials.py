@@ -248,22 +248,28 @@ def squarefree_part(p):
 
 
 def isolate_positive_roots(coeffs):
-    """Disjoint rational intervals (lo, hi], one distinct positive root each.
+    """The positive roots of p, isolated: returns (intervals, repeated).
 
-    The bisection of (0, bound] is decided by Descartes' rule of signs on
-    the squarefree part (Collins & Akritas, 1976): a node whose open
-    interval shows 0 sign variations holds no root there, one with 1 holds
-    exactly one, which exact signs at the midpoints then narrow. Each root
-    gets the node a Sturm bisection of the same dyadic tree stops at: the
-    largest one on the root's path that holds no other root and is
-    narrower than max(1, hi)/1000. Intervals come ascending.
+    intervals are disjoint rational intervals (lo, hi], one distinct
+    positive root each. The bisection of (0, bound] is decided by
+    Descartes' rule of signs on the squarefree part (Collins & Akritas,
+    1976): a node whose open interval shows 0 sign variations holds no root
+    there, one with 1 holds exactly one, which exact signs at the midpoints
+    then narrow. Each root gets the node a Sturm bisection of the same
+    dyadic tree stops at: the largest one on the root's path that holds no
+    other root and is narrower than max(1, hi)/1000. repeated isolates, the
+    same way, the positive roots of the cofactor p / squarefree part, a
+    multiple of gcd(p, p'): exactly the repeated positive roots of p. It is
+    [] when p is squarefree. Both lists come ascending.
     """
     p = _primitive(_to_int_poly(coeffs))
     if len(p) == 1 or sign_variations(p) == 0:
-        return []
+        return [], []
     bound = max(Fraction(2 * max(abs(c) for c in p), abs(p[-1])), Fraction(1))
     bn, bd = bound.numerator, bound.denominator
-    p = squarefree_part(p)
+    part = squarefree_part(p)
+    repeated = isolate_positive_roots(_exact_quotient(p, part))[0] if len(part) < len(p) else []
+    p = part
     d = len(p) - 1
     # node (k, a) is the interval bound*(a/2**k, (a+1)/2**k]; its polynomial
     # is a positive multiple of p(bound*(a + t)/2**k), t in (0, 1]
@@ -306,7 +312,7 @@ def isolate_positive_roots(coeffs):
             left = [c << (d - i) for i, c in enumerate(q)]
             stack.append((k + 1, 2 * a + 1, taylor_shift(left), None))
             stack.append((k + 1, 2 * a, left, None))
-    return [(bound * a / (1 << k), bound * (a + 1) / (1 << k)) for k, a in leaves]
+    return [(bound * a / (1 << k), bound * (a + 1) / (1 << k)) for k, a in leaves], repeated
 
 
 def sturm_root_certificate(coeffs):

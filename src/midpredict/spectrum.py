@@ -151,9 +151,19 @@ def _phase_sweep(qp, points, budget):
     level: each level tests all of its steps at once and evaluates all of
     its new midpoints in one call. A split needed at depth 60, or a sweep
     whose samples before its last split exceed budget, raises SpectrumError.
+    D or its scale overflowing at a sample raises ValueError; midpoints lie
+    on the sampled edges, between samples, so only the samples are checked.
     """
-    values = qp_eval(qp, points)
-    rel = np.abs(values) / qp_scale(qp, points)
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = qp_eval(qp, points)
+        scale = qp_scale(qp, points)
+    if not (np.isfinite(values).all() and np.isfinite(scale).all()):
+        raise ValueError(
+            "the characteristic function overflows on the contour: delta*Re s falls to %.6g "
+            "(e^(-delta*s) overflows below -709.78) and |s| reaches %.6g"
+            % (qp.delta * points.real.min(), np.abs(points).max())
+        )
+    rel = np.abs(values) / scale
     if np.any(rel < CONTOUR_REL_TOL):
         raise RootOnContourError("characteristic value vanishes on the contour")
     ends = (points, values, rel, np.angle(values))

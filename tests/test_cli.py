@@ -304,6 +304,8 @@ def test_margins_builds_crossings_once(tmp_path, capsys, monkeypatch):
         ("spectrum", "--n", "2", "--delta", "1e-300"),
         ("spectrum", "--n", "2", "--delta", "1e7"),
         ("spectrum", "--n", "2", "--delta", "1", "--rect=-1e9,0,0,1e9"),
+        ("spectrum", "--n", "2", "--delta", "100"),
+        ("spectrum", "--n", "2", "--delta", "20", "--rect=-60,1,0,10"),
     ],
 )
 def test_unbounded_inputs_fail_fast(tmp_path, argv):
@@ -323,7 +325,8 @@ def test_unbounded_inputs_fail_fast(tmp_path, argv):
         timeout=20.0,
     )
     assert proc.returncode == 1, proc.stderr
-    assert proc.stderr.startswith("error:")
+    # one line: no warning or traceback ahead of or after the error
+    assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1, proc.stderr
 
 
 COLD_START = """

@@ -297,7 +297,15 @@ def test_isolation_matches_sturm_bisection_on_crossing_polynomials():
     # the reference alone takes 0.4 s at n = 46, so n > 30 is sampled
     for n in list(range(1, 31)) + [36, 46]:
         coeffs = crossing_polynomial(gain_star(n))
-        assert isolate_positive_roots(coeffs) == _sturm_isolate(coeffs), n
+        assert isolate_positive_roots(coeffs) == (_sturm_isolate(coeffs), []), n
+
+
+def _mul(a, b):
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
 
 
 def _expand(roots, pairs, scale):
@@ -305,15 +313,23 @@ def _expand(roots, pairs, scale):
     factors = [[-r, Fraction(1)] for r in roots]
     factors += [[re * re + im2, -2 * re, Fraction(1)] for re, im2 in pairs]
     for f in factors:
-        out = [Fraction(0)] * (len(p) + len(f) - 1)
-        for i, x in enumerate(p):
-            for j, y in enumerate(f):
-                out[i + j] += x * y
-        p = out
+        p = _mul(p, f)
     return p
 
 
-def test_isolation_matches_sturm_bisection_on_random_polynomials():
+def _touches(coeffs):
+    """The Sturm chain of F**2 + F'**2, whose real roots are the repeated
+    roots of F: the repeated-root rule before the isolation reported them,
+    kept as the reference."""
+    f = [Fraction(c) for c in coeffs]
+    df = [k * c for k, c in enumerate(f) if k > 0]
+    return SturmChain([u + v for u, v in zip(_mul(f, f), _mul(df, df) + [0, 0])])
+
+
+def _random_polynomials():
+    """Products of rational, dyadic and repeated real roots and of complex
+    pairs close to the axis, plus hand-picked edge cases; the decorator for
+    a property that takes the ascending coefficients."""
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     dyadic = st.builds(lambda a, k: Fraction(a, 2 ** k), st.integers(-300, 300),
@@ -343,28 +359,75 @@ def test_isolation_matches_sturm_bisection_on_random_polynomials():
         assert not on_grid or max(map(abs, coeffs)) == abs(coeffs[-1])
         return coeffs
 
-    @hypothesis.settings(max_examples=150, derandomize=True, deadline=None, database=None,
-                         suppress_health_check=list(hypothesis.HealthCheck))
-    @hypothesis.given(polys())
-    # x**2 - 1/4: the root 1/2 is the midpoint of (0, 1]
-    @hypothesis.example([Fraction(-1, 4), Fraction(0), Fraction(1)])
-    # (x - 1/2)**2 (x - 3/4)(x**2 + 1/16): repeated midpoint root, a pair
-    @hypothesis.example(_expand([Fraction(1, 2)] * 2 + [Fraction(3, 4)], [(0, Fraction(1, 16))], 1))
-    # x**5 - x**4 - x**3 - x**2 - x - 43/64 has bound 2 and a root in
-    # (1000/512, 1001/512], a leaf only because its width is below hi/1000
-    @hypothesis.example([Fraction(-43, 64)] + [Fraction(-1)] * 4 + [Fraction(1)])
-    # a pair 2**-20 off the axis next to a simple root
-    @hypothesis.example(_expand([Fraction(1, 3)], [(Fraction(5, 16), Fraction(1, 4 ** 20))], 1))
+    examples = [
+        # x**2 - 1/4: the root 1/2 is the midpoint of (0, 1]
+        [Fraction(-1, 4), Fraction(0), Fraction(1)],
+        # (x - 1/2)**2 (x - 3/4)(x**2 + 1/16): repeated midpoint root, a pair
+        _expand([Fraction(1, 2)] * 2 + [Fraction(3, 4)], [(0, Fraction(1, 16))], 1),
+        # x**5 - x**4 - x**3 - x**2 - x - 43/64 has bound 2 and a root in
+        # (1000/512, 1001/512], a leaf only because its width is below hi/1000
+        [Fraction(-43, 64)] + [Fraction(-1)] * 4 + [Fraction(1)],
+        # a pair 2**-20 off the axis next to a simple root
+        _expand([Fraction(1, 3)], [(Fraction(5, 16), Fraction(1, 4 ** 20))], 1),
+        # (x - 2)**3 (x + 1)**2: a triple root above a repeated negative one
+        _expand([Fraction(2)] * 3 + [Fraction(-1)] * 2, [], 1),
+    ]
+
+    def decorate(check):
+        for coeffs in examples:
+            check = hypothesis.example(coeffs)(check)
+        check = hypothesis.given(polys())(check)
+        return hypothesis.settings(
+            max_examples=150, derandomize=True, deadline=None, database=None,
+            suppress_health_check=list(hypothesis.HealthCheck))(check)
+
+    return decorate
+
+
+def test_isolation_matches_sturm_bisection_on_random_polynomials():
+    @_random_polynomials()
     def check(coeffs):
-        assert isolate_positive_roots(coeffs) == _sturm_isolate(coeffs)
+        assert isolate_positive_roots(coeffs)[0] == _sturm_isolate(coeffs)
 
     check()
+
+
+def test_repeated_roots_match_the_sturm_rule_on_random_polynomials():
+    # the reference marks the isolating intervals where F**2 + F'**2 has a
+    # root; repeated must hold one interval per marked one, around that root
+    @_random_polynomials()
+    def check(coeffs):
+        intervals, repeated = isolate_positive_roots(coeffs)
+        touches = _touches(coeffs)
+        marked = [(lo, hi) for lo, hi in intervals if touches.count_between(lo, hi)]
+        assert len(repeated) == len(marked)
+        for (lo, hi), (a, b) in zip(marked, repeated):
+            assert touches.count_between(max(lo, a), min(hi, b)) == 1
+
+    check()
+
+
+def test_crossing_frequencies_decides_squarefreeness_once(monkeypatch):
+    from midpredict import margins, polynomials
+
+    calls = []
+    original = polynomials.squarefree_part
+
+    def counted(p):
+        calls.append(p)
+        return original(p)
+
+    monkeypatch.setattr(polynomials, "squarefree_part", counted)
+    monkeypatch.setattr(margins, "squarefree_part", counted, raising=False)
+    crossing_frequencies(gain_star(9))
+    assert len(calls) == 1
 
 
 def test_isolation_takes_exact_route_when_modular_gcd_is_nonconstant(chains_built):
     # (x - 1)(x - 1 - P) is squarefree, but (x - 1)**2 modulo P
     coeffs = [1 + SQUAREFREE_PRIME, -2 - SQUAREFREE_PRIME, 1]
-    intervals = isolate_positive_roots(coeffs)
+    intervals, repeated = isolate_positive_roots(coeffs)
     assert chains_built == [coeffs]
     assert intervals == _sturm_isolate(coeffs)
+    assert repeated == []
     assert [lo < r <= hi for (lo, hi), r in zip(intervals, (1, 1 + SQUAREFREE_PRIME))] == [True] * 2

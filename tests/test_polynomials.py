@@ -8,6 +8,7 @@ from midpredict.polynomials import (
     SQUAREFREE_PRIME,
     RealPolynomial,
     SturmChain,
+    isolate_positive_roots,
     rightmost_root,
     sign_at,
     sign_variations,
@@ -219,6 +220,18 @@ def test_squarefree_part_certifies_modulo_the_prime(chains_built):
 def test_squarefree_part_takes_exact_route_without_certificate(chains_built, p, part):
     assert squarefree_part(p) == part
     assert chains_built == [p]
+
+
+@pytest.mark.parametrize("coeffs, roots, repeated", [
+    ([-3, 7, -5, 1], (1, 3), (1,)),  # (x - 1)**2 (x - 3)
+    ([-2, -3, 0, 1], (2,), ()),  # (x + 1)**2 (x - 2): the double root is negative
+    ([-2, 1, -4, 2, -2, 1], (2,), ()),  # (x**2 + 1)**2 (x - 2): complex double roots
+])
+def test_isolation_reports_repeated_positive_roots(coeffs, roots, repeated):
+    intervals, touching = isolate_positive_roots(coeffs)
+    for found, expected in ((intervals, roots), (touching, repeated)):
+        assert len(found) == len(expected)
+        assert all(lo < r <= hi for (lo, hi), r in zip(found, expected))
 
 
 def test_rightmost_root_simple_root_builds_no_sturm_chain(chains_built):

@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -79,6 +80,16 @@ def test_count_right_half_plane_stable():
 def test_count_root_on_contour_raises():
     with pytest.raises(RootOnContourError):
         count_roots_region(QP1, (-1.0, 0.0, -1.0, 1.0))
+
+
+def test_count_overflow_raises_one_error():
+    # e^(-delta*s) overflows left of delta*Re s = -709.78: one ValueError
+    # that says so, and no numpy warning ahead of it
+    qp = Quasipolynomial(2, G2.l, 20.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"overflows .* delta\*Re s falls to -1200"):
+            count_roots_region(qp, (-60.0, 1.0, 0.0, 10.0))
 
 
 def _recursive_sweep(qp, points, budget):
