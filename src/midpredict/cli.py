@@ -382,7 +382,7 @@ def _build_parser():
         default=os.environ.get("MIDPREDICT_OUTDIR", "midpredict-out"),
         help="output directory (env MIDPREDICT_OUTDIR)",
     )
-    sub = parser.add_subparsers(dest="subcommand")
+    sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("synth", help="compute the multiplicity-assigning gains")
     p.add_argument("--n", type=int, required=True)
@@ -455,11 +455,11 @@ def dispatch(argv):
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        # argparse reads a value of "--" (as in --h=--) as no value and stores []
+        if [] in vars(args).values():
+            parser.error("an option was given '--' as its value")
     except SystemExit as exc:
         return int(exc.code or 0)
-    if not getattr(args, "subcommand", None):
-        parser.print_usage(sys.stderr)
-        return 2
     os.makedirs(args.outdir, exist_ok=True)
     try:
         _write_manifest(args, args.func(args))

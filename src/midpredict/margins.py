@@ -141,7 +141,13 @@ def crossing_polynomial(gain):
     return [Fraction(v, den) for v in f]
 
 
-def _polish_root(poly, lo, hi):
+def _polish_root(f, poly, lo, hi):
+    """Newton on poly, the float rounding of F, from the middle of (lo, hi).
+
+    A step that lands outside the bracket widened by its width on both
+    sides hands over to 80 halvings of (lo, hi), each decided by the exact
+    sign of F's integer numerators f at the midpoint.
+    """
     x = 0.5 * (lo + hi)
     dp = poly.derivative()
     for _ in range(100):
@@ -152,15 +158,14 @@ def _polish_root(poly, lo, hi):
         step = fx / dfx
         x_new = x - step
         if not lo - (hi - lo) <= x_new <= hi + (hi - lo):
-            x_new = 0.5 * (lo + hi)
-            lo_s, hi_s = lo, hi
+            s_lo = sign_at(f, *lo.as_integer_ratio())
             for _ in range(80):
-                mid = 0.5 * (lo_s + hi_s)
-                if poly(lo_s) * poly(mid) <= 0:
-                    hi_s = mid
+                mid = 0.5 * (lo + hi)
+                if s_lo * sign_at(f, *mid.as_integer_ratio()) <= 0:
+                    hi = mid
                 else:
-                    lo_s = mid
-            return 0.5 * (lo_s + hi_s)
+                    lo = mid
+            return 0.5 * (lo + hi)
         x = x_new
         if abs(step) < 1e-16 * max(1.0, abs(x)):
             break
@@ -198,7 +203,7 @@ def crossing_frequencies(gain):
     for lo, hi in intervals:
         at_hi = (hi.numerator, hi.denominator)
         direction = sign_at(f, *at_hi) or sign_at(df, *at_hi)
-        found.append((math.sqrt(_polish_root(poly, float(lo), float(hi))), direction))
+        found.append((math.sqrt(_polish_root(f, poly, float(lo), float(hi))), direction))
     found.sort(reverse=True)
     crossings = tuple(
         Crossing(frequency=w, argument=_arg_g(gain, w), direction=direction)

@@ -328,54 +328,35 @@ def sturm_root_certificate(coeffs):
     return chain.count_between(-math.inf, 0), chain.squarefree
 
 
-def _newton_refine(p, x0, tol):
-    dp = p.derivative()
-    x = x0
-    for _ in range(100):
-        fx = p(x)
-        if abs(fx) < tol:
-            break
-        dfx = dp(x)
-        if dfx == 0:
-            break
-        step = fx / dfx
-        x -= step
-        if abs(step) < 1e-17 * max(1.0, abs(x)):
-            break
-    return x
-
-
 def rightmost_root(coeffs):
     """Largest real root of the polynomial with exact ascending coeffs.
 
-    coeffs are read as in sturm_root_certificate. Newton runs in floats on
-    their rounding, seeded by the companion eigenvalues; its candidate c is
-    accepted when the exact polynomial changes sign across
-    [c - pad, c + pad], pad about 1e-9 |c|, and Descartes' rule sees no
-    root above c + pad. Otherwise a Sturm bisection of the exact polynomial
-    brackets the root and Newton polishes it. Either way the result is a
-    Newton float near the root, not the correctly rounded root.
+    coeffs are read as in sturm_root_certificate. The seed c is the largest
+    near-real eigenvalue of the companion matrix of their float rounding
+    (np.roots), so its last bits come from the LAPACK build numpy uses. It
+    is returned as it is when the exact polynomial changes sign across
+    [c - pad, c + pad], pad about 1e-9 |c|, and Descartes' rule sees no root
+    above c + pad. Otherwise a Sturm bisection of the exact polynomial
+    brackets the root to a relative width of 1e-15 and the bracket's float
+    midpoint is returned. Either way the result is near the root, not the
+    correctly rounded root.
     """
     ints = _to_int_poly(coeffs)
     if len(ints) < 2:
         raise ValueError("no real roots")
-    p = RealPolynomial(tuple(coeffs))
-    roots = np.roots(list(reversed(p.coeffs)))
-    tol_imag = 1e-8
-    real_parts = [z.real for z in roots if abs(z.imag) <= tol_imag * (1.0 + abs(z))]
-    tol = 1e-13 * float(np.linalg.norm(p.coeffs))
-    if real_parts:
-        candidate = _newton_refine(p, max(real_parts), tol)
-        if math.isfinite(candidate):
-            pad = max(1e-9, 1e-9 * abs(candidate))
-            lo, hi = Fraction(candidate - pad), Fraction(candidate + pad)
-            # den**d p((y + num)/den) for hi = num/den: its roots y > 0 are
-            # the roots of p above hi
-            d, num, den = len(ints) - 1, hi.numerator, hi.denominator
-            above = taylor_shift([c * den ** (d - i) for i, c in enumerate(ints)], num)
-            change = sign_at(ints, lo.numerator, lo.denominator) * sign_at(ints, num, den)
-            if change < 0 and sign_variations(above) == 0:
-                return float(candidate)
+    roots = np.roots([float(c) for c in reversed(coeffs)])
+    real_parts = [z.real for z in roots if abs(z.imag) <= 1e-8 * (1.0 + abs(z))]
+    seed = float(max(real_parts, default=math.nan))
+    if math.isfinite(seed):
+        pad = max(1e-9, 1e-9 * abs(seed))
+        lo, hi = Fraction(seed - pad), Fraction(seed + pad)
+        # den**d p((y + num)/den) for hi = num/den: its roots y > 0 are
+        # the roots of p above hi
+        d, num, den = len(ints) - 1, hi.numerator, hi.denominator
+        above = taylor_shift([c * den ** (d - i) for i, c in enumerate(ints)], num)
+        change = sign_at(ints, lo.numerator, lo.denominator) * sign_at(ints, num, den)
+        if change < 0 and sign_variations(above) == 0:
+            return seed
     chain = SturmChain(coeffs)
     # Sturm bisection fallback: bracket the largest real root exactly.
     if chain.count_between(-math.inf, math.inf) == 0:
@@ -391,7 +372,7 @@ def rightmost_root(coeffs):
             lo = mid
         else:
             hi = mid
-    return float(_newton_refine(p, float((lo + hi) / 2), tol))
+    return float((lo + hi) / 2)
 
 
 def unstable_root_count(coeffs):

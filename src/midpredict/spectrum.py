@@ -272,16 +272,31 @@ def _polish(qp, s0, rect):
         last_step = abs(step)
         if last_step < 1e-14 * max(1.0, abs(s)):
             break
-    d = qp_eval(qp, s)
-    scale = float(qp_scale(qp, np.asarray(s)))
-    if abs(d) > POLISH_REL_TOL * scale or last_step > 1e-10 * max(1.0, abs(s)):
+    if not _is_root(qp, s) or last_step > 1e-10 * max(1.0, abs(s)):
         return None
     return s
+
+
+def _is_root(qp, z):
+    """The residual gate of a located root: |D(z)| within POLISH_REL_TOL of
+    the scale of D at z."""
+    return abs(qp_eval(qp, z)) <= POLISH_REL_TOL * float(qp_scale(qp, np.asarray(z)))
 
 
 def _inside(s, box, slack=0.0):
     re0, re1, im0, im1 = box
     return re0 - slack <= s.real <= re1 + slack and im0 - slack <= s.imag <= im1 + slack
+
+
+def _first_counted(qp, rects):
+    """(rect, count) for the first of rects whose boundary meets no root,
+    or None when every boundary meets one."""
+    for rect in rects:
+        try:
+            return rect, count_roots_region(qp, rect)
+        except RootOnContourError:
+            continue
+    return None
 
 
 def _split(qp, box, count):
@@ -293,21 +308,19 @@ def _split(qp, box, count):
     cut meets a root.
     """
     re0, re1, im0, im1 = box
-    for frac in CUT_FRACTIONS:
-        if re1 - re0 >= im1 - im0:
-            cut = re0 + frac * (re1 - re0)
-            first, second = (re0, cut, im0, im1), (cut, re1, im0, im1)
-        else:
-            cut = im0 + frac * (im1 - im0)
-            first, second = (re0, re1, im0, cut), (re0, re1, cut, im1)
-        try:
-            k = count_roots_region(qp, first)
-        except RootOnContourError:
-            continue
-        if not 0 <= k <= count:
-            raise SpectrumError("half-box count %d exceeds the box count %d" % (k, count))
-        return (first, k), (second, count - k)
-    return None
+    wide = re1 - re0 >= im1 - im0
+    if wide:
+        firsts = ((re0, re0 + frac * (re1 - re0), im0, im1) for frac in CUT_FRACTIONS)
+    else:
+        firsts = ((re0, re1, im0, im0 + frac * (im1 - im0)) for frac in CUT_FRACTIONS)
+    counted = _first_counted(qp, firsts)
+    if counted is None:
+        return None
+    first, k = counted
+    if not 0 <= k <= count:
+        raise SpectrumError("half-box count %d exceeds the box count %d" % (k, count))
+    second = (first[1], re1, im0, im1) if wide else (re0, re1, first[3], im1)
+    return (first, k), (second, count - k)
 
 
 def _cluster_root(qp, box, mult):
@@ -316,7 +329,7 @@ def _cluster_root(qp, box, mult):
     A multiplicity-m root of D is a simple, well-conditioned root of
     D^(m-1); Newton there from the box centre recovers the location far
     below the noise floor that direct evaluation of D allows. The point
-    must lie in the box and pass the residual gate of _polish.
+    must lie in the box and pass _is_root.
     """
     re0, re1, im0, im1 = box
     z = complex((re0 + re1) / 2, (im0 + im1) / 2)
@@ -329,8 +342,7 @@ def _cluster_root(qp, box, mult):
         z -= step
         if abs(step) < 1e-16 * max(1.0, abs(z)):
             break
-    scale = float(qp_scale(qp, np.asarray(z)))
-    if not (_inside(z, box) and abs(qp_eval(qp, z)) <= POLISH_REL_TOL * scale):
+    if not (_inside(z, box) and _is_root(qp, z)):
         raise SpectrumError("cannot locate the %d-fold root cluster in %s" % (mult, box))
     return z
 
@@ -357,17 +369,12 @@ def roots_in_region(qp, rect):
     factors = CONTOUR_FACTORS
     if 0 < qp.delta < 1:
         factors += tuple(f / qp.delta for f in CONTOUR_FACTORS)
-    ext = None
-    for factor in factors:
-        trial = (re0 - base * factor, re1 + base * factor, im0 - base * factor, im1 + base * factor)
-        try:
-            target = count_roots_region(qp, trial)
-        except RootOnContourError:
-            continue
-        ext = trial
-        break
-    if ext is None:
+    counted = _first_counted(
+        qp, ((re0 - base * f, re1 + base * f, im0 - base * f, im1 + base * f) for f in factors)
+    )
+    if counted is None:
         raise RootOnContourError("roots crowd every candidate contour around the rectangle")
+    ext, target = counted
     found = []
     pending = [(ext, target)] if target else []
     max_boxes = 64 * (target + 1)

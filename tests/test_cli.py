@@ -3,6 +3,7 @@ import math
 import os
 import re
 
+import numpy as np
 import pytest
 
 from midpredict.cli import dispatch, emit_plot_script
@@ -19,7 +20,8 @@ def test_unknown_subcommand_usage_error(tmp_path, capsys):
 
 def test_missing_subcommand_usage_error(capsys):
     assert dispatch([]) == 2
-    capsys.readouterr()
+    assert capsys.readouterr().err.splitlines()[-1].endswith(
+        "error: the following arguments are required: subcommand")
 
 
 def test_domain_error_exit_code(tmp_path, capsys):
@@ -69,6 +71,27 @@ def test_design_benchmark(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "N = 5" in out
     assert "lambda = 20" in out
+
+
+def test_design_certifies_the_gain_margin_when_none_is_given(tmp_path, capsys, monkeypatch):
+    from midpredict import cli
+
+    brackets = []
+    certify = cli.max_gain_margin
+
+    def recording(n):
+        brackets.append(certify(n))
+        return brackets[-1]
+
+    monkeypatch.setattr(cli, "max_gain_margin", recording)
+    design = ("design", "--n", "1", "--gamma-phi", "1.1", "--h", "0.25")
+    assert run(tmp_path, *design) == 0
+    first, *sizing = capsys.readouterr().out.splitlines()
+    assert [b.n for b in brackets] == [1]
+    assert first == "certified gain margin 0.342013"
+    # the rest is the sizing for that margin given on the command line
+    assert run(tmp_path, *design, "--gamma-m", repr(brackets[0].lower)) == 0
+    assert capsys.readouterr().out.splitlines() == sizing
 
 
 def test_margins_csv_and_determinism(tmp_path, capsys):
@@ -197,6 +220,8 @@ SIMULATE_FIELDS = {"divergence_time": None, "divergent": False, "dt": 0.005, "in
     (["simulate"], 2, None),
     (["simulate", "--variant", "ours_N1", "--config", "system.kv"], 2, None),
     (["repro", "--figure", "nope"], 2, None),
+    # argparse stores [] for a value of "--"; it is a usage error, not a TypeError
+    (["design", "--n", "2", "--gamma-phi", "1.1", "--h=--", "--gamma-m", "0.0673"], 2, None),
 ])
 def test_each_successful_run_writes_one_manifest(tmp_path, capsys, argv, rc, flags):
     from midpredict import __version__
@@ -241,6 +266,37 @@ def test_repro_partition_sweep(tmp_path, capsys):
     dims = {line.split(",")[0] for line in lines[2:]}
     assert dims == {"1", "2", "3"}
     assert (tmp_path / "d_vs_n.gp").exists()
+
+
+def test_repro_error_norms_overlay_the_variants_on_the_coarsest_grid(tmp_path, capsys, monkeypatch):
+    from midpredict import cli
+
+    traces = []
+    simulate = cli.run_demo_variant
+
+    def recording(variant, h):
+        traces.append(simulate(variant, h))
+        return traces[-1]
+
+    monkeypatch.setattr(cli, "run_demo_variant", recording)
+    assert run(tmp_path, "repro", "--figure", "normError050") == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out == ["variant ahmed diverged (trace truncated)",
+                   "wrote normError050 outputs to %s" % tmp_path]
+    assert [tr.divergent for tr in traces] == [True, False, False]
+    lines = (tmp_path / "normError050.csv").read_text().splitlines()
+    assert lines[:2] == ["# schema: error-norms.v1", "t,ahmed,ours_N1,ours_N5"]
+    table = np.array([[float(v) for v in line.split(",")] for line in lines[2:]])
+    dt = max(tr.metadata["dt"] for tr in traces)
+    assert table[:, 0].tolist() == (np.arange(len(table)) * dt).tolist()
+    for column, trace in zip(table[:, 1:].T, traces):
+        # ours_N5 steps five times finer than the grid; ahmed stops early
+        resampled = trace.e_pred[:: round(dt / trace.metadata["dt"])]
+        np.testing.assert_array_equal(column[: len(resampled)], resampled)
+        assert np.isnan(column[len(resampled):]).all()
+    # no prediction error exists before t = h
+    assert np.isnan(table[table[:, 0] < 0.5, 1:]).all()
+    assert np.isfinite(table[table[:, 0] == 0.5, 1:]).all()
 
 
 def test_emit_plot_script_missing_data(tmp_path):

@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from midpredict import margins
 from midpredict.margins import (
     DegenerateCrossingError,
     crossing_frequencies,
@@ -431,3 +432,34 @@ def test_isolation_takes_exact_route_when_modular_gcd_is_nonconstant(chains_buil
     assert intervals == _sturm_isolate(coeffs)
     assert repeated == []
     assert [lo < r <= hi for (lo, hi), r in zip(intervals, (1, 1 + SQUAREFREE_PRIME))] == [True] * 2
+
+
+def test_bisection_fallback_finds_the_crossing_root_to_one_ulp(monkeypatch):
+    # at n = 27 a Newton step on the float rounding of F leaves the bracket
+    # of F's smallest positive root, and the polish bisects the bracket on
+    # F's exact signs instead; float signs had put x = w**2 90 ulps off
+    polished = []
+    polish = margins._polish_root
+
+    def recording(*args):
+        polished.append(polish(*args))
+        return polished[-1]
+
+    monkeypatch.setattr(margins, "_polish_root", recording)
+    crossing_frequencies(gain_star(27))
+    x = polished[0]
+    coeffs = crossing_polynomial(gain_star(27))
+    lo, hi = isolate_positive_roots(coeffs)[0][0]
+
+    def sign(t):
+        value = sum(c * t ** i for i, c in enumerate(coeffs))
+        return (value > 0) - (value < 0)
+
+    s_hi = sign(hi)
+    while hi - lo > Fraction(math.ulp(x)) / 16:
+        mid = (lo + hi) / 2
+        if sign(mid) == s_hi:
+            hi = mid
+        else:
+            lo = mid
+    assert abs(Fraction(x) - (lo + hi) / 2) <= Fraction(math.ulp(x))

@@ -17,6 +17,7 @@ from midpredict.polynomials import (
     taylor_shift,
     unstable_root_count,
 )
+from midpredict.synthesis import MAX_Q_DIMENSION, q_coefficients
 
 
 def test_trim_and_degree():
@@ -240,8 +241,18 @@ def test_rightmost_root_simple_root_builds_no_sturm_chain(chains_built):
 
 
 def test_rightmost_root_double_root_falls_back_to_bisection(chains_built):
-    # (x - 1)**2 (x + 2): no sign change at the rightmost root, so the Newton
-    # candidate 1.0000000155... is refused and the Sturm bisection gives 1.0
+    # (x - 1)**2 (x + 2): no sign change at the rightmost root, so the
+    # companion seed 1.0000000155... is refused and the Sturm bisection
+    # gives 1.0
     p = (2, -3, 0, 1)
     assert rightmost_root(p) == 1.0
     assert chains_built == [list(p)]
+
+
+def test_rightmost_root_certifies_every_design_seed(chains_built):
+    # q(s) = n! L_n(-s), with L_n the Laguerre polynomial, has real, negative
+    # and simple roots, so its largest companion eigenvalue passes the exact
+    # test at every n and no Sturm bisection runs
+    for n in range(1, MAX_Q_DIMENSION + 1):
+        assert rightmost_root(q_coefficients(n)) < 0
+    assert chains_built == []
