@@ -10,6 +10,7 @@ comparisons.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -25,7 +26,7 @@ from .margins import stability_partition
 from .model import load_system
 from .simulate import DEMO_VARIANTS, SimConfig, demo_config, integrate, run_demo_variant
 from .spectrum import Quasipolynomial, default_certification_rect, roots_in_region
-from .synthesis import GainVector, gain_star, multiplicity_at, scale_gain
+from .synthesis import MAX_GAIN_DIMENSION, GainVector, gain_star, multiplicity_at, scale_gain
 from .tradeoff import ahmed_conditions, lei_conditions
 
 __all__ = ["main", "dispatch", "emit_plot_script", "RunManifest"]
@@ -322,6 +323,8 @@ def _cmd_compare(args):
 
 def _cmd_repro(args):
     figure = args.figure
+    if args.n_max < 1:
+        raise ValueError("--n-max must be at least 1")
     if figure == "spectrum025":
         gain = gain_star(2)
         scaled = scale_gain(gain, 0.25)
@@ -331,6 +334,8 @@ def _cmd_repro(args):
         path = _write_spectrum_csv(os.path.join(args.outdir, "spectrum025.csv"), result)
         emit_plot_script("spectrum", path)
     elif figure == "d_vs_n":
+        if args.n_max > MAX_GAIN_DIMENSION:
+            raise ValueError("--n-max must be in 1..%d for d_vs_n" % MAX_GAIN_DIMENSION)
         path = _write_partition_csv(
             os.path.join(args.outdir, "d_vs_n.csv"),
             map(stability_partition, range(1, args.n_max + 1)),
@@ -372,15 +377,14 @@ def _cmd_repro(args):
     print("wrote %s outputs to %s" % (figure, args.outdir))
 
 
+@functools.cache
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="midpredict",
         description="Design and validate high-gain sub-predictor chains for input-delayed systems.",
     )
     parser.add_argument(
-        "--outdir",
-        default=os.environ.get("MIDPREDICT_OUTDIR", "midpredict-out"),
-        help="output directory (env MIDPREDICT_OUTDIR)",
+        "--outdir", default=None, help="output directory (env MIDPREDICT_OUTDIR)"
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
@@ -450,7 +454,9 @@ def dispatch(argv):
     A subcommand prints and writes its own outputs and returns the fields it
     adds to the manifest, or None. dispatch keeps the run's books: it makes
     the outdir, maps errors to exit codes and writes manifest.json once,
-    after a run that succeeded.
+    after a run that succeeded. The parser is built on the first call and
+    reused; it holds no state of a run, so MIDPREDICT_OUTDIR is read here,
+    on every call.
     """
     parser = _build_parser()
     try:
@@ -460,6 +466,8 @@ def dispatch(argv):
             parser.error("an option was given '--' as its value")
     except SystemExit as exc:
         return int(exc.code or 0)
+    if args.outdir is None:
+        args.outdir = os.environ.get("MIDPREDICT_OUTDIR", "midpredict-out")
     os.makedirs(args.outdir, exist_ok=True)
     try:
         _write_manifest(args, args.func(args))

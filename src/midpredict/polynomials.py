@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from math import gcd
+from numbers import Integral
 
 import numpy as np
 
@@ -66,12 +67,11 @@ class RealPolynomial:
 
 
 def _to_int_poly(coeffs):
-    """Exact conversion of float/Fraction coefficients to an integer list."""
-    fracs = [Fraction(c) for c in coeffs]
-    denom = 1
-    for f in fracs:
-        denom = denom * f.denominator // gcd(denom, f.denominator)
-    ints = [int(f * denom) for f in fracs]
+    """Exact int, float or Fraction coefficients scaled by their least
+    common denominator to an integer list."""
+    ratios = [(int(c), 1) if isinstance(c, Integral) else c.as_integer_ratio() for c in coeffs]
+    denom = math.lcm(*(d for _, d in ratios))
+    ints = [c * (denom // d) for c, d in ratios]
     while len(ints) > 1 and ints[-1] == 0:
         ints.pop()
     return ints

@@ -107,39 +107,41 @@ def sigma_star(n):
 def gain_star(n):
     """Closed-form gains placing an (n+1)-fold dominant root at sigma_star.
 
-    The double sum has alternating terms as large as 4**n that cancel down
-    to O(1); summing them in floating point destroys the gains beyond
-    n around 25. The coefficients of each power of the root are therefore
-    collected exactly in big-integer arithmetic. With the root written as
-    num/den, each gain is one integer over one integer, and Python rounds
-    that quotient correctly, so the only rounding left is the root itself,
-    that division and the product with exp(root).
+    At unit delay the root condition reads L(s) = -exp(s) s**n for the
+    injection polynomial L(s) = l1 s**(n-1) + ... + ln, and the n + 1 fold
+    root pins L to minus the degree-(n-1) Taylor polynomial of
+    f(s) = exp(s) s**n at sigma (the n-th condition is q(sigma) = 0):
+
+        L(s) = -exp(sigma) * sum_m f^(m)(sigma) exp(-sigma) / m! * (s - sigma)**m.
+
+    With sigma written as N/D, f^(m)(sigma) exp(-sigma) is G_m / D**n for
+    the integer G_m = sum_p C(m,p) n!/(n-p)! N**(n-p) D**p, so
+
+        L(s) = -exp(sigma) / ((n-1)! D**(2n-1))
+               * sum_m G_m (n-1)!/m! D**(n-1-m) (D s - N)**m,
+
+    and the sum is expanded by an integer Horner scheme in D s - N: O(n**2)
+    big-integer operations in all. Each gain is then one integer over one
+    integer, which Python rounds correctly, so the only rounding left is
+    the root itself, that division and the product with exp(sigma).
     """
     if not 1 <= n <= MAX_GAIN_DIMENSION:
         raise ValueError("dimension must be in 1..%d" % MAX_GAIN_DIMENSION)
     sig = sigma_star(n)
     num, den = sig.as_integer_ratio()
-    esig = math.exp(sig)
+    # the p-th derivative of s**n at num/den, times den**n
+    deriv = [math.perm(n, p) * num ** (n - p) * den ** p for p in range(n)]
     nf = math.factorial(n - 1)
-    # the coefficient of sig**(i-1) has denominator (i-1)!, here scaled to nf
-    weights = [nf // math.factorial(i - 1) for i in range(1, n + 1)]
-    binom_n = [math.comb(n, m) for m in range(n + 1)]
-    num_pow = [num ** m for m in range(2 * n)]
-    den_pow = [den ** m for m in range(2 * n)]
-    gains = []
-    for k in range(1, n + 1):
-        binom_k = [math.comb(j - 1, n - k) if j else 0 for j in range(n + 1)]
-        total = 0
-        for i in range(1, n + 1):
-            # coefficient of sig**(i-1), times (i-1)!: signed binomials
-            acc = 0
-            for j in range(max(n - k + 1, i), n + 1):
-                term = binom_n[j - i] * binom_k[j]
-                acc += -term if (n + j + k) % 2 else term
-            # sig**(i-1+k) over the common denominator nf * den**(n-1+k)
-            total += acc * weights[i - 1] * num_pow[i - 1 + k] * den_pow[n - i]
-        gains.append(total / (nf * den_pow[n - 1 + k]) * esig)
-    return GainVector(l=tuple(gains), n=n, sigma_star=sig)
+    poly = []
+    for m in range(n - 1, -1, -1):
+        # poly <- poly * (den s - num) + G_m (n-1)!/m! den**(n-1-m)
+        poly = [den * c - num * d for c, d in zip([0] + poly, poly + [0])]
+        g = sum(math.comb(m, p) * deriv[p] for p in range(m + 1))
+        poly[0] += g * (nf // math.factorial(m)) * den ** (n - 1 - m)
+    esig = math.exp(sig)
+    scale = nf * den ** (2 * n - 1)
+    gains = tuple(-poly[n - k] / scale * esig for k in range(1, n + 1))
+    return GainVector(l=gains, n=n, sigma_star=sig)
 
 
 def _rk_value(n, k, s, delta):

@@ -58,13 +58,19 @@ def _kronecker_lyapunov(m):
 
 def lyapunov_solve(gain):
     """Unique symmetric positive definite P with
-    P(A-LC) + (A-LC)'P = -I, via the vectorized linear system."""
+    P(A-LC) + (A-LC)'P = -I, via the vectorized linear system.
+
+    The residual is checked relative to the right-hand side -I: its
+    Frobenius norm may be at most 1e-6 |I| = 1e-6 sqrt(n). That keeps
+    P(A-LC) + (A-LC)'P negative definite, and it admits the growth of the
+    solve's rounding with P, whose entries grow steeply with n.
+    """
     if not hurwitz_check(delay_free_poly(gain)):
         raise ValueError("A - LC must be Hurwitz for this condition")
     m = closed_loop_matrix(gain)
     p = _kronecker_lyapunov(m)
     residual = np.linalg.norm(p @ m + m.T @ p + np.eye(gain.n))
-    if residual > 1e-10:
+    if residual > 1e-6 * math.sqrt(gain.n):
         raise RuntimeError("Lyapunov residual %.2e exceeds tolerance" % residual)
     return p
 

@@ -268,6 +268,29 @@ def test_repro_partition_sweep(tmp_path, capsys):
     assert (tmp_path / "d_vs_n.gp").exists()
 
 
+@pytest.mark.parametrize(
+    "figure, n_max, message",
+    [
+        ("d_vs_n", "0", "--n-max must be at least 1"),
+        ("d_vs_n", "47", "--n-max must be in 1..46 for d_vs_n"),
+        ("gamma_vs_n", "0", "--n-max must be at least 1"),
+    ],
+)
+def test_repro_sweeps_refuse_n_max_before_any_work(
+    tmp_path, capsys, monkeypatch, figure, n_max, message
+):
+    from midpredict import cli
+
+    def refuse(*args):
+        raise AssertionError("a sweep point was computed")
+
+    monkeypatch.setattr(cli, "stability_partition", refuse)
+    monkeypatch.setattr(cli, "max_gain_margin", refuse)
+    assert run(tmp_path, "repro", "--figure", figure, "--n-max", n_max) == 1
+    assert capsys.readouterr().err == "error: %s\n" % message
+    assert os.listdir(tmp_path) == []
+
+
 def test_repro_error_norms_overlay_the_variants_on_the_coarsest_grid(tmp_path, capsys, monkeypatch):
     from midpredict import cli
 
@@ -318,6 +341,61 @@ def test_gainmargin_cli_writes_certificate(tmp_path, capsys):
     assert "lower bound" in out
     assert (tmp_path / "gainmargin.csv").exists()
     assert (tmp_path / "certificate.txt").exists()
+
+
+def _manifest(outdir):
+    with open(os.path.join(outdir, "manifest.json"), encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def test_parser_is_built_once_across_dispatches(tmp_path, capsys):
+    from midpredict import cli
+
+    cli._build_parser.cache_clear()
+    for n in ("1", "2", "3"):
+        assert run(tmp_path, "synth", "--n", n) == 0
+    assert dispatch(["bogus"]) == 2
+    capsys.readouterr()
+    assert cli._build_parser.cache_info().misses == 1
+    assert cli._build_parser.cache_info().hits == 3
+
+
+def test_outdir_env_is_read_on_every_dispatch(tmp_path, capsys, monkeypatch):
+    for name in ("first", "second"):
+        monkeypatch.setenv("MIDPREDICT_OUTDIR", str(tmp_path / name))
+        assert dispatch(["synth", "--n", "1"]) == 0
+        assert _manifest(tmp_path / name)["outdir"] == str(tmp_path / name)
+        assert _manifest(tmp_path / name)["flags"]["outdir"] == str(tmp_path / name)
+    # an explicit --outdir still wins over the variable
+    assert run(tmp_path / "third", "synth", "--n", "1") == 0
+    assert _manifest(tmp_path / "third")["outdir"] == str(tmp_path / "third")
+    capsys.readouterr()
+
+
+def test_usage_error_leaves_the_next_dispatch_unchanged(tmp_path, capsys):
+    assert run(tmp_path / "before", "margins", "--n", "2") == 0
+    out_before = capsys.readouterr().out
+    for bad in (("margins", "--n", "2", "--delta-max", "x"),
+                ("simulate", "--variant", "ours_N1", "--config", "c.txt"),
+                ("margins", "--n", "2", "--delta-max=--")):
+        assert run(tmp_path / "bad", *bad) == 2
+    capsys.readouterr()
+    assert not (tmp_path / "bad").exists()
+    assert run(tmp_path / "after", "margins", "--n", "2") == 0
+    assert capsys.readouterr().out == out_before
+    before, after = _manifest(tmp_path / "before"), _manifest(tmp_path / "after")
+    assert before["flags"] == dict(after["flags"], outdir=str(tmp_path / "before"))
+    assert (tmp_path / "before" / "partition.csv").read_bytes() == (
+        tmp_path / "after" / "partition.csv").read_bytes()
+
+
+def test_reused_parser_refuses_double_dash_values(tmp_path, capsys):
+    for _ in range(2):
+        assert run(tmp_path, "synth", "--n", "2", "--delta=--") == 2
+        assert capsys.readouterr().err.splitlines()[-1].endswith(
+            "error: an option was given '--' as its value")
+        assert run(tmp_path, "synth", "--n", "2", "--delta", "0.5") == 0
+        capsys.readouterr()
 
 
 def test_margins_builds_crossings_once(tmp_path, capsys, monkeypatch):

@@ -6,6 +6,7 @@ import pytest
 
 from midpredict.polynomials import (
     SQUAREFREE_PRIME,
+    _to_int_poly,
     RealPolynomial,
     SturmChain,
     isolate_positive_roots,
@@ -17,7 +18,13 @@ from midpredict.polynomials import (
     taylor_shift,
     unstable_root_count,
 )
-from midpredict.synthesis import MAX_Q_DIMENSION, q_coefficients
+from midpredict.synthesis import (
+    MAX_GAIN_DIMENSION,
+    MAX_Q_DIMENSION,
+    delay_free_poly,
+    gain_star,
+    q_coefficients,
+)
 
 
 def test_trim_and_degree():
@@ -256,3 +263,37 @@ def test_rightmost_root_certifies_every_design_seed(chains_built):
     for n in range(1, MAX_Q_DIMENSION + 1):
         assert rightmost_root(q_coefficients(n)) < 0
     assert chains_built == []
+
+
+def _fraction_to_int_poly(coeffs):
+    """The conversion through Fraction that _to_int_poly must reproduce."""
+    fracs = [Fraction(c) for c in coeffs]
+    denom = 1
+    for f in fracs:
+        denom = denom * f.denominator // math.gcd(denom, f.denominator)
+    ints = [int(f * denom) for f in fracs]
+    while len(ints) > 1 and ints[-1] == 0:
+        ints.pop()
+    return ints
+
+
+def test_to_int_poly_equals_fraction_conversion():
+    rng = np.random.default_rng(16)
+    cases = [q_coefficients(n) for n in range(1, MAX_Q_DIMENSION + 1)]
+    for n in range(1, MAX_GAIN_DIMENSION + 1):
+        gain = gain_star(n)
+        cases += [list(gain.l), delay_free_poly(gain).coeffs, [gain.sigma_star, 1]]
+    for _ in range(200):
+        size = int(rng.integers(1, 12))
+        floats = rng.standard_normal(size) * 10.0 ** rng.integers(-30, 30, size)
+        floats[rng.random(size) < 0.2] = 0.0
+        cases.append(floats.tolist())
+        cases.append(list(floats))  # numpy float64 scalars
+        cases.append([Fraction(int(a), int(b)) for a, b in rng.integers(-10**6, 10**6, (size, 2))
+                      if b])
+        cases.append([int(v) for v in rng.integers(-9, 9, size)] + [0] * int(rng.integers(0, 3)))
+        cases.append([np.int64(v) for v in rng.integers(-9, 9, size)] + [0.5])
+    for coeffs in cases:
+        ints = _to_int_poly(coeffs)
+        assert ints == _fraction_to_int_poly(coeffs), coeffs
+        assert all(type(c) is int for c in ints)

@@ -31,6 +31,32 @@ def test_lyapunov_comparison_gain():
     assert np.min(np.linalg.eigvalsh(p)) > 0
 
 
+def test_lyapunov_residual_gate_is_relative_to_the_right_hand_side(monkeypatch):
+    from midpredict import tradeoff
+    from midpredict.synthesis import gain_star
+
+    # |P| grows to 9e12 at n = 8 and the residual with it, to 2.3e-10; an
+    # absolute limit of 1e-10 refused that solve
+    for n in range(8, 12):
+        lyapunov_solve(gain_star(n))
+    for n in range(1, 8):
+        gain = gain_star(n)
+        direct = tradeoff._kronecker_lyapunov(closed_loop_matrix(gain))
+        assert lyapunov_solve(gain).tobytes() == direct.tobytes(), n
+    # at n = 13 the solve misses -I by a residual of 1 and
+    # P(A-LC) + (A-LC)'P is indefinite, though that is 1e-26 of |P|
+    with pytest.raises(RuntimeError, match="Lyapunov residual"):
+        lyapunov_solve(gain_star(13))
+
+    # a solve 1e-5 too large misses -I by 1e-5 |I|, however large P is
+    def off(m, solve=tradeoff._kronecker_lyapunov):
+        return solve(m) * (1 + 1e-5)
+
+    monkeypatch.setattr(tradeoff, "_kronecker_lyapunov", off)
+    with pytest.raises(RuntimeError, match="Lyapunov residual"):
+        lyapunov_solve(gain_star(8))
+
+
 def test_lyapunov_rejects_unstable():
     with pytest.raises(ValueError):
         lyapunov_solve(GainVector((-1.0, 1.0), 2))
