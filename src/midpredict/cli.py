@@ -27,7 +27,7 @@ from .model import load_system
 from .simulate import DEMO_VARIANTS, SimConfig, demo_config, integrate, run_demo_variant
 from .spectrum import Quasipolynomial, default_certification_rect, roots_in_region
 from .synthesis import MAX_GAIN_DIMENSION, GainVector, gain_star, multiplicity_at, scale_gain
-from .tradeoff import ahmed_conditions, lei_conditions
+from .tradeoff import ahmed_conditions, check_lipschitz, lei_conditions
 
 __all__ = ["main", "dispatch", "emit_plot_script", "RunManifest"]
 
@@ -240,6 +240,7 @@ def _cmd_gainmargin(args):
 
 
 def _cmd_design(args):
+    check_lipschitz(args.gamma_phi)
     gamma_m = args.gamma_m
     if gamma_m is None:
         gamma_m = max_gain_margin(args.n).lower

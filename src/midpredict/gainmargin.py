@@ -30,7 +30,7 @@ import numpy as np
 
 from ._scipy import minimize
 from .synthesis import gain_star, sigma_star
-from .tradeoff import _injection_matrix, _kronecker_lyapunov, closed_loop_matrix
+from .tradeoff import _injection_matrix, _kronecker_lyapunov, check_lipschitz, closed_loop_matrix
 
 __all__ = [
     "LmiVariables",
@@ -367,8 +367,7 @@ def design_chain(n, gamma_phi, h, gamma_m):
     """
     if not 0 < gamma_m < math.inf:
         raise ValueError("gain margin must be finite and positive")
-    if not 0 <= gamma_phi < math.inf:
-        raise ValueError("Lipschitz constant must be finite and nonnegative")
+    check_lipschitz(gamma_phi)
     if not 0 < h < math.inf:
         raise ValueError("delay must be finite and positive")
     lambda_star = max(gamma_phi / gamma_m, 1.0)

@@ -19,7 +19,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .polynomials import RealPolynomial, isolate_positive_roots, sign_at, unstable_root_count
+from .polynomials import (RealPolynomial, bisect_root, isolate_positive_roots, sign_at,
+                          unstable_root_count)
 from .spectrum import _injection_value
 from .synthesis import GainVector, delay_free_poly, gain_star
 
@@ -144,11 +145,12 @@ def crossing_polynomial(gain):
 def _polish_root(f, poly, lo, hi):
     """Newton on poly, the float rounding of F, from the middle of (lo, hi).
 
-    A step that lands outside the bracket widened by its width on both
-    sides hands over to 80 halvings of (lo, hi), each decided by the exact
-    sign of F's integer numerators f at the midpoint.
+    Newton reads the float ends a, b; a step that lands outside (a, b)
+    widened by its width on both sides hands over to bisect_root, which
+    halves the exact (lo, hi] on the exact signs of F's integers f.
     """
-    x = 0.5 * (lo + hi)
+    a, b = float(lo), float(hi)
+    x = 0.5 * (a + b)
     dp = poly.derivative()
     for _ in range(100):
         fx = poly(x)
@@ -157,15 +159,8 @@ def _polish_root(f, poly, lo, hi):
             break
         step = fx / dfx
         x_new = x - step
-        if not lo - (hi - lo) <= x_new <= hi + (hi - lo):
-            s_lo = sign_at(f, *lo.as_integer_ratio())
-            for _ in range(80):
-                mid = 0.5 * (lo + hi)
-                if s_lo * sign_at(f, *mid.as_integer_ratio()) <= 0:
-                    hi = mid
-                else:
-                    lo = mid
-            return 0.5 * (lo + hi)
+        if not a - (b - a) <= x_new <= b + (b - a):
+            return bisect_root(f, lo, hi)
         x = x_new
         if abs(step) < 1e-16 * max(1.0, abs(x)):
             break
@@ -203,7 +198,7 @@ def crossing_frequencies(gain):
     for lo, hi in intervals:
         at_hi = (hi.numerator, hi.denominator)
         direction = sign_at(f, *at_hi) or sign_at(df, *at_hi)
-        found.append((math.sqrt(_polish_root(f, poly, float(lo), float(hi))), direction))
+        found.append((math.sqrt(_polish_root(f, poly, lo, hi)), direction))
     found.sort(reverse=True)
     crossings = tuple(
         Crossing(frequency=w, argument=_arg_g(gain, w), direction=direction)
@@ -290,10 +285,11 @@ def hurwitz_check(p):
     """True iff every root of p lies strictly in the open left half-plane.
 
     Exact Routh count over the rationals. A Hurwitz polynomial never meets a
-    zero pivot, so one means p is not Hurwitz.
+    zero pivot, so one means p is not Hurwitz. ValueError: p is not finite,
+    or its leading coefficient is not positive.
     """
-    if p.coeffs[-1] <= 0:
-        raise ValueError("leading coefficient must be positive")
+    if not (all(map(math.isfinite, p.coeffs)) and p.coeffs[-1] > 0):
+        raise ValueError("coefficients must be finite and the leading one positive")
     try:
         return unstable_root_count(p.coeffs) == 0
     except ValueError:

@@ -4,13 +4,13 @@ Coefficients are ascending by degree. RealPolynomial is the float
 evaluator. Every exact routine reads a plain sequence of exact coefficients
 (ints, Fractions or floats, each the rational it is), so a polynomial with
 integer coefficients beyond 2**53 is counted as itself, never as its float
-rounding. Two exact tools count roots: a SturmChain, built once per
-polynomial, counts distinct roots in any interval; Descartes' rule of signs
-bounds the roots in (0, inf) by the sign variations of the coefficients,
-exactly when that bound is 0 or 1, and reaches any other interval through a
-Taylor shift, which isolate_positive_roots bisects on (Collins & Akritas,
-1976). Both evaluate integer polynomials at rationals by one homogeneous
-Horner sum; unstable_root_count is an exact Routh count.
+rounding. Descartes' rule of signs bounds the roots in (0, inf) by the sign
+variations of the coefficients, exactly when that bound is 0 or 1, and
+reaches any other interval through a Taylor shift: isolate_positive_roots
+bisects on it (Collins & Akritas, 1976), and bisect_root narrows one root
+on exact signs. A Sturm chain counts negative roots and yields gcd(p, p').
+Signs at rationals come from one homogeneous Horner sum on integers;
+unstable_root_count is an exact Routh count.
 """
 
 from __future__ import annotations
@@ -26,13 +26,13 @@ import numpy as np
 
 __all__ = [
     "RealPolynomial",
-    "SturmChain",
     "sign_at",
     "sign_variations",
     "taylor_shift",
     "squarefree_part",
     "sturm_root_certificate",
     "isolate_positive_roots",
+    "bisect_root",
     "rightmost_root",
     "unstable_root_count",
 ]
@@ -174,39 +174,6 @@ def _sturm_chain(coeffs):
     return chain
 
 
-class SturmChain:
-    """Sturm sequence of one polynomial, built once and counted at many points.
-
-    Members are primitive integer polynomials, evaluated at a point by
-    sign_at. Points are rationals (anything Fraction accepts) or +-inf.
-    """
-
-    def __init__(self, coeffs):
-        chain = _sturm_chain(coeffs)
-        last = chain[-1]
-        # True iff gcd(p, p') is constant, read off the end of the chain
-        self.squarefree = len(last) == 1 and last[0] != 0
-        if len(last) > 1:
-            # divide out gcd(p, p') so that a multiple root, where every
-            # member vanishes, still counts once
-            chain = [_exact_quotient(m, last) for m in chain]
-        self.members = chain
-
-    def variations(self, x):
-        """Sign changes along the chain at x, zeros skipped."""
-        if x == math.inf or x == -math.inf:
-            # the leading term decides; at -inf it flips for odd degree
-            signs = [m[-1] if x > 0 or len(m) % 2 else -m[-1] for m in self.members]
-        else:
-            x = Fraction(x)
-            signs = [sign_at(m, x.numerator, x.denominator) for m in self.members]
-        return sign_variations(signs)
-
-    def count_between(self, a, b):
-        """Distinct real roots in (a, b], exact."""
-        return self.variations(a) - self.variations(b)
-
-
 # the integers modulo a prime form a field, where Euclid's gcd runs on
 # numbers of 127 bits; a squarefree p fails the certificate only when this
 # prime divides the resultant of p and p'
@@ -234,8 +201,10 @@ def squarefree_part(p):
     p is a nonconstant primitive integer polynomial. When gcd(p, p') is
     constant modulo SQUAREFREE_PRIME and neither leading coefficient
     vanishes there, the resultant of p and p' is nonzero modulo the prime,
-    so it is nonzero, and p itself is squarefree. Otherwise the exact answer
-    comes from the Sturm chain; correctness never depends on the prime.
+    so it is nonzero, and p itself is squarefree. Otherwise p is divided by
+    the end of its Sturm chain, a multiple of gcd(p, p'), and the quotient
+    gets a positive leading coefficient. Correctness never depends on the
+    prime.
     """
     a = [c % SQUAREFREE_PRIME for c in p]
     b = [k * c % SQUAREFREE_PRIME for k, c in enumerate(p) if k > 0]
@@ -244,7 +213,8 @@ def squarefree_part(p):
             if len(b) == 1:
                 return p
             a, b = b, _rem_mod(a, b, SQUAREFREE_PRIME)
-    return SturmChain(p).members[0]
+    part = _exact_quotient(p, _sturm_chain(p)[-1])
+    return part if part[-1] > 0 else [-c for c in part]
 
 
 def isolate_positive_roots(coeffs):
@@ -315,17 +285,46 @@ def isolate_positive_roots(coeffs):
     return [(bound * a / (1 << k), bound * (a + 1) / (1 << k)) for k, a in leaves], repeated
 
 
+def bisect_root(p, lo, hi):
+    """The one root of p in (lo, hi], where p changes sign, within one ulp.
+
+    p is an integer polynomial; lo and hi are exact, floats or Fractions.
+    Each halving cuts at the float mid nearest the midpoint and keeps
+    (mid, hi] where p's exact sign at mid is opposite to that at hi; lo,
+    maybe the root of the interval below, is never evaluated. Stops at an
+    exact root or at a mid no longer inside (lo, hi).
+    """
+    s_hi = sign_at(p, *hi.as_integer_ratio())
+    while s_hi:
+        mid = float(Fraction(lo) + Fraction(hi)) / 2
+        if not lo < mid < hi:
+            return mid
+        s_mid = sign_at(p, *mid.as_integer_ratio())
+        if s_mid == -s_hi:
+            lo = mid
+        else:
+            hi, s_hi = mid, s_mid
+    return float(hi)
+
+
 def sturm_root_certificate(coeffs):
     """Exact count of distinct negative real roots plus a squarefree flag.
 
     coeffs are ascending and exact: ints, Fractions or floats, each read as
     the rational it is, so the certificate speaks for that polynomial and
     not for a float rounding of it. Returns (count_negative, all_distinct).
+    For p = x**m r with r(0) != 0, both read the Sturm chain of r: the count
+    is its sign changes at -inf minus those at 0, and p is squarefree when
+    the chain ends in a constant and m <= 1.
     """
-    chain = SturmChain(coeffs)
-    if len(chain.members[0]) < 2:
+    p = _to_int_poly(coeffs)
+    if len(p) < 2:
         raise ValueError("certificate requires a nonconstant polynomial")
-    return chain.count_between(-math.inf, 0), chain.squarefree
+    m = next(i for i, c in enumerate(p) if c)
+    chain = _sturm_chain(p[m:])
+    # at -inf the leading term decides, flipped for odd degree
+    at_minus_inf = sign_variations([c[-1] if len(c) % 2 else -c[-1] for c in chain])
+    return at_minus_inf - sign_variations([c[0] for c in chain]), len(chain[-1]) == 1 and m <= 1
 
 
 def rightmost_root(coeffs):
@@ -336,10 +335,10 @@ def rightmost_root(coeffs):
     (np.roots), so its last bits come from the LAPACK build numpy uses. It
     is returned as it is when the exact polynomial changes sign across
     [c - pad, c + pad], pad about 1e-9 |c|, and Descartes' rule sees no root
-    above c + pad. Otherwise a Sturm bisection of the exact polynomial
-    brackets the root to a relative width of 1e-15 and the bracket's float
-    midpoint is returned. Either way the result is near the root, not the
-    correctly rounded root.
+    above c + pad. Otherwise the largest root of the squarefree part, found
+    among its positive roots, at 0 or among those of part(-x) negated, is
+    isolated and bisect_root narrows it to one ulp. Either way the result is
+    near the root, not the correctly rounded root.
     """
     ints = _to_int_poly(coeffs)
     if len(ints) < 2:
@@ -357,22 +356,17 @@ def rightmost_root(coeffs):
         change = sign_at(ints, lo.numerator, lo.denominator) * sign_at(ints, num, den)
         if change < 0 and sign_variations(above) == 0:
             return seed
-    chain = SturmChain(coeffs)
-    # Sturm bisection fallback: bracket the largest real root exactly.
-    if chain.count_between(-math.inf, math.inf) == 0:
+    part = squarefree_part(_primitive(ints))
+    intervals = isolate_positive_roots(part)[0]
+    if intervals:
+        return bisect_root(part, *intervals[-1])
+    if part[0] == 0:
+        return 0.0
+    mirror = [-c if i % 2 else c for i, c in enumerate(part)]
+    intervals = isolate_positive_roots(mirror)[0]
+    if not intervals:
         raise ValueError("no real roots")
-    hi = max(Fraction(2), Fraction(2 * max(map(abs, ints)), abs(ints[-1])))
-    lo = -hi
-    v_inf = chain.variations(math.inf)
-    if chain.variations(hi) != v_inf:
-        raise ValueError("root bound failed")
-    while hi - lo > Fraction(1, 10 ** 15) * max(1, abs(hi), abs(lo)):
-        mid = (lo + hi) / 2
-        if chain.variations(mid) > v_inf:
-            lo = mid
-        else:
-            hi = mid
-    return float((lo + hi) / 2)
+    return -bisect_root(mirror, *intervals[0])
 
 
 def unstable_root_count(coeffs):

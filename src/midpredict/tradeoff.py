@@ -21,6 +21,7 @@ __all__ = [
     "TradeoffVerdict",
     "lyapunov_solve",
     "ahmed_conditions",
+    "check_lipschitz",
     "ahmed_necessary",
     "lei_conditions",
     "matrix_norms",
@@ -98,6 +99,12 @@ def matrix_norms(gain):
     return _norms_of(gain, lyapunov_solve(gain))[0]
 
 
+def check_lipschitz(gamma_phi):
+    """ValueError unless the Lipschitz constant gamma_phi is finite and nonnegative."""
+    if not 0 <= gamma_phi < math.inf:
+        raise ValueError("Lipschitz constant must be finite and nonnegative")
+
+
 def ahmed_conditions(n, gain, lam, h, gamma_phi):
     """First recipe: two inequalities built on a scaled Lyapunov solution.
 
@@ -107,6 +114,7 @@ def ahmed_conditions(n, gain, lam, h, gamma_phi):
     """
     if not (0 < lam < math.inf and 0 <= h < math.inf):
         raise ValueError("gain must be finite and positive, delay finite and nonnegative")
+    check_lipschitz(gamma_phi)
     p0 = lyapunov_solve(gain)
     p = h * lam ** 2 * p0
     norm_p = _spectral_norm(p)

@@ -10,15 +10,35 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
 
 @pytest.fixture
 def chains_built(monkeypatch):
-    """Records the polynomials a SturmChain is built for inside polynomials."""
+    """Records the polynomials a Sturm chain is built for inside polynomials."""
     from midpredict import polynomials
 
     built = []
+    build = polynomials._sturm_chain
 
-    class Recording(polynomials.SturmChain):
-        def __init__(self, coeffs):
-            built.append(list(coeffs))
-            super().__init__(coeffs)
+    def recording(coeffs):
+        built.append(list(coeffs))
+        return build(coeffs)
 
-    monkeypatch.setattr(polynomials, "SturmChain", Recording)
+    monkeypatch.setattr(polynomials, "_sturm_chain", recording)
     return built
+
+
+@pytest.fixture
+def squarefree_parts_taken(monkeypatch):
+    """Records the polynomials squarefree_part is called on inside polynomials.
+
+    rightmost_root takes one only when it refuses its companion seed, so an
+    empty record means the root returned is the seed, bit for bit.
+    """
+    from midpredict import polynomials
+
+    taken = []
+    take = polynomials.squarefree_part
+
+    def recording(p):
+        taken.append(list(p))
+        return take(p)
+
+    monkeypatch.setattr(polynomials, "squarefree_part", recording)
+    return taken

@@ -257,6 +257,25 @@ def test_compare_table(tmp_path, capsys):
     assert "ours" in out
 
 
+@pytest.mark.parametrize("gamma_phi", ["nan", "-1"])
+@pytest.mark.parametrize("command", [
+    ("compare", "--n", "2", "--h", "0.25", "--lambda", "2", "--L", "2,1"),
+    ("design", "--n", "2", "--h", "0.25"),
+])
+def test_gamma_phi_is_refused_before_the_margin_bisection(
+    tmp_path, capsys, monkeypatch, command, gamma_phi
+):
+    from midpredict import cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the gain margin was computed")
+
+    monkeypatch.setattr(cli, "max_gain_margin", refuse)
+    assert run(tmp_path, *command, "--gamma-phi=" + gamma_phi) == 1
+    assert capsys.readouterr().err == "error: Lipschitz constant must be finite and nonnegative\n"
+    assert os.listdir(tmp_path) == []
+
+
 def test_repro_partition_sweep(tmp_path, capsys):
     rc = run(tmp_path, "repro", "--figure", "d_vs_n", "--n-max", "3")
     assert rc == 0

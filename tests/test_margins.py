@@ -17,12 +17,12 @@ from midpredict.margins import (
 from midpredict.polynomials import (
     SQUAREFREE_PRIME,
     RealPolynomial,
-    SturmChain,
     isolate_positive_roots,
     unstable_root_count,
 )
 from midpredict.spectrum import Quasipolynomial, count_roots_region, qp_eval
 from midpredict.synthesis import GainVector, delay_free_poly, gain_star
+from test_polynomials import SturmChain
 
 G1 = gain_star(1)
 G2 = gain_star(2)
@@ -199,6 +199,10 @@ def test_partition_for_custom_gain():
 def test_hurwitz_basics():
     assert hurwitz_check(RealPolynomial((2.0, 4.0, 1.0))) is True
     assert hurwitz_check(RealPolynomial((1.0, -1.0, 1.0))) is False
+    # refused before the Routh count: not read as a zero pivot, no OverflowError
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            hurwitz_check(RealPolynomial((bad, 1.0, 1.0)))
     with pytest.raises(ValueError):
         hurwitz_check(RealPolynomial((1.0, 2.0, -1.0)))
 

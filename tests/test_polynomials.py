@@ -6,9 +6,11 @@ import pytest
 
 from midpredict.polynomials import (
     SQUAREFREE_PRIME,
+    _exact_quotient,
+    _sturm_chain,
     _to_int_poly,
     RealPolynomial,
-    SturmChain,
+    bisect_root,
     isolate_positive_roots,
     rightmost_root,
     sign_at,
@@ -25,6 +27,41 @@ from midpredict.synthesis import (
     gain_star,
     q_coefficients,
 )
+
+
+# The reference that the Descartes isolation, the repeated-root rule and
+# sigma_star are checked against here, in test_margins and in test_synthesis.
+class SturmChain:
+    """Sturm sequence of one polynomial, built once and counted at many points.
+
+    Members are primitive integer polynomials, evaluated at a point by
+    sign_at. Points are rationals (anything Fraction accepts) or +-inf.
+    """
+
+    def __init__(self, coeffs):
+        chain = _sturm_chain(coeffs)
+        last = chain[-1]
+        # True iff gcd(p, p') is constant, read off the end of the chain
+        self.squarefree = len(last) == 1 and last[0] != 0
+        if len(last) > 1:
+            # divide out gcd(p, p') so that a multiple root, where every
+            # member vanishes, still counts once
+            chain = [_exact_quotient(m, last) for m in chain]
+        self.members = chain
+
+    def variations(self, x):
+        """Sign changes along the chain at x, zeros skipped."""
+        if x == math.inf or x == -math.inf:
+            # the leading term decides; at -inf it flips for odd degree
+            signs = [m[-1] if x > 0 or len(m) % 2 else -m[-1] for m in self.members]
+        else:
+            x = Fraction(x)
+            signs = [sign_at(m, x.numerator, x.denominator) for m in self.members]
+        return sign_variations(signs)
+
+    def count_between(self, a, b):
+        """Distinct real roots in (a, b], exact."""
+        return self.variations(a) - self.variations(b)
 
 
 def test_trim_and_degree():
@@ -55,6 +92,14 @@ def test_certificate_complex_pair():
     count, distinct = sturm_root_certificate((1, 0, 1))
     assert count == 0
     assert distinct is True
+
+
+def test_certificate_does_not_count_a_root_at_zero():
+    # x and x (x + 1): the count is of negative roots, so 0 is left out
+    assert sturm_root_certificate((0, 1)) == (0, True)
+    assert sturm_root_certificate((0, 1, 1)) == (1, True)
+    # x**2 (x + 1): not squarefree, and still one negative root
+    assert sturm_root_certificate((0, 0, 1, 1)) == (1, False)
 
 
 def test_certificate_rejects_constant():
@@ -242,27 +287,53 @@ def test_isolation_reports_repeated_positive_roots(coeffs, roots, repeated):
         assert all(lo < r <= hi for (lo, hi), r in zip(found, expected))
 
 
-def test_rightmost_root_simple_root_builds_no_sturm_chain(chains_built):
+def test_rightmost_root_simple_root_builds_no_sturm_chain(chains_built, squarefree_parts_taken):
     assert rightmost_root((-6, 11, -6, 1)) == pytest.approx(3.0, abs=1e-12)
     assert chains_built == []
+    assert squarefree_parts_taken == []
 
 
-def test_rightmost_root_double_root_falls_back_to_bisection(chains_built):
+def test_rightmost_root_double_root_falls_back_to_bisection(chains_built, squarefree_parts_taken):
     # (x - 1)**2 (x + 2): no sign change at the rightmost root, so the
-    # companion seed 1.0000000155... is refused and the Sturm bisection
-    # gives 1.0
+    # companion seed 1.0000000155... is refused and the exact bisection of
+    # the squarefree part gives 1.0
     p = (2, -3, 0, 1)
     assert rightmost_root(p) == 1.0
     assert chains_built == [list(p)]
+    assert squarefree_parts_taken[0] == list(p)
+    # x**2 and (x - 1)**2, where a bisection on Sturm counts had returned
+    # -4.4e-16 and 0.9999999999999996
+    assert rightmost_root((0, 0, 1)) == 0.0
+    assert rightmost_root((1, -2, 1)) == 1.0
+    # a double largest root, so the seed is always refused
+    rng = np.random.default_rng(23)
+    for _ in range(200):
+        roots = [Fraction(int(rng.integers(-50, 51)), int(rng.integers(1, 13)))
+                 for _ in range(int(rng.integers(1, 5)))]
+        top = max(roots)
+        x = rightmost_root(_from_roots(roots + [top]))
+        assert abs(Fraction(x) - top) <= Fraction(math.ulp(float(top))), (roots, x)
 
 
-def test_rightmost_root_certifies_every_design_seed(chains_built):
+def test_bisect_root_decides_against_the_upper_end():
+    # (2x - 1)(x**2 - 2) on (1/2, 2]: lo is the root below, where the sign
+    # is 0, so only the sign at hi can decide the halvings
+    p = [2, -4, -1, 2]
+    for lo, hi in ((Fraction(1, 2), Fraction(2)), (0.5, 2.0)):
+        x = bisect_root(p, lo, hi)
+        assert abs(x - math.sqrt(2.0)) <= math.ulp(math.sqrt(2.0)), (lo, hi, x)
+    # 3x + 8 with its root -8/3 as the exact upper end
+    assert bisect_root([8, 3], Fraction(-3), Fraction(-8, 3)) == float(Fraction(-8, 3))
+
+
+def test_rightmost_root_certifies_every_design_seed(chains_built, squarefree_parts_taken):
     # q(s) = n! L_n(-s), with L_n the Laguerre polynomial, has real, negative
     # and simple roots, so its largest companion eigenvalue passes the exact
-    # test at every n and no Sturm bisection runs
+    # test at every n and the exact fallback never runs
     for n in range(1, MAX_Q_DIMENSION + 1):
         assert rightmost_root(q_coefficients(n)) < 0
     assert chains_built == []
+    assert squarefree_parts_taken == []
 
 
 def _fraction_to_int_poly(coeffs):

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from midpredict.polynomials import SturmChain, sturm_root_certificate
+from midpredict.polynomials import sturm_root_certificate
 from midpredict.synthesis import (
     GainVector,
     delay_free_poly,
@@ -17,6 +17,7 @@ from midpredict.synthesis import (
     scale_gain,
     sigma_star,
 )
+from test_polynomials import SturmChain
 
 
 def test_q_coefficients_small():
