@@ -60,7 +60,7 @@ from .model import (
     parse_system_config,
     shift_map,
 )
-from .polynomials import RealPolynomial, rightmost_root, sturm_root_certificate
+from .polynomials import rightmost_root, sturm_root_certificate
 from .simulate import (
     SimConfig,
     SimulationTrace,
@@ -83,7 +83,6 @@ from .synthesis import (
     gain_from_derivative_system,
     gain_star,
     multiplicity_at,
-    rk_poly,
     scale_gain,
     sigma_star,
 )

@@ -19,8 +19,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .polynomials import (RealPolynomial, bisect_root, isolate_positive_roots, sign_at,
-                          unstable_root_count)
+from .polynomials import bisect_root, isolate_positive_roots, sign_at, unstable_root_count
 from .spectrum import _injection_value
 from .synthesis import GainVector, delay_free_poly, gain_star
 
@@ -31,6 +30,7 @@ __all__ = [
     "DegenerateCrossingError",
     "crossing_frequencies",
     "crossing_points",
+    "crossing_polynomial",
     "stability_partition",
     "partition_for_gain",
     "hurwitz_check",
@@ -142,19 +142,29 @@ def crossing_polynomial(gain):
     return [Fraction(v, den) for v in f]
 
 
-def _polish_root(f, poly, lo, hi):
-    """Newton on poly, the float rounding of F, from the middle of (lo, hi).
+def _polish_root(f, den, lo, hi):
+    """Newton on F = f/den, with coefficients rounded to floats, from the
+    middle of (lo, hi).
 
-    Newton reads the float ends a, b; a step that lands outside (a, b)
-    widened by its width on both sides hands over to bisect_root, which
-    halves the exact (lo, hi] on the exact signs of F's integers f.
+    Newton evaluates F and F' by float Horner and reads the float ends a, b;
+    a step that lands outside (a, b) widened by its width on both sides
+    hands over to bisect_root, which halves the exact (lo, hi] on the exact
+    signs of F's integers f.
     """
+
+    def horner(coeffs, x):
+        acc = coeffs[-1]
+        for c in reversed(coeffs[:-1]):
+            acc = acc * x + c
+        return acc
+
+    poly = [v / den for v in f]
+    dp = [k * c for k, c in enumerate(poly) if k > 0]
     a, b = float(lo), float(hi)
     x = 0.5 * (a + b)
-    dp = poly.derivative()
     for _ in range(100):
-        fx = poly(x)
-        dfx = dp(x)
+        fx = horner(poly, x)
+        dfx = horner(dp, x)
         if dfx == 0:
             break
         step = fx / dfx
@@ -193,12 +203,11 @@ def crossing_frequencies(gain):
             "roots touch the imaginary axis there without crossing it"
             % tuple(math.sqrt(x) for x in repeated[0])
         )
-    poly = RealPolynomial(tuple(v / den for v in f))
     found = []
     for lo, hi in intervals:
         at_hi = (hi.numerator, hi.denominator)
         direction = sign_at(f, *at_hi) or sign_at(df, *at_hi)
-        found.append((math.sqrt(_polish_root(f, poly, lo, hi)), direction))
+        found.append((math.sqrt(_polish_root(f, den, lo, hi)), direction))
     found.sort(reverse=True)
     crossings = tuple(
         Crossing(frequency=w, argument=_arg_g(gain, w), direction=direction)
@@ -256,7 +265,7 @@ def partition_for_gain(gain, delta_max=None):
             merged[-1][1].append(freq)
         else:
             merged.append((delta, [freq]))
-    count = unstable_root_count(delay_free_poly(gain).coeffs)
+    count = unstable_root_count(delay_free_poly(gain))
     counts = [count]
     boundaries = [0.0]
     for delta, freqs in merged:
@@ -284,13 +293,15 @@ def stability_partition(n, delta_max=None):
 def hurwitz_check(p):
     """True iff every root of p lies strictly in the open left half-plane.
 
-    Exact Routh count over the rationals. A Hurwitz polynomial never meets a
-    zero pivot, so one means p is not Hurwitz. ValueError: p is not finite,
-    or its leading coefficient is not positive.
+    p is a sequence of real coefficients, ascending by degree, read as given:
+    the last one is the leading coefficient. Exact Routh count over the
+    rationals. A Hurwitz polynomial never meets a zero pivot, so one means p
+    is not Hurwitz. ValueError: a coefficient is not finite, or the last one
+    is not positive (a zero there is not trimmed).
     """
-    if not (all(map(math.isfinite, p.coeffs)) and p.coeffs[-1] > 0):
+    if not (all(map(math.isfinite, p)) and p[-1] > 0):
         raise ValueError("coefficients must be finite and the leading one positive")
     try:
-        return unstable_root_count(p.coeffs) == 0
+        return unstable_root_count(p) == 0
     except ValueError:
         return False

@@ -1,22 +1,20 @@
-"""Dense real polynomials plus exact real-root work.
+"""Exact real-root work on dense real polynomials.
 
-Coefficients are ascending by degree. RealPolynomial is the float
-evaluator. Every exact routine reads a plain sequence of exact coefficients
-(ints, Fractions or floats, each the rational it is), so a polynomial with
-integer coefficients beyond 2**53 is counted as itself, never as its float
-rounding. Descartes' rule of signs bounds the roots in (0, inf) by the sign
-variations of the coefficients, exactly when that bound is 0 or 1, and
-reaches any other interval through a Taylor shift: isolate_positive_roots
-bisects on it (Collins & Akritas, 1976), and bisect_root narrows one root
-on exact signs. A Sturm chain counts negative roots and yields gcd(p, p').
-Signs at rationals come from one homogeneous Horner sum on integers;
-unstable_root_count is an exact Routh count.
+A polynomial is a plain sequence of coefficients, ascending by degree. Every
+routine reads them as exact (ints, Fractions or floats, each the rational
+it is), so a polynomial with integer coefficients beyond 2**53 is counted
+as itself, never as its float rounding. Descartes' rule of signs bounds the
+roots in (0, inf) by the sign variations of the coefficients, exactly when
+that bound is 0 or 1, and reaches any other interval through a Taylor
+shift: isolate_positive_roots bisects on it (Collins & Akritas, 1976), and
+bisect_root narrows one root on exact signs. A Sturm chain counts negative
+roots and yields gcd(p, p'). Signs at rationals come from one homogeneous
+Horner sum on integers; unstable_root_count is an exact Routh count.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from math import gcd
@@ -25,7 +23,6 @@ from numbers import Integral
 import numpy as np
 
 __all__ = [
-    "RealPolynomial",
     "sign_at",
     "sign_variations",
     "taylor_shift",
@@ -36,34 +33,6 @@ __all__ = [
     "rightmost_root",
     "unstable_root_count",
 ]
-
-
-@dataclass(frozen=True)
-class RealPolynomial:
-    """Polynomial with real coefficients, ascending degree order."""
-
-    coeffs: tuple
-
-    def __post_init__(self):
-        trimmed = list(self.coeffs)
-        while len(trimmed) > 1 and trimmed[-1] == 0:
-            trimmed.pop()
-        object.__setattr__(self, "coeffs", tuple(float(c) for c in trimmed))
-
-    @property
-    def degree(self):
-        return len(self.coeffs) - 1
-
-    def __call__(self, s):
-        acc = 0.0 * s + self.coeffs[-1]
-        for c in reversed(self.coeffs[:-1]):
-            acc = acc * s + c
-        return acc
-
-    def derivative(self):
-        if self.degree == 0:
-            return RealPolynomial((0.0,))
-        return RealPolynomial(tuple(k * c for k, c in enumerate(self.coeffs) if k > 0))
 
 
 def _to_int_poly(coeffs):

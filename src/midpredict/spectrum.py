@@ -59,6 +59,8 @@ class Quasipolynomial:
 
     def __post_init__(self):
         object.__setattr__(self, "l", tuple(float(v) for v in self.l))
+        if self.n < 1:
+            raise ValueError("dimension n must be at least 1, got %r" % (self.n,))
         if len(self.l) != self.n:
             raise ValueError("gain list length must equal n")
         if not all(math.isfinite(v) for v in self.l):
@@ -98,35 +100,40 @@ def qp_eval(qp, s):
     return s ** qp.n + _injection_value(qp, s) * exp(-qp.delta * s)
 
 
-def _injection_derivative(gain, s, k):
-    """k-th derivative of l1*s**(n-1)+...+ln at s, with the largest term magnitude.
+def _kth_deriv(qp, s, k):
+    """k-th derivative of D at s, with the largest term magnitude.
 
-    gain is anything with gains l and dimension n: a Quasipolynomial or a
-    synthesis GainVector. s is a scalar or a numpy array.
+    D^(k)(s) = perm(n,k) s**(n-k) + exp(-delta*s) sum_j C(k,j) (-delta)**(k-j) L^(j)(s)
+    for the injection polynomial L(s) = l1*s**(n-1)+...+ln, each L^(j) summed
+    term by term. The scale is the larger of |perm(n,k) s**(n-k)| and the
+    largest |C(k,j) delta**(k-j)| times the largest term of L^(j), times
+    |exp(-delta*s)|. At k = 0 the value is qp_eval's Horner result. s is a
+    scalar or a numpy array.
     """
-    n = gain.n
-    total = 0.0 + 0.0j
-    scale = 0.0
-    for idx, coef in enumerate(gain.l):
-        power = n - 1 - idx
-        if power < k:
-            continue
-        term = coef * math.perm(power, k) * s ** (power - k)
-        total += term
-        scale = np.maximum(scale, abs(term))
-    return total, scale
+    s, exp = _argument(s)
+    maximum = max if isinstance(s, complex) else np.maximum
+    n = qp.n
+    powers = [s ** m for m in range(n)]
+    head = math.perm(n, k) * s ** (n - k) if k <= n else 0.0
+    tail = 0.0 + 0.0j
+    tail_scale = 0.0
+    for j in range(k + 1):
+        weight = math.comb(k, j) * (-qp.delta) ** (k - j)
+        value, scale = 0.0 + 0.0j, 0.0
+        for power, coef in zip(range(n - 1, j - 1, -1), qp.l):
+            term = coef * math.perm(power, j) * powers[power - j]
+            value += term
+            scale = maximum(scale, abs(term))
+        tail += weight * value
+        tail_scale = maximum(tail_scale, abs(weight) * scale)
+    decay = exp(-qp.delta * s)
+    value = qp_eval(qp, s) if k == 0 else head + tail * decay
+    return value, maximum(abs(head), tail_scale * abs(decay))
 
 
 def qp_kth_deriv(qp, s, k):
     """k-th derivative of D; accepts scalars or numpy arrays."""
-    s, exp = _argument(s)
-    if k == 0:
-        return qp_eval(qp, s)
-    head = math.perm(qp.n, k) * s ** (qp.n - k) if k <= qp.n else 0.0
-    tail = 0.0 + 0.0j
-    for j in range(k + 1):
-        tail += math.comb(k, j) * (-qp.delta) ** (k - j) * _injection_derivative(qp, s, j)[0]
-    return head + tail * exp(-qp.delta * s)
+    return _kth_deriv(qp, s, k)[0]
 
 
 def qp_scale(qp, s):

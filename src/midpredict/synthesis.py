@@ -7,24 +7,24 @@ multiplicity n+1 pins every gain: the root must be a zero of a fixed
 polynomial q (degree n, all roots real, negative, distinct), and the gains
 follow from the derivative conditions either in closed form or by solving a
 triangular linear system. Both routes are implemented; they must agree.
+multiplicity_at checks the conditions D^(k)(s0) = 0 at any point s0, each
+against the largest term magnitude of D^(k).
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .polynomials import RealPolynomial, rightmost_root
-from .spectrum import _injection_derivative
+from .polynomials import rightmost_root
+from .spectrum import Quasipolynomial, _kth_deriv
 
 __all__ = [
     "GainVector",
     "q_coefficients",
     "rk_terms",
-    "rk_poly",
     "sigma_star",
     "gain_star",
     "gain_from_derivative_system",
@@ -55,6 +55,8 @@ class GainVector:
 
     def __post_init__(self):
         object.__setattr__(self, "l", tuple(float(v) for v in self.l))
+        if self.n < 1:
+            raise ValueError("dimension n must be at least 1, got %r" % (self.n,))
         if len(self.l) != self.n:
             raise ValueError("gain vector length must equal the dimension")
         if self.l[-1] == 0.0:
@@ -86,16 +88,6 @@ def rk_terms(n, k):
         if coef:
             terms.append((n - k + i - 1, i - 1, coef))
     return terms
-
-
-def rk_poly(n, k, delta):
-    """R_k as a polynomial in s for a fixed delay value."""
-    if delta < 0:
-        raise ValueError("delay must be nonnegative")
-    coeffs = [0.0] * (n + 1)
-    for s_pow, d_pow, coef in rk_terms(n, k):
-        coeffs[s_pow] += coef * delta ** d_pow
-    return RealPolynomial(tuple(coeffs))
 
 
 def sigma_star(n):
@@ -144,16 +136,6 @@ def gain_star(n):
     return GainVector(l=gains, n=n, sigma_star=sig)
 
 
-def _rk_value(n, k, s, delta):
-    total = 0.0 + 0.0j
-    scale = 0.0
-    for s_pow, d_pow, coef in rk_terms(n, k):
-        term = coef * s ** s_pow * delta ** d_pow
-        total += term
-        scale = max(scale, abs(term))
-    return total, scale
-
-
 def gain_from_derivative_system(n):
     """Solve the derivative conditions directly for the gains.
 
@@ -172,8 +154,10 @@ def gain_from_derivative_system(n):
             m[i - 1, j - 1] = math.factorial(j - 1) / math.factorial(j - i) * sig ** (j - i)
     rhs = np.zeros(n)
     for i in range(1, n + 1):
-        value, _ = _rk_value(n, i - 1, sig, 1.0)
-        rhs[i - 1] = -value.real * esig
+        value = 0.0
+        for s_pow, _, coef in rk_terms(n, i - 1):
+            value += coef * sig ** s_pow
+        rhs[i - 1] = -value * esig
     y = np.zeros(n)
     for i in range(n - 1, -1, -1):
         y[i] = (rhs[i] - m[i, i + 1 :] @ y[i + 1 :]) / m[i, i]
@@ -194,35 +178,23 @@ def scale_gain(gain, delta):
 
 
 def multiplicity_at(gain, delta, s0):
-    """Largest m <= n+1 with the first m derivative conditions satisfied at s0.
+    """Largest m <= n+1 with D^(k)(s0) = 0 for k = 0..m-1.
 
-    Conditions are evaluated in the exp(+delta*s)-multiplied form, which for
-    roots in the left half-plane keeps every term at coefficient scale.
-    A condition holds when its value is at most MULTIPLICITY_REL_TOL times
-    the largest term magnitude in it.
+    D is the characteristic function of gain at delay delta. A condition
+    holds when |D^(k)(s0)| is at most MULTIPLICITY_REL_TOL times the largest
+    term magnitude in it; a NaN value holds none. ValueError: delta is not
+    finite and nonnegative.
     """
-    if delta < 0:
-        raise ValueError("delay must be nonnegative")
-    n = gain.n
-    s0 = complex(s0)
-    eds = cmath.exp(delta * s0)
+    qp = Quasipolynomial(gain.n, gain.l, delta)
     count = 0
-    for k in range(n + 1):
-        rk_val, rk_scale = _rk_value(n, k, s0, delta)
-        value = rk_val * eds
-        scale = rk_scale * abs(eds)
-        if k < n:
-            inj_val, inj_scale = _injection_derivative(gain, s0, k)
-            value += inj_val
-            scale = max(scale, inj_scale)
-        if abs(value) <= MULTIPLICITY_REL_TOL * max(scale, 1e-300):
-            count += 1
-        else:
+    for k in range(gain.n + 1):
+        value, scale = _kth_deriv(qp, s0, k)
+        if not abs(value) <= MULTIPLICITY_REL_TOL * max(scale, 1e-300):
             break
-    return min(count, n + 1)
+        count += 1
+    return count
 
 
 def delay_free_poly(gain):
-    """The zero-delay limit polynomial s**n + l1*s**(n-1) + ... + ln."""
-    coeffs = list(reversed(gain.l)) + [1.0]
-    return RealPolynomial(tuple(coeffs))
+    """Ascending coefficients of the zero-delay limit s**n + l1*s**(n-1) + ... + ln."""
+    return tuple(reversed(gain.l)) + (1.0,)

@@ -16,7 +16,6 @@ from midpredict.margins import (
 )
 from midpredict.polynomials import (
     SQUAREFREE_PRIME,
-    RealPolynomial,
     isolate_positive_roots,
     unstable_root_count,
 )
@@ -197,14 +196,14 @@ def test_partition_for_custom_gain():
 
 
 def test_hurwitz_basics():
-    assert hurwitz_check(RealPolynomial((2.0, 4.0, 1.0))) is True
-    assert hurwitz_check(RealPolynomial((1.0, -1.0, 1.0))) is False
+    assert hurwitz_check((2.0, 4.0, 1.0)) is True
+    assert hurwitz_check((1.0, -1.0, 1.0)) is False
     # refused before the Routh count: not read as a zero pivot, no OverflowError
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError, match="finite"):
-            hurwitz_check(RealPolynomial((bad, 1.0, 1.0)))
+            hurwitz_check((bad, 1.0, 1.0))
     with pytest.raises(ValueError):
-        hurwitz_check(RealPolynomial((1.0, 2.0, -1.0)))
+        hurwitz_check((1.0, 2.0, -1.0))
 
 
 def test_hurwitz_transition_at_dimension_23():
@@ -218,14 +217,13 @@ def test_hurwitz_agrees_with_eigenvalues_randomized():
         n = int(rng.integers(1, 7))
         roots = rng.uniform(-2.0, 0.5, n)
         coeffs = np.poly(roots)[::-1]
-        p = RealPolynomial(tuple(coeffs))
-        assert hurwitz_check(p) == (unstable_root_count(coeffs) == 0 and np.all(roots < 0))
+        assert hurwitz_check(tuple(coeffs)) == (unstable_root_count(coeffs) == 0 and np.all(roots < 0))
 
 
 def test_exact_unstable_count_beyond_dimension_26():
     # np.roots overcounts from n = 27; the exact Routh count stays at 2
     for n in range(27, 31):
-        assert unstable_root_count(delay_free_poly(gain_star(n)).coeffs) == 2, n
+        assert unstable_root_count(delay_free_poly(gain_star(n))) == 2, n
         assert stability_partition(n).count_at(1.0) == 0, n
 
 
@@ -236,10 +234,10 @@ def test_partition_keeps_its_crossing_set():
 
 def test_hurwitz_zero_pivot_is_not_stable():
     # (s + 1)(s**2 + 1): an imaginary-axis pair empties a Routh row
-    p = RealPolynomial((1.0, 1.0, 1.0, 1.0))
+    p = (1.0, 1.0, 1.0, 1.0)
     assert hurwitz_check(p) is False
     with pytest.raises(ValueError):
-        unstable_root_count(p.coeffs)
+        unstable_root_count(p)
 
 
 def test_crossing_points_rejects_unbounded_delta_max():

@@ -33,6 +33,11 @@ def test_invariants_of_quasipolynomial():
         Quasipolynomial(2, (1.0, 1.0), -0.5)
 
 
+def test_quasipolynomial_refuses_dimension_below_one():
+    with pytest.raises(ValueError, match="dimension"):
+        Quasipolynomial(0, (), 1.0)
+
+
 def test_qp_eval_at_zero_is_trailing_gain():
     assert qp_eval(QP2, 0.0) == pytest.approx(G2.l[1], abs=1e-15)
 

@@ -1,3 +1,4 @@
+import cmath
 import math
 from fractions import Fraction
 
@@ -5,14 +6,15 @@ import numpy as np
 import pytest
 
 from midpredict.polynomials import sturm_root_certificate
+from midpredict.spectrum import Quasipolynomial, _kth_deriv
 from midpredict.synthesis import (
+    MULTIPLICITY_REL_TOL,
     GainVector,
     delay_free_poly,
     gain_from_derivative_system,
     gain_star,
     multiplicity_at,
     q_coefficients,
-    rk_poly,
     rk_terms,
     scale_gain,
     sigma_star,
@@ -58,18 +60,22 @@ def test_sigma_star_values():
     assert sigma_star(3) == pytest.approx(float((lo + hi) / 2), abs=1e-12)
 
 
+def _rk_coeffs(n, k, delta):
+    """R_k at a fixed delay as ascending coefficients in s, from rk_terms."""
+    coeffs = [0.0] * (n + 1)
+    for s_pow, d_pow, coef in rk_terms(n, k):
+        coeffs[s_pow] += coef * delta ** d_pow
+    return coeffs
+
+
 def test_rk_poly_base_case():
     for n in (1, 3, 5):
-        p = rk_poly(n, 0, 0.7)
-        expect = [0.0] * n + [1.0]
-        assert list(p.coeffs) == expect
+        assert _rk_coeffs(n, 0, 0.7) == [0.0] * n + [1.0]
 
 
 def test_rk_poly_examples():
-    p = rk_poly(2, 2, 1.0)
-    assert list(p.coeffs) == [2.0, 4.0, 1.0]
-    p = rk_poly(2, 1, 0.0)
-    assert list(p.coeffs) == [0.0, 2.0]
+    assert _rk_coeffs(2, 2, 1.0) == [2.0, 4.0, 1.0]
+    assert _rk_coeffs(2, 1, 0.0) == [0.0, 2.0, 0.0]
 
 
 def test_rk_matches_q_exactly():
@@ -117,6 +123,11 @@ def test_gain_vector_invariants():
         GainVector((math.inf, 1.0), 2)
 
 
+def test_gain_vector_refuses_dimension_below_one():
+    with pytest.raises(ValueError, match="dimension"):
+        GainVector((), 0)
+
+
 def test_scale_gain():
     g = gain_star(2)
     same = scale_gain(g, 1.0)
@@ -151,6 +162,101 @@ def test_multiplicity_scaling_consistency():
         for delta in (0.25, 1.0, 2.0):
             scaled = scale_gain(g, delta)
             assert multiplicity_at(scaled, delta, g.sigma_star / delta) == n + 1
+
+
+def _reference_multiplicity(gain, delta, s0):
+    """multiplicity_at's former rule, kept as a reference: the derivative
+    conditions of exp(delta*s)*D, whose first m derivatives
+    R_k(s) exp(delta*s) + L^(k)(s) vanish at s0 exactly when D's do, each
+    judged against its own largest term magnitude."""
+    n = gain.n
+    s0 = complex(s0)
+    eds = cmath.exp(delta * s0)
+    count = 0
+    for k in range(n + 1):
+        value, scale = 0.0 + 0.0j, 0.0
+        for s_pow, d_pow, coef in rk_terms(n, k):
+            term = coef * s0 ** s_pow * delta ** d_pow
+            value += term
+            scale = max(scale, abs(term))
+        value *= eds
+        scale *= abs(eds)
+        for idx, coef in enumerate(gain.l[: n - k]):
+            term = coef * math.perm(n - 1 - idx, k) * s0 ** (n - 1 - idx - k)
+            value += term
+            scale = max(scale, abs(term))
+        if abs(value) <= MULTIPLICITY_REL_TOL * max(scale, 1e-300):
+            count += 1
+        else:
+            break
+    return count
+
+
+def test_multiplicity_matches_the_multiplied_rule_at_designed_roots():
+    for n in range(1, 47):
+        g = gain_star(n)
+        for delta in (0.25, 1.0, 4.0):
+            scaled = scale_gain(g, delta)
+            for eps in (0.0, 1e-12, 1e-9, 1e-8, 1e-7, 1e-5, 1e-3):
+                for s0 in {g.sigma_star / delta * (1 + eps), g.sigma_star / delta * (1 - eps)}:
+                    expect = _reference_multiplicity(scaled, delta, s0)
+                    assert multiplicity_at(scaled, delta, s0) == expect, (n, delta, s0)
+
+
+def test_multiplicity_matches_the_multiplied_rule_randomized():
+    # designed gains, nudged off their root in odd cases, and (s + a)**n at
+    # zero delay, probed near the multiple root and at random points. The
+    # two rules scale a condition differently, so one whose residual sits at
+    # the tolerance can hold under one rule and fail under the other: each
+    # disagreement must be such a condition, and they must stay rare.
+    rng = np.random.default_rng(18)
+    counts, disagreements = set(), 0
+    for case in range(1200):
+        n = int(rng.integers(1, 13))
+        delta = float(rng.choice([0.0, 0.5, 1.0, 2.0]))
+        if delta == 0.0:
+            a = float(rng.uniform(0.1, 3.0))
+            gains = [math.comb(n, k) * a ** k for k in range(1, n + 1)]
+            root = -a
+        else:
+            g = gain_star(n)
+            gains = list(scale_gain(g, delta).l)
+            root = g.sigma_star / delta
+        if case % 2:
+            gains = [v * (1 + 10.0 ** rng.uniform(-15, -3) * rng.normal()) for v in gains]
+        eps = 10.0 ** rng.uniform(-14, 0)
+        s0 = root * (1 + eps * complex(rng.normal(), rng.normal() * (case % 3 == 0)))
+        if case % 5 == 0:
+            s0 = complex(rng.normal(), rng.normal()) * 3
+        gain = GainVector(gains, n)
+        expect = _reference_multiplicity(gain, delta, s0)
+        got = multiplicity_at(gain, delta, s0)
+        if got != expect:
+            disagreements += 1
+            value, scale = _kth_deriv(Quasipolynomial(n, gains, delta), s0, min(got, expect))
+            ratio = abs(value) / (MULTIPLICITY_REL_TOL * scale)
+            assert 0.5 <= ratio <= 2.0, (n, delta, gains, s0, got, expect)
+        counts.add(expect)
+    assert disagreements <= 12  # 1 % of the cases
+    assert len(counts) >= 10  # the cases reach well beyond "no root" and "full order"
+
+
+def test_multiplicity_at_nan_point_is_zero():
+    assert multiplicity_at(gain_star(2), 1.0, math.nan) == 0
+
+
+def test_multiplicity_at_overflowing_terms_hold_no_condition():
+    # the gains' terms overflow at s0 = 2; the e^(delta s)-multiplied rule
+    # read inf <= tol * inf as a vanishing condition and counted 30
+    huge = GainVector([1e300] * 30, 30)
+    for delta in (0.0, 1e-9, 0.01):
+        assert multiplicity_at(huge, delta, 2.0) == 0
+
+
+def test_multiplicity_at_refuses_a_delay_that_is_not_finite_and_nonnegative():
+    for delta in (math.nan, math.inf, -1.0):
+        with pytest.raises(ValueError, match="delay"):
+            multiplicity_at(gain_star(2), delta, -1.0)
 
 
 def test_factorization_of_designed_loop():
@@ -201,7 +307,7 @@ def test_factorization_of_designed_loop():
 
 def test_delay_free_poly():
     g = GainVector((2.0, 1.0), 2)
-    assert delay_free_poly(g).coeffs == (1.0, 2.0, 1.0)
+    assert delay_free_poly(g) == (1.0, 2.0, 1.0)
 
 
 def _fraction_gain_star(n):
