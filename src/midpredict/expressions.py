@@ -6,11 +6,17 @@ associative), unary minus, parentheses, numeric literals, named variables,
 and the functions sin, cos, tan, tanh, exp, log, sqrt, abs.
 
 Precedence, tightest first: ^, unary -, then * and /, then + and -.
+
+Parsed expressions are evaluated by a tree walk (eval_expression) or
+compiled to Python source: one callable per expression or field, and one
+function that runs a whole RK4 simulation of a chain of copies of a field
+(compile_chain_run) with every expression inlined.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 
 __all__ = [
@@ -29,7 +35,7 @@ __all__ = [
     "to_source",
     "compile_expression",
     "compile_field",
-    "compile_chain_step",
+    "compile_chain_run",
     "FUNCTIONS",
 ]
 
@@ -361,21 +367,26 @@ def _div(a, b):
     return a / b
 
 
-# characters of generated source per chain-step kernel; compiling costs about
-# 0.5 us and 0.1 KiB per character on a 2-core x86 host (0.2 s and 40 MiB for
-# the two-state demo field with N = 400); the simulator's stored-values budget
-# alone admits kernels of about ten million characters (n = 46, N = 465)
+# characters of generated source per chain run; compiling costs about 0.5 us
+# and 0.1 KiB per character on a 2-core x86 host (0.28 s and 60 MiB for the
+# two-state demo field with N = 400); the simulator's stored-values budget
+# alone admits kernels of about 13 million characters (n = 46, N = 465)
 MAX_KERNEL_SOURCE = 1_000_000
 
-_NAMESPACE = {"_f_pow": _pow, "_f_div": _div, **{"_f_" + k: f for k, f in _FUNC_IMPL.items()}}
+_NAMESPACE = {"_f_pow": _pow, "_f_div": _div, "_deque": deque,
+              **{"_f_" + k: f for k, f in _FUNC_IMPL.items()}}
 
 
-def _define(name, params, body):
-    """Compile a function from generated source lines, never from user text."""
+def _source(name, params, body):
+    """Source of a function whose body lines are already indented below the def."""
     lines = "".join("    %s\n" % line for line in body)
+    return "def %s(%s):\n%s" % (name, ", ".join(params), lines)
+
+
+def _define(name, source):
+    """Compile a function from generated source, never from user text."""
     namespace = dict(_NAMESPACE)
-    exec(compile("def %s(%s):\n%s" % (name, ", ".join(params), lines), "<expression>", "exec"),
-         namespace)
+    exec(compile(source, "<expression>", "exec"), namespace)
     return namespace[name]
 
 
@@ -385,45 +396,55 @@ def compile_expression(node, arg_names):
     The source is generated from the validated AST, never from user text.
     Unused arguments are accepted and ignored.
     """
-    return _define("_expr", arg_names, ["return " + _emit(node, {a: a for a in arg_names})])
+    body = ["return " + _emit(node, {a: a for a in arg_names})]
+    return _define("_expr", _source("_expr", arg_names, body))
 
 
 def compile_field(nodes, arg_names):
     """Like compile_expression, for several ASTs evaluated in order into one tuple."""
     names = {a: a for a in arg_names}
-    body = "return (%s,)" % ", ".join(_emit(node, names) for node in nodes)
-    return _define("_expr", arg_names, [body])
+    body = ["return (%s,)" % ", ".join(_emit(node, names) for node in nodes)]
+    return _define("_expr", _source("_expr", arg_names, body))
 
 
-def compile_chain_step(nodes, blocks, gains, dt):
-    """Compile the derivative and one classical RK4 step of a chain of blocks.
+def compile_chain_run(nodes, signal, blocks, gains, h, m, dt, bound):
+    """Compile a whole classical RK4 run of a chain of blocks into one function.
 
     The state is ``blocks`` copies of the n-state field of ``nodes`` (over
     x1..xn and u), stored flat, block after block. Component i of block j
     moves with ``(x[i+1] + phi_i(x, u_j)) + gains[i] * (p_j - d_j)``, where
     x[n] is the literal 0.0, and blocks j >= 1 carry the injection term, p_j
-    being the first component of block j - 1 and d_j its delayed read.
+    being the first component of block j - 1 and d_j its delayed read. At
+    time t block j reads the input ``signal`` (an AST over t) at
+    ``(t - h) + j * h_e``, with h_e = h / (blocks - 1) = m * dt.
 
-    Returns ``(deriv, step)``. ``deriv(y, us, ds)`` is the derivative at the
-    flat state y, with one input per block in us and one delayed read per
-    injected block in ds. ``step(y, k1, us_mid, ds_mid, us_end, ds_end)`` is
-    the state one step dt after y, whose derivative is k1: stages 2 and 3
-    read the midpoint inputs and delays, stage 4 the end ones. Both are
-    straight-line code on floats with every field expression inlined and the
-    gains and step sizes embedded as exact literals, so each result equals
-    ``y + dt/6 * (((k1 + 2 k2) + 2 k3) + k4)`` evaluated block by block,
-    bitwise. A chain whose two functions would exceed MAX_KERNEL_SOURCE
-    characters of source is refused with ValueError before compiling.
+    Returns ``run(out, steps)``. out is an array('d') holding node 0, whose
+    predictor blocks are also the history before time zero; run appends
+    nodes 1..steps to it, one step dt apart. The derivative at node k reads
+    the first components of node k - m (node 0 before that); the two
+    midpoint stages of step k read their cubic Hermite interpolant halfway
+    between nodes k - m and k - m + 1, kept from the last m + 1 nodes. run
+    returns True, the run diverged, when the derivative at a stored node
+    overflows, when a stage overflows or when a value of the next node is
+    NaN or above ``bound`` in magnitude; those two drop the step's node.
+    EvaluationError propagates. The state stays in locals, every field and
+    input expression is inlined and the gains and step sizes are embedded
+    as exact literals, so each node equals ``y + dt/6 * (((k1 + 2 k2) + 2 k3) + k4)``
+    evaluated block by block, bitwise. A run whose source would exceed
+    MAX_KERNEL_SOURCE characters is refused with ValueError before compiling.
     """
     n = len(nodes)
-    inputs = ["u%d" % j for j in range(blocks)]
-    delays = ["d%d" % j for j in range(1, blocks)]
+    h_e = h / (blocks - 1)
+    preds = range(1, blocks)
+    inputs_end, inputs_mid = (["%s%d" % (c, j) for j in range(blocks)] for c in ("ue", "um"))
+    delays_end, delays_mid, older, slope_old, slope_new = (
+        ["%s%d" % (c, j) for j in preds] for c in ("de", "dm", "o", "p", "q"))
 
     def state(prefix):
         """Locals of a flat state: component i of block j is <prefix><j>_<i>."""
         return ["%s%d_%d" % (prefix, j, i) for j in range(blocks) for i in range(n)]
 
-    def derivative(x):
+    def derivative(x, inputs, delays):
         """Expressions of the derivative at the state held in the locals x."""
         exprs = []
         for j in range(blocks):
@@ -438,34 +459,65 @@ def compile_chain_step(nodes, blocks, gains, dt):
                 exprs.append(expr)
         return exprs
 
-    def advance(size, slope):
-        """Expressions of y + size * slope."""
-        return ["%s + %s * %s" % (v, _literal(size), d) for v, d in zip(y, slope)]
+    def read_inputs(time, targets):
+        """Lines setting every block's input at time t = ``time``."""
+        if "t" not in free_variables(signal):
+            return assign(targets, [_emit(signal, {})] * blocks)
+        lines = ["_b = %s - %s" % (time, _literal(h))]
+        for j, target in enumerate(targets):
+            lines += ["_t = _b + %s" % _literal(j * h_e),
+                      "%s = %s" % (target, _emit(signal, {"t": "_t"}))]
+        return lines
 
-    def unpack(targets, source):
-        return ["%s, = %s" % (", ".join(targets), source)] if targets else []
+    def advance(size, slope):
+        """Lines setting the stage state to y + size * slope."""
+        return assign(s, ["%s + %s * %s" % (v, _literal(size), d) for v, d in zip(y, slope)])
 
     def assign(targets, exprs):
         return ["%s = %s" % pair for pair in zip(targets, exprs)]
 
+    def tuple_of(names):
+        return "(%s,)" % ", ".join(names)
+
+    def indent(lines):
+        return ["    " + line for line in lines]
+
     y, s = state("y"), state("s")
     k1, k2, k3, k4 = state("a"), state("b"), state("c"), state("e")
-    deriv = unpack(y, "_y") + unpack(inputs, "_u") + unpack(delays, "_d")
-    deriv.append("return (%s,)" % ", ".join(derivative(y)))
-    step = unpack(y, "_y") + unpack(k1, "_k1") + unpack(inputs, "_um") + unpack(delays, "_dm")
-    step += assign(s, advance(0.5 * dt, k1)) + assign(k2, derivative(s))
-    step += assign(s, advance(0.5 * dt, k2)) + assign(k3, derivative(s))
-    step += unpack(inputs, "_ue") + unpack(delays, "_de")
-    step += assign(s, advance(dt, k3)) + assign(k4, derivative(s))
+    firsts = [y[j * n] for j in preds]
+    body = ["%s, = _out" % ", ".join(y)]
+    body += assign(delays_end, firsts) + assign(delays_mid, firsts)
+    body += read_inputs("0.0", inputs_end)
+    body += ["_ring = _deque(maxlen=%d)" % (m + 1), "_keep = _ring.append", "_store = _out.extend",
+             "for k in range(_steps + 1):"]
+    loop = ["try:"] + indent(assign(k1, derivative(y, inputs_end, delays_end)))
+    loop += ["except OverflowError:", "    return True", "if k == _steps:", "    return False",
+             "_keep(%s)" % tuple_of(firsts + [k1[j * n] for j in preds]),
+             # delayed reads of step k: node k + 1 - m, and halfway between
+             # nodes k - m and k + 1 - m
+             "if k >= %d:" % m,
+             "    %s, = _ring[0]" % ", ".join(older + slope_old),
+             "    %s, = _ring[1]" % ", ".join(delays_end + slope_new)]
+    loop += indent(assign(delays_mid, [
+        "0.5 * (%s + %s) + %s * (%s - %s)" % (o, d, _literal(0.125 * dt), p, q)
+        for o, d, p, q in zip(older, delays_end, slope_old, slope_new)]))
+    loop += ["t = k * %s" % _literal(dt), "try:"]
+    loop += indent(read_inputs("(t + %s)" % _literal(0.5 * dt), inputs_mid)
+                   + read_inputs("(t + %s)" % _literal(dt), inputs_end)
+                   + advance(0.5 * dt, k1) + assign(k2, derivative(s, inputs_mid, delays_mid))
+                   + advance(0.5 * dt, k2) + assign(k3, derivative(s, inputs_mid, delays_mid))
+                   + advance(dt, k3) + assign(k4, derivative(s, inputs_end, delays_end)))
+    loop += ["except OverflowError:", "    return True"]
     sixth = _literal(dt / 6.0)
-    step.append("return (%s,)" % ", ".join(
-        "%s + %s * (((%s + 2.0 * %s) + 2.0 * %s) + %s)" % (v, sixth, a, b, c, e)
-        for v, a, b, c, e in zip(y, k1, k2, k3, k4)))
-    size = sum(map(len, deriv)) + sum(map(len, step))
-    if size > MAX_KERNEL_SOURCE:
+    loop += assign(y, ["%s + %s * (((%s + 2.0 * %s) + 2.0 * %s) + %s)" % (v, sixth, a, b, c, e)
+                       for v, a, b, c, e in zip(y, k1, k2, k3, k4)])
+    limit = _literal(bound)
+    loop += ["if not (%s):" % " and ".join("abs(%s) <= %s" % (v, limit) for v in y),
+             "    return True", "_store(%s)" % tuple_of(y)]
+    source = _source("_run", ("_out", "_steps"), body + indent(loop))
+    if len(source) > MAX_KERNEL_SOURCE:
         raise ValueError(
             "a step kernel of %d blocks needs %d characters of source, above the "
-            "budget of %d; use fewer sub-predictors" % (blocks, size, MAX_KERNEL_SOURCE)
+            "budget of %d; use fewer sub-predictors" % (blocks, len(source), MAX_KERNEL_SOURCE)
         )
-    return (_define("_deriv", ("_y", "_u", "_d"), deriv),
-            _define("_step", ("_y", "_k1", "_um", "_dm", "_ue", "_de"), step))
+    return _define("_run", source)

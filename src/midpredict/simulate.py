@@ -7,24 +7,28 @@ between two, where cubic Hermite interpolation from stored values and
 derivatives keeps the scheme at fourth order. The per-stage delay h/N is
 snapped to an exact multiple of the step for this reason.
 
-Each run generates, from the field's expressions, the derivative of all
-N + 1 blocks and one whole RK4 step as straight-line float code
-(expressions.compile_chain_step); nodes and their derivatives are stored in
-preallocated arrays. The float operations are those of the block-by-block
-scheme in the same order, so the traces equal it bitwise. A run is refused
-with ValueError when it would store more than MAX_STATE_VALUES values or
-when its generated step would exceed expressions.MAX_KERNEL_SOURCE
-characters.
+Each run generates, from the field's and the input's expressions, one
+function that runs every node of all N + 1 blocks as straight-line float
+code in one loop (expressions.compile_chain_run): inputs, delayed reads,
+Hermite midpoints and the divergence test included. Nodes are appended to
+an array('d'); of the derivatives only the first components of the
+predictors at the last m + 1 nodes are kept, for the Hermite midpoints.
+The float operations are those of the block-by-block scheme in the same
+order, so the traces equal it bitwise. A run is refused with ValueError
+when it would store more than MAX_STATE_VALUES values or when its
+generated source would exceed expressions.MAX_KERNEL_SOURCE characters.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
-from .expressions import compile_chain_step
+from .expressions import compile_chain_run
 from .model import CanonicalSystem, demo_system
 from .synthesis import GainVector, gain_star
 
@@ -80,15 +84,19 @@ class SimConfig:
         x0 = self.x0 if self.x0 is not None else tuple(1.0 for _ in range(n))
         if len(x0) != n:
             raise ValueError("x0 must have n entries")
-        object.__setattr__(self, "x0", tuple(float(v) for v in x0))
+        x0 = tuple(float(v) for v in x0)
+        if not all(map(math.isfinite, x0)):
+            raise ValueError("x0 must be finite")
+        object.__setattr__(self, "x0", x0)
         hist = self.predictor_history
         if hist is None:
             hist = tuple(tuple(0.0 for _ in range(n)) for _ in range(self.N))
         if len(hist) != self.N or any(len(hv) != n for hv in hist):
             raise ValueError("predictor_history needs one n-vector per stage")
-        object.__setattr__(
-            self, "predictor_history", tuple(tuple(float(v) for v in hv) for hv in hist)
-        )
+        hist = tuple(tuple(float(v) for v in hv) for hv in hist)
+        if not all(math.isfinite(v) for hv in hist for v in hv):
+            raise ValueError("predictor_history must be finite")
+        object.__setattr__(self, "predictor_history", hist)
 
 
 @dataclass
@@ -134,58 +142,13 @@ def integrate(config):
         )
     # numpy's power, not Python's: the two can differ in the last bit
     inj_gain = (lam ** np.arange(1, n + 1) * np.asarray(config.gain.l)).tolist()
-    deriv, step = compile_chain_step(sys_.phi, N + 1, inj_gain, dt)
-    u_fn = sys_._u_fn
+    run = compile_chain_run(sys_.phi, sys_.u_signal, N + 1, inj_gain, h, m, dt, DIVERGENCE_NORM)
     hist = np.asarray(config.predictor_history)  # (N, n)
-    hist_first = hist[:, 0].tolist()
-    half_dt, eighth_dt = 0.5 * dt, 0.125 * dt
-    # block 0 is the plant, block j the j-th predictor
-    values = np.empty((steps + 1, N + 1, n))
-    derivs = np.empty((steps + 1, N + 1, n))
-    flat_values = values.reshape(steps + 1, width)
-    flat_derivs = derivs.reshape(steps + 1, width)
-    values[0, 0] = config.x0
-    values[0, 1:] = hist
-
-    def inputs(t):
-        """Input of every block at time t: block j reads t - h + j h_e."""
-        base = t - h
-        return [u_fn(base + j * h_e) for j in range(N + 1)]
-
-    y = flat_values[0].tolist()
-    u_end, d_end = inputs(0.0), hist_first
-    d_mids = [hist_first] * m  # the first m steps read history
-    count = 1  # stored nodes
-    divergent = True  # unless every node gets its derivative
-    for k in range(steps + 1):
-        try:
-            k1 = deriv(y, u_end, d_end)
-        except OverflowError:
-            break
-        flat_derivs[k] = k1
-        if k == steps:
-            divergent = False
-            break
-        if k >= m and k % m == 0:
-            # delayed reads halfway between nodes k - m .. k, by cubic
-            # Hermite interpolation, for the midpoint stages of the next m steps
-            ys, fs = values[k - m : k + 1, 1:, 0], derivs[k - m : k + 1, 1:, 0]
-            d_mids = (0.5 * (ys[:-1] + ys[1:]) + eighth_dt * (fs[:-1] - fs[1:])).tolist()
-        t = k * dt
-        try:
-            # the two midpoint stages share their reads, as do the end stage
-            # and the next node's derivative
-            u_mid, u_end = inputs(t + half_dt), inputs(t + dt)
-            d_end = values[k + 1 - m, 1:, 0].tolist() if k + 1 >= m else hist_first
-            y = step(y, k1, u_mid, d_mids[k % m], u_end, d_end)
-        except OverflowError:
-            break
-        if not all(abs(v) <= DIVERGENCE_NORM for v in y):  # NaN fails too
-            break
-        flat_values[k + 1] = y
-        count = k + 2
-
-    state = values[:count]
+    # block 0 is the plant, block j the j-th predictor; node 0 holds their histories
+    out = array("d", chain(config.x0, *config.predictor_history))
+    divergent = run(out, steps)
+    count = len(out) // width
+    state = np.frombuffer(out).reshape(count, N + 1, n)
     # slot j - 1: block j at node k - j m minus block j - 1 at node
     # k - (j - 1) m, both on their history before zero; slot N:
     # xhat^N(t - h) - x(t), undefined before t = h

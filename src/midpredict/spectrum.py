@@ -15,6 +15,7 @@ returned account for it exactly.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -100,40 +101,58 @@ def qp_eval(qp, s):
     return s ** qp.n + _injection_value(qp, s) * exp(-qp.delta * s)
 
 
-def _kth_deriv(qp, s, k):
-    """k-th derivative of D at s, with the largest term magnitude.
+def _kth_derivs(qp, s, first=0, scaled=True):
+    """D^(k)(s) for k = first, first + 1, ..., each with its largest term magnitude.
 
     D^(k)(s) = perm(n,k) s**(n-k) + exp(-delta*s) sum_j C(k,j) (-delta)**(k-j) L^(j)(s)
     for the injection polynomial L(s) = l1*s**(n-1)+...+ln, each L^(j) summed
-    term by term. The scale is the larger of |perm(n,k) s**(n-k)| and the
-    largest |C(k,j) delta**(k-j)| times the largest term of L^(j), times
-    |exp(-delta*s)|. At k = 0 the value is qp_eval's Horner result. s is a
-    scalar or a numpy array.
+    term by term once and reused for every later k. The scale is the larger
+    of |perm(n,k) s**(n-k)| and the largest |C(k,j) delta**(k-j)| times the
+    largest term of L^(j), times |exp(-delta*s)|; it is None when scaled is
+    false. At k = 0 the value is qp_eval's Horner result. s is a scalar or a
+    numpy array. A scalar s whose exp(-delta*s) overflows raises ValueError.
     """
     s, exp = _argument(s)
     maximum = max if isinstance(s, complex) else np.maximum
     n = qp.n
     powers = [s ** m for m in range(n)]
-    head = math.perm(n, k) * s ** (n - k) if k <= n else 0.0
-    tail = 0.0 + 0.0j
-    tail_scale = 0.0
-    for j in range(k + 1):
-        weight = math.comb(k, j) * (-qp.delta) ** (k - j)
+    try:
+        decay = exp(-qp.delta * s)
+    except OverflowError:
+        raise ValueError(
+            "e^(-delta*s0) overflows at delta*Re s0 = %.6g, below -709.78" % (qp.delta * s.real)
+        ) from None
+    sums = []  # (L^(j)(s), its largest term) for j = 0..k
+    for k in itertools.count():
         value, scale = 0.0 + 0.0j, 0.0
-        for power, coef in zip(range(n - 1, j - 1, -1), qp.l):
-            term = coef * math.perm(power, j) * powers[power - j]
+        for power, coef in zip(range(n - 1, k - 1, -1), qp.l):
+            term = coef * math.perm(power, k) * powers[power - k]
             value += term
-            scale = maximum(scale, abs(term))
-        tail += weight * value
-        tail_scale = maximum(tail_scale, abs(weight) * scale)
-    decay = exp(-qp.delta * s)
-    value = qp_eval(qp, s) if k == 0 else head + tail * decay
-    return value, maximum(abs(head), tail_scale * abs(decay))
+            if scaled:
+                scale = maximum(scale, abs(term))
+        sums.append((value, scale))
+        if k < first:
+            continue
+        head = math.perm(n, k) * s ** (n - k) if k <= n else 0.0
+        tail = 0.0 + 0.0j
+        tail_scale = 0.0
+        for j, (lj, lj_scale) in enumerate(sums):
+            weight = math.comb(k, j) * (-qp.delta) ** (k - j)
+            tail += weight * lj
+            if scaled:
+                tail_scale = maximum(tail_scale, abs(weight) * lj_scale)
+        value = qp_eval(qp, s) if k == 0 else head + tail * decay
+        yield value, maximum(abs(head), tail_scale * abs(decay)) if scaled else None
+
+
+def _kth_deriv(qp, s, k, scaled=True):
+    """(D^(k)(s), its largest term magnitude or None); see _kth_derivs."""
+    return next(_kth_derivs(qp, s, k, scaled))
 
 
 def qp_kth_deriv(qp, s, k):
     """k-th derivative of D; accepts scalars or numpy arrays."""
-    return _kth_deriv(qp, s, k)[0]
+    return _kth_deriv(qp, s, k, scaled=False)[0]
 
 
 def qp_scale(qp, s):

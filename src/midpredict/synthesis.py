@@ -13,13 +13,14 @@ against the largest term magnitude of D^(k).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .polynomials import rightmost_root
-from .spectrum import Quasipolynomial, _kth_deriv
+from .spectrum import Quasipolynomial, _kth_derivs
 
 __all__ = [
     "GainVector",
@@ -183,12 +184,12 @@ def multiplicity_at(gain, delta, s0):
     D is the characteristic function of gain at delay delta. A condition
     holds when |D^(k)(s0)| is at most MULTIPLICITY_REL_TOL times the largest
     term magnitude in it; a NaN value holds none. ValueError: delta is not
-    finite and nonnegative.
+    finite and nonnegative, or e^(-delta*s0) overflows (delta*Re s0 below
+    -709.78).
     """
     qp = Quasipolynomial(gain.n, gain.l, delta)
     count = 0
-    for k in range(gain.n + 1):
-        value, scale = _kth_deriv(qp, s0, k)
+    for value, scale in itertools.islice(_kth_derivs(qp, s0), gain.n + 1):
         if not abs(value) <= MULTIPLICITY_REL_TOL * max(scale, 1e-300):
             break
         count += 1

@@ -63,6 +63,11 @@ def test_config_validation():
         {"dt": math.inf},
         {"dt": 0.0},
         {"dt": -0.01},
+        {"x0": (math.nan, 0.0)},
+        {"x0": (math.inf, 0.0)},
+        {"x0": (0.0, -math.inf)},
+        {"predictor_history": ((math.nan, 0.0),)},
+        {"predictor_history": ((0.0, math.inf),)},
     ],
 )
 def test_config_rejects_unbounded_inputs(overrides):
@@ -467,6 +472,45 @@ def test_integrate_matches_per_block_reference_bitwise():
             else:
                 assert np.array_equal(got, ref[name], equal_nan=True), name
     assert diverged == 2
+
+
+def _exit_config(phi, u, x0, N=1, dt=0.01, t_end=2.0):
+    return SimConfig(system=make_system(1, [phi], [1.0], 0.2, u), gain=gain_star(1), lam=1.0,
+                     N=N, t_end=t_end, dt=dt, x0=(x0,), predictor_history=((0.0,),) * N)
+
+
+@pytest.mark.parametrize(
+    "exit_, cfg",
+    [
+        # x' = exp(x) jumps from below 709.78 to 2.1e8 in one step: the node
+        # is stored and its derivative overflows
+        ("derivative", _exit_config("exp(x1)", "0", 2.0)),
+        # the input overflows first at a step's midpoint or end time, inside a stage
+        ("stage", _exit_config("u", "0 * exp(1000 * (t - 0.5))", 0.0, N=2)),
+        # products never raise: x' = x*x from 2 passes the bound
+        ("bound", _exit_config("x1 * x1", "0", 2.0)),
+        # 1e300*x*x reads inf - inf = NaN once x passes 1e4
+        ("nan", _exit_config("x1 + (1e300*x1*x1 - 1e300*x1*x1)", "0", 1.0, dt=0.05, t_end=30.0)),
+    ],
+)
+def test_each_kernel_exit_matches_the_reference(exit_, cfg):
+    trace = integrate(cfg)
+    with np.errstate(over="ignore", invalid="ignore"):  # the reference's numpy scalars
+        ref = _reference_integrate(cfg)
+    assert trace.divergent and ref["divergent"]
+    assert len(trace.times) == len(ref["times"]) > 2
+    for name in ("x", "xhat", "e_chain", "e_pred"):
+        assert np.array_equal(getattr(trace, name), ref[name], equal_nan=True), name
+    last = trace.x[-1, 0]
+    assert np.all(np.isfinite(trace.x)) and np.all(np.isfinite(trace.xhat))
+    if exit_ == "derivative":
+        assert 709.79 < last <= 1e9  # math.exp overflows at the stored node
+    elif exit_ == "stage":
+        # the last step reads the input up to block N's time t + dt
+        end = trace.times[-1] + trace.metadata["dt"]
+        assert 1000 * (end - 0.5) > 709.79 > 1000 * (trace.times[-1] - 0.5)
+    else:
+        assert abs(last) < 1e9
 
 
 def test_nan_in_a_later_component_is_divergence():

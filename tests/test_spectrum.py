@@ -9,6 +9,7 @@ from midpredict.spectrum import (
     Quasipolynomial,
     RootOnContourError,
     SpectrumError,
+    _kth_deriv,
     _phase_sweep,
     _rect_boundary,
     count_roots_region,
@@ -48,6 +49,63 @@ def test_qp_eval_designed_root():
 
 def test_qp_eval_classic_double_root():
     assert abs(qp_eval(QP1, -1.0)) < 1e-15
+
+
+def _per_k_kth_deriv(qp, s, k):
+    """_kth_deriv's former form, kept as a reference: every L^(j), j <= k,
+    rebuilt for this k alone."""
+    scalar = not np.ndim(s)
+    s = complex(s) if scalar else np.asarray(s, dtype=complex)
+    exp, maximum = (cmath.exp, max) if scalar else (np.exp, np.maximum)
+    n = qp.n
+    powers = [s ** m for m in range(n)]
+    head = math.perm(n, k) * s ** (n - k) if k <= n else 0.0
+    tail = 0.0 + 0.0j
+    tail_scale = 0.0
+    for j in range(k + 1):
+        weight = math.comb(k, j) * (-qp.delta) ** (k - j)
+        value, scale = 0.0 + 0.0j, 0.0
+        for power, coef in zip(range(n - 1, j - 1, -1), qp.l):
+            term = coef * math.perm(power, j) * powers[power - j]
+            value += term
+            scale = maximum(scale, abs(term))
+        tail += weight * value
+        tail_scale = maximum(tail_scale, abs(weight) * scale)
+    decay = exp(-qp.delta * s)
+    value = qp_eval(qp, s) if k == 0 else head + tail * decay
+    return value, maximum(abs(head), tail_scale * abs(decay))
+
+
+def _same_bits(a, b):
+    a, b = (np.atleast_1d(np.asarray(x, dtype=complex)) for x in (a, b))
+    return np.array_equal(a.view(np.float64), b.view(np.float64), equal_nan=True)
+
+
+def test_kth_deriv_matches_the_per_k_rebuild_bitwise():
+    # the sums L^(j) are built once per call and reused for every k; values
+    # and scales must equal the former per-k rebuild bit for bit, on the
+    # designed roots and on seeded random points, scalar and array alike
+    rng = np.random.default_rng(19)
+    cases = []
+    for n in (*range(1, 13), 20, 30, 46):
+        g = gain_star(n)
+        for delta in (0.25, 1.0, 4.0):
+            cases.append((Quasipolynomial(n, scale_gain(g, delta).l, delta), g.sigma_star / delta))
+    for _ in range(60):
+        n = int(rng.integers(1, 13))
+        delta = float(rng.choice([0.0, 0.5, 1.0, 2.0]))
+        cases.append((Quasipolynomial(n, rng.uniform(1.0, 7.0, n), delta),
+                      complex(*rng.normal(0.0, 3.0, 2))))
+    for qp, s0 in cases:
+        for k in range(qp.n + 2):
+            value, scale = _kth_deriv(qp, s0, k)
+            ref_value, ref_scale = _per_k_kth_deriv(qp, s0, k)
+            assert _same_bits(value, ref_value) and _same_bits(scale, ref_scale), (qp, s0, k)
+            assert _same_bits(qp_kth_deriv(qp, s0, k), ref_value)
+    for qp, s0 in cases[-60:]:
+        points = s0 + rng.normal(0.0, 0.5, 5) + 1j * rng.normal(0.0, 0.5, 5)
+        for k in range(qp.n + 2):
+            assert _same_bits(qp_kth_deriv(qp, points, k), _per_k_kth_deriv(qp, points, k)[0])
 
 
 def test_qp_eval_array_matches_scalar():

@@ -333,3 +333,12 @@ def _fraction_gain_star(n):
 def test_gain_star_bitwise_equals_fraction_horner():
     for n in range(1, 47):
         assert gain_star(n).l == _fraction_gain_star(n), n
+
+
+def test_multiplicity_at_refuses_an_overflowing_point():
+    # e^(-delta*s0) overflows below delta*Re s0 = -709.78; cmath raised a bare
+    # "math range error" there
+    for delta, s0 in ((1.0, -1000.0), (2.0, complex(-400.0, 3.0))):
+        with pytest.raises(ValueError, match=r"e\^\(-delta\*s0\) overflows"):
+            multiplicity_at(gain_star(2), delta, s0)
+    assert multiplicity_at(gain_star(2), 1.0, -700.0) == 0
