@@ -8,9 +8,9 @@ and the functions sin, cos, tan, tanh, exp, log, sqrt, abs.
 Precedence, tightest first: ^, unary -, then * and /, then + and -.
 
 Parsed expressions are evaluated by a tree walk (eval_expression) or
-compiled to Python source: one callable per expression or field, and one
-function that runs a whole RK4 simulation of a chain of copies of a field
-(compile_chain_run) with every expression inlined.
+inlined into the one compiled function, which runs a whole RK4 simulation
+of a chain of copies of a field (compile_chain_run); both share each
+operator's checked implementation.
 """
 
 from __future__ import annotations
@@ -33,8 +33,6 @@ __all__ = [
     "eval_expression",
     "free_variables",
     "to_source",
-    "compile_expression",
-    "compile_field",
     "compile_chain_run",
     "FUNCTIONS",
 ]
@@ -233,6 +231,12 @@ def free_variables(node):
     return free_variables(node.left) | free_variables(node.right)
 
 
+def _div(a, b):
+    if b == 0.0:
+        raise EvaluationError("division by zero")
+    return a / b
+
+
 def _pow(a, b):
     if a == 0.0 and b < 0.0:
         raise EvaluationError("zero raised to a negative power")
@@ -288,9 +292,7 @@ def eval_expression(node, bindings):
     if op == "*":
         return a * b
     if op == "/":
-        if b == 0.0:
-            raise EvaluationError("division by zero")
-        return a / b
+        return _div(a, b)
     return _pow(a, b)
 
 
@@ -361,12 +363,6 @@ def _emit(node, names):
     return "(%s %s %s)" % (_emit(node.left, names), node.op, _emit(node.right, names))
 
 
-def _div(a, b):
-    if b == 0.0:
-        raise EvaluationError("division by zero")
-    return a / b
-
-
 # characters of generated source per chain run; compiling costs about 0.5 us
 # and 0.1 KiB per character on a 2-core x86 host (0.28 s and 60 MiB for the
 # two-state demo field with N = 400); the simulator's stored-values budget
@@ -388,23 +384,6 @@ def _define(name, source):
     namespace = dict(_NAMESPACE)
     exec(compile(source, "<expression>", "exec"), namespace)
     return namespace[name]
-
-
-def compile_expression(node, arg_names):
-    """Compile an AST to a fast positional callable over ``arg_names``.
-
-    The source is generated from the validated AST, never from user text.
-    Unused arguments are accepted and ignored.
-    """
-    body = ["return " + _emit(node, {a: a for a in arg_names})]
-    return _define("_expr", _source("_expr", arg_names, body))
-
-
-def compile_field(nodes, arg_names):
-    """Like compile_expression, for several ASTs evaluated in order into one tuple."""
-    names = {a: a for a in arg_names}
-    body = ["return (%s,)" % ", ".join(_emit(node, names) for node in nodes)]
-    return _define("_expr", _source("_expr", arg_names, body))
 
 
 def compile_chain_run(nodes, signal, blocks, gains, h, m, dt, bound):

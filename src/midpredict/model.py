@@ -9,18 +9,13 @@ ever stored densely here.
 from __future__ import annotations
 
 import ast as _pyast
-from dataclasses import dataclass, field
+import math
+import numbers
+from dataclasses import dataclass
 
 import numpy as np
 
-from .expressions import (
-    EvaluationError,
-    Node,
-    compile_expression,
-    compile_field,
-    free_variables,
-    parse_expression,
-)
+from .expressions import EvaluationError, Node, eval_expression, free_variables, parse_expression
 
 __all__ = [
     "ModelError",
@@ -95,7 +90,9 @@ class CanonicalSystem:
 
     phi holds one parsed expression per state component, component i over
     x1..xi and u. gamma lists per-component Lipschitz constants supplied by
-    the user; h is the input delay; u_signal is an expression of t.
+    the user; h is the input delay; u_signal is an expression of t. The
+    system holds only these ASTs: phi_value and input_value walk them, and
+    the simulator compiles them into its run (expressions.compile_chain_run).
     """
 
     n: int
@@ -103,20 +100,15 @@ class CanonicalSystem:
     gamma: tuple
     h: float
     u_signal: Node
-    _field: object = field(init=False, repr=False, compare=False)
-    _u_fn: object = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        arg_names = ["x%d" % (i + 1) for i in range(self.n)] + ["u"]
-        object.__setattr__(self, "_field", compile_field(self.phi, arg_names))
-        object.__setattr__(self, "_u_fn", compile_expression(self.u_signal, ["t"]))
 
     def phi_value(self, x, u):
         """Evaluate the triangular field at state x and input value u."""
-        return np.array(self._field(*x, u))
+        bindings = {"x%d" % i: v for i, v in enumerate(x, 1)}
+        bindings["u"] = u
+        return np.array([eval_expression(node, bindings) for node in self.phi])
 
     def input_value(self, t):
-        return self._u_fn(t)
+        return eval_expression(self.u_signal, {"t": t})
 
 
 def check_triangular(system):
@@ -130,19 +122,34 @@ def check_triangular(system):
     return True
 
 
+def _finite_nonnegative(value):
+    """True for a finite real number >= 0; a bool is not a number here."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and 0 <= value < math.inf
+
+
 def make_system(n, phi_sources, gamma, h, u_source="0"):
     """Build a CanonicalSystem from expression text.
 
-    Raises ModelError on broken invariants (triangularity, signs, lengths).
+    n is an integer (not a bool), phi_sources a list or tuple of n strings,
+    u_source a string, gamma n finite, nonnegative real numbers and h one.
+    Raises ModelError on a value of another type or range and on broken
+    invariants (triangularity).
     """
+    if not isinstance(n, numbers.Integral) or isinstance(n, bool):
+        raise ModelError("n must be an integer")
+    if not (isinstance(phi_sources, (list, tuple))
+            and all(isinstance(s, str) for s in phi_sources)):
+        raise ModelError("phi must be a list of expression strings")
     if len(phi_sources) != n:
         raise ModelError("expected %d field components, got %d" % (n, len(phi_sources)))
-    if len(gamma) != n:
+    if not isinstance(u_source, str):
+        raise ModelError("u must be an expression string")
+    if not isinstance(gamma, (list, tuple)) or len(gamma) != n:
         raise ModelError("expected %d Lipschitz constants" % n)
-    if any(g < 0 for g in gamma):
-        raise ModelError("Lipschitz constants must be nonnegative")
-    if h < 0:
-        raise ModelError("delay must be nonnegative")
+    if not all(_finite_nonnegative(g) for g in gamma):
+        raise ModelError("Lipschitz constants must be finite, nonnegative numbers")
+    if not _finite_nonnegative(h):
+        raise ModelError("delay must be a finite, nonnegative number")
     state_vars = ["x%d" % (i + 1) for i in range(n)]
     phi = tuple(parse_expression(src, state_vars + ["u"]) for src in phi_sources)
     u_signal = parse_expression(u_source, ["t"])
@@ -162,7 +169,7 @@ def parse_system_config(text):
     """Parse the key-value system definition format.
 
     Lines look like ``key = value`` with ``#`` comments. Recognized keys:
-    n (int), h (float), phi (list of expression strings), gamma (list of
+    n (integer), h (number), phi (list of expression strings), gamma (list of
     numbers), u (expression string of t, optional, default "0").
     """
     entries = {}
@@ -185,10 +192,10 @@ def parse_system_config(text):
     if unknown:
         raise ModelError("unknown key '%s'" % sorted(unknown)[0])
     return make_system(
-        n=int(entries["n"]),
-        phi_sources=list(entries["phi"]),
-        gamma=list(entries["gamma"]),
-        h=float(entries["h"]),
+        n=entries["n"],
+        phi_sources=entries["phi"],
+        gamma=entries["gamma"],
+        h=entries["h"],
         u_source=entries.get("u", "0"),
     )
 

@@ -204,6 +204,10 @@ def isolate_positive_roots(coeffs):
     p = _primitive(_to_int_poly(coeffs))
     if len(p) == 1 or sign_variations(p) == 0:
         return [], []
+    # bound >= 1 + max_{i<d} |c_i / c_d|, Cauchy's bound, so every root of p,
+    # and of its squarefree part, is smaller in modulus. By Gauss-Lucas no
+    # derivative vanishes on [bound, oo), so every Taylor coefficient at bound
+    # has the leading coefficient's sign: no root lies outside (0, bound]
     bound = max(Fraction(2 * max(abs(c) for c in p), abs(p[-1])), Fraction(1))
     bn, bd = bound.numerator, bound.denominator
     part = squarefree_part(p)
@@ -213,8 +217,6 @@ def isolate_positive_roots(coeffs):
     # node (k, a) is the interval bound*(a/2**k, (a+1)/2**k]; its polynomial
     # is a positive multiple of p(bound*(a + t)/2**k), t in (0, 1]
     top = [c * bn ** i * bd ** (d - i) for i, c in enumerate(p)]
-    if sign_variations(taylor_shift(top)) != 0:
-        raise RuntimeError("positive root bound failed")
 
     def narrow(k, a):
         return 1000 * bn < max(bd << k, bn * (a + 1))

@@ -1,4 +1,5 @@
-"""Fuzzed command lines: every argv ends in exit 0, 1 or 2, never a traceback.
+"""Fuzzed command lines and system definition files: every argv and every
+file ends in exit 0, 1 or 2, never a traceback.
 
 The argv run in one long-lived child process, so that an input which loops
 or allocates past a budget is killed at a timeout instead of hanging the
@@ -8,6 +9,7 @@ outside the LMI's 1..8, and gamma_vs_n is not a drawn figure.
 """
 
 import json
+import math
 import os
 import select
 import subprocess
@@ -46,6 +48,47 @@ VALID = {
 }
 LMI_SUBCOMMANDS = ("gainmargin", "design", "compare")
 SYSTEM = 'n = 1\nh = 0.5\nphi = ["-x1 + tanh(x1)"]\ngamma = [1.0]\n'
+
+# a value of the right type for each key of a system file, drawn with odds
+# 3:1 against any literal, so that most drawn files reach the simulation
+KEYS = {
+    "n": st.just(1),
+    "h": st.sampled_from((0.5, 1)),
+    "phi": st.sampled_from((["-x1 + tanh(x1)"], ["x1^0.5"], ["log(x1)"], ["1/x1"], ["x2"])),
+    "gamma": st.sampled_from(([1.0], [0])),
+    "u": st.sampled_from(("0", "sin(t)", "1e999*t", "")),
+}
+SCALARS = (
+    st.none() | st.booleans() | st.integers(-3, 3) | st.sampled_from((2**64, 47, 61))
+    | st.floats(allow_nan=False) | st.sampled_from(("0", "x1", "t", "-x1 + tanh(x1)", "(", ""))
+)
+LITERALS = st.recursive(
+    SCALARS,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.integers(0, 2) | st.sampled_from(("x1", "u")), inner, max_size=2),
+    max_leaves=6,
+)
+
+
+def literal(value):
+    """Python literal text for a drawn value; an infinite float as 1e999."""
+    if isinstance(value, float) and math.isinf(value):
+        return "-1e999" if value < 0 else "1e999"
+    if isinstance(value, list):
+        return "[%s]" % ", ".join(map(literal, value))
+    if isinstance(value, dict):
+        return "{%s}" % ", ".join("%s: %s" % (literal(k), literal(v)) for k, v in value.items())
+    return repr(value)
+
+
+@st.composite
+def system_files(draw):
+    lines = []
+    for key, valid in KEYS.items():
+        value = draw(valid if draw(st.sampled_from((True, True, True, False))) else LITERALS)
+        lines.append("%s = %s" % (key, literal(value)))
+    return "\n".join(lines) + "\n"
+
 
 WORKER = r"""
 import contextlib, io, json, sys, traceback
@@ -114,7 +157,9 @@ def run_isolated(tmp_path_factory):
             text=True,
         ))
 
-    def run(argv):
+    def run(argv, system=None):
+        if system is not None:
+            (workdir / "drawn.kv").write_text(system)
         if procs[-1].poll() is not None:
             start()
         proc = procs[-1]
@@ -135,13 +180,24 @@ def run_isolated(tmp_path_factory):
         proc.communicate()
 
 
+def assert_clean_exit(case, rc, err):
+    """Exit 0, 1 or 2 with no traceback, and a failure ends in an error: line."""
+    assert rc in (0, 1, 2), (case, err)
+    assert "Traceback" not in err, (case, err)
+    if rc:
+        assert "error:" in err.rstrip("\n").rsplit("\n", 1)[-1], (case, err)
+
+
 @pytest.mark.parametrize("sub", sorted(FLAGS))
 @settings(derandomize=True, max_examples=50, deadline=None, database=None)
 @given(data=st.data())
 def test_fuzzed_argv_exits_cleanly(run_isolated, sub, data):
     argv = data.draw(argvs(sub), label="argv")
-    rc, err = run_isolated(argv)
-    assert rc in (0, 1, 2), (argv, err)
-    assert "Traceback" not in err, (argv, err)
-    if rc:
-        assert "error:" in err.rstrip("\n").rsplit("\n", 1)[-1], (argv, err)
+    assert_clean_exit(argv, *run_isolated(argv))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(data=st.data())
+def test_fuzzed_system_file_exits_cleanly(run_isolated, data):
+    system = data.draw(system_files(), label="system")
+    assert_clean_exit(system, *run_isolated(["simulate", "--config=drawn.kv", "--t-end=2"], system))

@@ -11,7 +11,9 @@ from midpredict.expressions import (
     ParseError,
     UnknownNameError,
     Var,
-    compile_expression,
+    _define,
+    _emit,
+    _source,
     eval_expression,
     free_variables,
     parse_expression,
@@ -19,6 +21,11 @@ from midpredict.expressions import (
 )
 
 XU = ["x1", "x2", "u"]
+
+
+def _compiled(ast):
+    """The AST as a function of XU, emitted as compile_chain_run inlines it."""
+    return _define("_expr", _source("_expr", XU, ["return " + _emit(ast, {a: a for a in XU})]))
 
 
 def test_parse_function_call():
@@ -159,7 +166,7 @@ def test_pretty_print_round_trip(src):
 @pytest.mark.parametrize("src", ROUND_TRIP_CORPUS)
 def test_compiled_matches_tree_walk(src):
     ast = parse_expression(src, XU)
-    fn = compile_expression(ast, XU)
+    fn = _compiled(ast)
     bindings = {"x1": 0.7, "x2": -0.3, "u": 0.05}
     try:
         expected = eval_expression(ast, bindings)
@@ -178,12 +185,12 @@ def test_pretty_print_round_trip_overflowing_literal(src):
 
 def test_compiled_overflowing_literal():
     # "1e999" parses to inf, whose repr is not a Python literal
-    fn = compile_expression(parse_expression("1e999*x1", XU), XU)
+    fn = _compiled(parse_expression("1e999*x1", XU))
     assert fn(2.0, 0.0, 0.0) == math.inf
 
 
 def test_compiled_negative_fractional_power_raises():
     ast = parse_expression("x1^0.5", XU)
-    fn = compile_expression(ast, XU)
+    fn = _compiled(ast)
     with pytest.raises(EvaluationError):
         fn(-2.0, 0.0, 0.0)

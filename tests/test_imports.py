@@ -1,5 +1,6 @@
 """Every module of the package uses each name it imports or exports it,
-and its __all__ lists exactly the names it exports."""
+its __all__ lists exactly the names it exports, and it generates code in
+one place only."""
 
 import ast
 import importlib
@@ -89,3 +90,46 @@ def test_all_lists_exactly_the_public_definitions():
             unlisted[path.name] = names
     assert missing == {}
     assert unlisted == {}
+
+
+def _calls_by_owner(source, names):
+    """(owner, name) for each call of a bare name in ``names``; the owner is
+    the module-level function or the Class.method holding it, or None."""
+    tree = ast.parse(source)
+    owners = []
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            owners += [("%s.%s" % (node.name, item.name), item) for item in node.body
+                       if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owners.append((node.name, node))
+        else:
+            owners.append((None, node))
+    return [
+        (owner, node.func.id)
+        for owner, top in owners
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in names
+    ]
+
+
+def test_checker_finds_calls_by_owner():
+    source = (
+        "import re\nexec('1')\ndef f():\n    def g():\n        return compile('', '', 'eval')\n"
+        "    return g\nclass C:\n    def m(self):\n        return re.compile('x'), eval('2')\n"
+    )
+    assert _calls_by_owner(source, ("exec", "eval", "compile")) == [
+        (None, "exec"), ("f", "compile"), ("C.m", "eval")]
+
+
+def test_code_is_generated_only_for_the_simulator_run():
+    # exec, eval and compile run only in expressions._define, which only
+    # compile_chain_run calls: the one compiled form of an expression
+    runners, definers = {}, {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        for owner, name in _calls_by_owner(source, ("exec", "eval", "compile", "_define")):
+            target = definers if name == "_define" else runners
+            target.setdefault((path.stem, owner), set()).add(name)
+    assert runners == {("expressions", "_define"): {"compile", "exec"}}
+    assert definers == {("expressions", "compile_chain_run"): {"_define"}}

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from midpredict import expressions
 from midpredict.model import (
     ModelError,
     aggregate_lipschitz,
@@ -151,19 +152,50 @@ def test_dilated_lipschitz_bound_demo():
         assert val <= gamma_phi * np.linalg.norm(e) * (1.0 + 1e-9)
 
 
-def test_parse_system_config_round_trip():
-    text = """
+DEMO_CONFIG = """
     # demo configuration
     n = 2
     h = 0.25
     phi = ["0", "-x1 + 0.5*tanh(x1+x2) + x1*u"]
     gamma = [0.0, 1.1]
     u = "0.1*sin(0.1*t)"
-    """
-    system = parse_system_config(text)
+"""
+
+
+def test_parse_system_config_round_trip():
+    system = parse_system_config(DEMO_CONFIG)
     assert system.n == 2
     assert system.h == 0.25
     assert system.gamma == (0.0, 1.1)
+
+
+@pytest.mark.parametrize("line", [
+    "u = 5", "phi = [1, 2]", "phi = 5", "phi = '01'", "gamma = 'ab'", "gamma = [0, None]",
+    "gamma = [1e999, 0]", "gamma = [True, 0]", "gamma = {0: 0, 1: 1}", "n = [2]", "n = 2.7",
+    "n = 2.0", "n = True", "h = 1e999", "h = -1e999", "h = '1'", "h = None", "h = False",
+])
+def test_parse_system_config_refuses_a_value_of_the_wrong_type(line):
+    # a later line overrides the demo's value of the same key
+    with pytest.raises(ModelError):
+        parse_system_config(DEMO_CONFIG + line)
+
+
+def test_parse_system_config_keeps_integers_and_tuples():
+    system = parse_system_config(DEMO_CONFIG + "h = 1\ngamma = (0, 2)\nphi = ('0', 'x1')")
+    assert (system.h, system.gamma) == (1.0, (0.0, 2.0))
+    assert system.phi_value([3.0, 0.0], 0.0).tolist() == [0.0, 3.0]
+
+
+def test_building_and_evaluating_a_system_compiles_nothing(monkeypatch):
+    def refuse(name, source):
+        raise AssertionError("compiled " + name)
+
+    monkeypatch.setattr(expressions, "_define", refuse)
+    built = make_system(2, ["0", "-x1 + 0.5*tanh(x1+x2) + x1*u"], [0.0, 1.1], 0.25,
+                        "0.1*sin(0.1*t)")
+    for system in (built, demo_system(0.25)):
+        assert system.phi_value([1.0, 0.0], 0.0).tolist() == [0.0, -1.0 + 0.5 * math.tanh(1.0)]
+        assert system.input_value(5.0) == 0.1 * math.sin(0.1 * 5.0)
 
 
 def test_parse_system_config_missing_key():

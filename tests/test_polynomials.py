@@ -7,6 +7,7 @@ import pytest
 from midpredict.polynomials import (
     SQUAREFREE_PRIME,
     _exact_quotient,
+    _primitive,
     _sturm_chain,
     _to_int_poly,
     bisect_root,
@@ -266,6 +267,28 @@ def test_isolation_reports_repeated_positive_roots(coeffs, roots, repeated):
     for found, expected in ((intervals, roots), (touching, repeated)):
         assert len(found) == len(expected)
         assert all(lo < r <= hi for (lo, hi), r in zip(found, expected))
+
+
+def test_root_bound_of_the_isolation_leaves_no_sign_variation_above_it():
+    # isolate_positive_roots bisects (0, bound], bound = max(2 max|c| / |c_d|, 1),
+    # on the squarefree part q of p without checking the bound: every
+    # coefficient of q(bound (1 + t)) has one sign, so no root lies at or above it
+    rng = np.random.default_rng(3000)
+    for _ in range(3000):
+        d = int(rng.integers(1, 13))
+        p = [int(rng.integers(-9, 10)) * 10 ** int(rng.integers(0, 31)) for _ in range(d + 1)]
+        p[-1] = p[-1] or 1
+        if rng.integers(2):
+            # times (x + r)**2, so that q is a proper divisor of p
+            r = int(rng.integers(-20, 21))
+            square = (r * r, 2 * r, 1)
+            p = [sum(c * square[k - i] for i, c in enumerate(p) if 0 <= k - i <= 2)
+                 for k in range(len(p) + 2)]
+        bound = max(Fraction(2 * max(abs(c) for c in p), abs(p[-1])), Fraction(1))
+        q = squarefree_part(_primitive(p))
+        bn, bd, deg = bound.numerator, bound.denominator, len(q) - 1
+        top = [c * bn ** i * bd ** (deg - i) for i, c in enumerate(q)]
+        assert sign_variations(taylor_shift(top)) == 0, p
 
 
 def test_rightmost_root_simple_root_builds_no_sturm_chain(chains_built, squarefree_parts_taken):

@@ -4,6 +4,7 @@ import typing
 import numpy as np
 import pytest
 
+from midpredict import expressions
 from midpredict.expressions import FUNCTIONS
 from midpredict.model import CanonicalSystem, demo_system, make_system
 from midpredict.simulate import (
@@ -353,6 +354,20 @@ def test_integer_scalar_gain_accepted():
     assert isinstance(cfg.lam, float)
     trace = integrate(cfg)
     assert trace.epsilon is not None and np.all(np.isfinite(trace.epsilon))
+
+
+def test_integrate_compiles_once_per_run(monkeypatch):
+    names = []
+    define = expressions._define
+
+    def counted(name, source):
+        names.append(name)
+        return define(name, source)
+
+    monkeypatch.setattr(expressions, "_define", counted)
+    for N in (1, 3):
+        integrate(SimConfig(system=demo_system(0.25), gain=gain_star(2), lam=20.0, N=N, t_end=0.5))
+    assert names == ["_run", "_run"]
 
 
 def _reference_integrate(cfg):
