@@ -118,7 +118,7 @@ def _write_csv(path, schema, header_cols, rows):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("# schema: %s\n" % schema)
         fh.write(",".join(header_cols) + "\n")
-        # rows hold floats and small ints, which %.17g writes as str() does
+        # rows hold floats and small ints; %.17g round-trips each (0.1: 0.10000000000000001)
         template = ",".join(["%.17g"] * len(header_cols)) + "\n"
         for row in rows:
             fh.write(template % tuple(row))
@@ -269,7 +269,9 @@ def _cmd_simulate(args):
     else:
         system = load_system(args.config)
         gain = gain_star(system.n)
-        lam = args.lam if args.lam is not None else args.N / system.h
+        lam = args.lam
+        if lam is None and system.h > 0:  # else SimConfig refuses the delay first
+            lam = args.N / system.h
         cfg = SimConfig(
             system=system, gain=gain, lam=lam, N=args.N, t_end=args.t_end, dt=args.dt
         )

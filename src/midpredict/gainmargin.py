@@ -1,34 +1,25 @@
 """Gain-margin bracketing for the unit-delay prediction error loop.
 
-The loop tolerates an output-feedback perturbation of slope gamma_m if a
-descriptor-form matrix inequality W < 0 admits a solution; the analytic
-ceiling is the trailing design gain, because a constant perturbation of that
-slope parks a characteristic root at the origin. Feasibility of W < 0 at a
-given slope is decided by minimizing the largest eigenvalue of a block
-diagonal of W and the positivity constraints, a convex nonsmooth problem.
-The solver runs a log-sum-exp smoothing continuation under L-BFGS from one
-start per query. Every "feasible" answer ships the variables and is
-re-verified by a plain symmetric eigenvalue check before being believed;
-a negative answer is reported as unknown, never as a proof.
-
-W is written once, in assemble_W. The stacked matrix M(theta) is affine in
-the packed variables, so each query builds M0 = M(0) and a matrix J whose
-column k is vec(M(e_k) - M0) from assemble_W itself; the solver's oracles
-are then one eigh of M0 + J theta and the smoothed gradient
-J' vec(V diag(w) V').
-
-scipy is loaded on the first L-BFGS call, not on import, so subcommands
-that never query the LMI never pay for it.
+The loop tolerates an output-feedback perturbation of slope gamma_m if
+M = blkdiag(W + eps I, eps I - P, eps I - R, eps I - S) < 0 admits a
+solution, W the descriptor-form matrix written once in assemble_W; the
+analytic ceiling is the trailing design gain, because a constant perturbation
+of that slope parks a characteristic root at the origin. M is affine in the
+packed variables and in t = gamma_m^2, so the largest certifiable margin is
+one semidefinite program, solved by a log-barrier method (Boyd &
+Vandenberghe, Convex Optimization, 2004, sec. 11.6). Every "feasible" answer
+ships the variables and is re-verified by a plain symmetric eigenvalue check
+before being believed; a negative answer is unknown, never a proof.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._scipy import minimize
 from .synthesis import gain_star, sigma_star
 from .tradeoff import _injection_matrix, _kronecker_lyapunov, check_lipschitz, closed_loop_matrix
 
@@ -40,14 +31,17 @@ __all__ = [
     "lmi_feasible",
     "verify_certificate",
     "max_gain_margin",
+    "minimize",
     "upper_bound_gamma",
     "design_chain",
 ]
 
 MAX_MARGIN_DIMENSION = 8
-# Halvings per bisection: the default tol needs about 10, and a bracket
-# whose lower end stays 0 would otherwise halve towards the denormals.
-MAX_BISECTION_STEPS = 64
+MAX_NEWTON_STEPS = 200  # for phase I and II together; n = 1..8 take 47 to 122
+_TAU_GROWTH = 20.0  # barrier weight growth between centerings
+_CENTERED = 1e-6  # squared Newton decrement that counts as centered
+_MIN_STEP = 2.0 ** -20  # a shorter line-search step is a stall
+_RADIUS = 1e2  # ball on the packed variables; certificates have norms near 20
 
 
 @dataclass(frozen=True)
@@ -113,10 +107,6 @@ def assemble_W(n, gain, h, gamma_m, variables):
     )
 
 
-def _default_eps(gamma_m):
-    return 1e-6 * (1.0 + gamma_m ** 2)
-
-
 def verify_certificate(n, gain, h, gamma_m, variables, eps):
     """Independent eigenvalue check of a feasibility certificate."""
     w = assemble_W(n, gain, h, gamma_m, variables)
@@ -129,38 +119,25 @@ def verify_certificate(n, gain, h, gamma_m, variables, eps):
 
 
 class _Packing:
-    """Flat parameter vector <-> (P, R, S, P2, P3, P4)."""
+    """Flat parameter vector <-> (P, R, S, P2, P3, P4): the lower triangles
+    of the symmetric three, row by row, then the other three whole."""
 
     def __init__(self, n):
         self.n = n
-        self.tri = [(i, j) for i in range(n) for j in range(i + 1)]
-        self.d_sym = len(self.tri)
-        self.d_full = n * n
-        self.dim = 3 * self.d_sym + 3 * self.d_full
+        self.tri = np.tril_indices(n)
+        self.dim = 3 * len(self.tri[0]) + 3 * n * n
 
     def unpack(self, theta):
-        n = self.n
-        mats = []
-        off = 0
-        for _ in range(3):
-            m = np.zeros((n, n))
-            for idx, (i, j) in enumerate(self.tri):
-                m[i, j] = theta[off + idx]
-                m[j, i] = theta[off + idx]
-            mats.append(m)
-            off += self.d_sym
-        for _ in range(3):
-            mats.append(theta[off : off + self.d_full].reshape(n, n).copy())
-            off += self.d_full
-        return LmiVariables(*mats)
+        n, k = self.n, len(self.tri[0])
+        sym = np.zeros((3, n, n))
+        sym[:, self.tri[0], self.tri[1]] = theta[: 3 * k].reshape(3, k)
+        sym[:, self.tri[1], self.tri[0]] = theta[: 3 * k].reshape(3, k)
+        return LmiVariables(*sym, *theta[3 * k :].reshape(3, n, n).copy())
 
     def pack(self, variables):
-        parts = []
-        for m in (variables.P, variables.R, variables.S):
-            parts.append(np.array([m[i, j] for i, j in self.tri]))
-        for m in (variables.P2, variables.P3, variables.P4):
-            parts.append(np.asarray(m, dtype=float).reshape(-1))
-        return np.concatenate(parts)
+        sym = [m[self.tri] for m in (variables.P, variables.R, variables.S)]
+        full = [np.ravel(m) for m in (variables.P2, variables.P3, variables.P4)]
+        return np.concatenate(sym + full)
 
 
 def _affine_stack(packing, n, gain, h, gamma_m, eps):
@@ -185,29 +162,13 @@ def _affine_stack(packing, n, gain, h, gamma_m, eps):
     return m0, jac
 
 
-def _eigensystem(theta, m0, jac):
-    return np.linalg.eigh(m0 + (jac @ theta).reshape(m0.shape))
-
-
-def _smoothed_value_grad(theta, mu, m0, jac):
-    """Log-sum-exp smoothing of the largest eigenvalue with exact gradient
-    J' vec(V diag(w) V'), w the softmax weights of the eigenvalues."""
-    vals, vecs = _eigensystem(theta, m0, jac)
-    vmax = vals[-1]
-    weights = np.exp((vals - vmax) / mu)
-    total = np.sum(weights)
-    f = vmax + mu * math.log(total)
-    weights /= total
-    return f, jac.T @ ((vecs * weights) @ vecs.T).reshape(-1)
-
-
 def _initial_variables(n, gain):
     """Heuristic start: delay-free Lyapunov shape with heavy multipliers.
 
     Certificates sit with the descriptor multipliers one to two orders of
     magnitude above the Lyapunov blocks, and with the delayed-state weight
-    nearly vanishing; starting in that regime is what lets the smoothed
-    descent reach the thin feasible needle at dimensions above three.
+    nearly vanishing; phase I starts in that regime. The packed start has
+    norm below 50 for every n up to MAX_MARGIN_DIMENSION, inside _RADIUS.
     """
     p0 = _kronecker_lyapunov(closed_loop_matrix(gain))
     p0 = p0 / max(np.max(np.abs(p0)), 1.0)
@@ -222,88 +183,129 @@ def _initial_variables(n, gain):
     )
 
 
-_SMOOTHING_LADDER = (
-    (1e-1, 300),
-    (1e-2, 300),
-    (1e-3, 300),
-    (1e-4, 300),
-    (1e-5, 600),
-    (1e-6, 1500),
-    (2e-7, 4000),
-    (5e-8, 4000),
-    (1e-8, 4000),
-    (2e-9, 4000),
-)
+class _Budget:
+    """Newton steps left to one solve; every centering draws on it."""
+
+    def __init__(self):
+        self.left = MAX_NEWTON_STEPS
 
 
-def _solve_feasibility(theta0, m0, jac, eps):
-    """Smoothed quasi-Newton continuation from theta0.
+# nfev counts Newton steps; stalled, a line search that found no decrease
+_Centered = namedtuple("_Centered", "x nfev stalled")
 
-    The smoothing stage supplies curvature information that carries the
-    iterate down the thin feasibility needle. Stops as soon as the exact
-    objective is safely negative, and bails out of the expensive
-    deep-smoothing stages when progress clearly died while still far from
-    feasibility.
+
+def _with_column(m0, jac, extra):
+    """Basis F of M(x) = m0 + sum_k x_k F[k]: the packed variables of
+    _affine_stack, then one more variable whose matrix is extra."""
+    return np.concatenate([jac.T, extra.reshape(1, -1)]).reshape(-1, *m0.shape)
+
+
+def _barrier(x, tau, cost, m0, basis):
+    """tau c'x - log det(-M(x)) - log(R^2 - |theta|^2), inf outside its
+    domain; M(x) = m0 + sum_k x_k basis[k], theta = x[:-1], R = _RADIUS. The
+    ball bounds the barrier below: -M grows without bound along some
+    directions of the multipliers P2, P3, P4."""
+    slack = _RADIUS ** 2 - x[:-1] @ x[:-1]
+    try:
+        factor = np.linalg.cholesky(-(m0 + np.tensordot(x, basis, 1)))
+    except np.linalg.LinAlgError:
+        return math.inf
+    if not slack > 0:
+        return math.inf
+    return tau * (cost @ x) - 2.0 * np.sum(np.log(np.diag(factor))) - math.log(slack)
+
+
+def _barrier_derivatives(x, tau, cost, m0, basis):
+    """Gradient and Hessian of _barrier inside its domain.
+
+    With Z = (-M)^-1 the log det term contributes J' vec(Z) and
+    H_jk = tr(Z F_j Z F_k): one batched product Z F and one GEMM.
     """
-    target = -0.25 * eps
-
-    def exact(theta):
-        vals, _ = _eigensystem(theta, m0, jac)
-        return vals[-1]
-
-    theta = theta0.copy()
-    best_theta, best_f = theta.copy(), exact(theta)
-    start_warm = best_f < 1e-3
-    slow_stages = 0
-    for mu, iters in _SMOOTHING_LADDER:
-        if start_warm and mu > 1e-4:
-            continue
-        if mu < max(eps * 0.01, 1e-12):
-            break
-        res = minimize(
-            lambda th: _smoothed_value_grad(th, mu, m0, jac),
-            theta,
-            jac=True,
-            method="L-BFGS-B",
-            options={"maxiter": iters, "ftol": 1e-18, "gtol": 1e-14, "maxcor": 30},
-        )
-        theta = res.x
-        f = exact(theta)
-        improved = f < 0.5 * best_f
-        if f < best_f:
-            best_theta, best_f = theta.copy(), f
-        if best_f < target:
-            return best_theta, best_f
-        if not improved and best_f > 100.0 * eps:
-            slow_stages += 1
-            if slow_stages >= 2:
-                break
-        else:
-            slow_stages = 0
-    return best_theta, best_f
+    dim = len(x)
+    inv = np.linalg.inv(np.linalg.cholesky(-(m0 + np.tensordot(x, basis, 1))))
+    z = inv.T @ inv
+    grad = tau * cost + basis.reshape(dim, -1) @ z.reshape(-1)
+    zf = np.matmul(z, basis)
+    hess = zf.reshape(dim, -1) @ zf.transpose(0, 2, 1).reshape(dim, -1).T
+    theta = x[:-1]
+    ball = 2.0 / (_RADIUS ** 2 - theta @ theta)
+    grad[:-1] += ball * theta
+    hess[:-1, :-1] += ball * np.eye(dim - 1) + ball ** 2 * np.outer(theta, theta)
+    return grad, hess
 
 
-def lmi_feasible(n, gain, h, gamma_m, eps=None, warm_start=None):
-    """Search for a feasibility certificate of W < 0 at slope gamma_m.
+def minimize(x, tau, cost, m0, basis, max_steps, until=None):
+    """Damped Newton centering of _barrier from a point x of its domain.
 
-    One smoothing continuation runs, from warm_start (one LmiVariables)
-    when given, else from the heuristic start. Returns (True, LmiVariables)
-    only when the certificate passes the independent eigenvalue
-    verification; otherwise (False, "unknown"). The negative answer is
-    never a proof of infeasibility.
+    A backtracking line search keeps each iterate inside the domain.
+    Ends when the squared Newton decrement is at most _CENTERED, after
+    max_steps steps, when the line search stalls, or once until(x).
+    """
+    f = _barrier(x, tau, cost, m0, basis)
+    for steps in range(max_steps):
+        if until is not None and until(x):
+            return _Centered(x, steps, False)
+        grad, hess = _barrier_derivatives(x, tau, cost, m0, basis)
+        scale = 1.0 / np.sqrt(np.diag(hess))  # Jacobi scaling: variables span decades
+        step = -scale * np.linalg.solve(hess * np.outer(scale, scale), scale * grad)
+        decrement = -(grad @ step)
+        if decrement <= _CENTERED:
+            return _Centered(x, steps + 1, False)
+        length = 1.0
+        trial = _barrier(x + step, tau, cost, m0, basis)
+        while not trial <= f - 0.25 * length * decrement:
+            length *= 0.5
+            if length < _MIN_STEP:
+                return _Centered(x, steps + 1, True)
+            trial = _barrier(x + length * step, tau, cost, m0, basis)
+        x, f = x + length * step, trial
+    return _Centered(x, max_steps, False)
+
+
+def _central_path(x, tau, cost, m0, basis, budget, until=None):
+    """Yield (x, gap) at each centered point while the budget lasts, gap the
+    bound m / tau on c'x - min c'x with m = 7n + 1 (log det and the ball)."""
+    order = m0.shape[0] + 1
+    while budget.left > 0:
+        centered = minimize(x, tau, cost, m0, basis, budget.left, until)
+        budget.left -= centered.nfev
+        x = centered.x
+        yield x, order / tau
+        if centered.stalled:
+            return
+        tau *= _TAU_GROWTH
+
+
+def lmi_feasible(n, gain, h, gamma_m, eps=None, budget=None):
+    """Phase I: minimise s s.t. M(theta) <= s I from the heuristic start,
+    stopping as soon as s < 0. Gives up once the gap shows s stays above 0,
+    or when the Newton budget (a fresh one unless the caller shares its
+    own) is spent. Returns (True, LmiVariables) only for a certificate that
+    passes verify_certificate; otherwise (False, "unknown").
     """
     if gamma_m < 0:
         raise ValueError("gain-margin slope must be nonnegative")
     if eps is None:
-        eps = _default_eps(gamma_m)
+        eps = 1e-6 * (1.0 + gamma_m ** 2)
     packing = _Packing(n)
     m0, jac = _affine_stack(packing, n, gain, h, gamma_m, eps)
-    start = warm_start if warm_start is not None else _initial_variables(n, gain)
-    theta, f = _solve_feasibility(packing.pack(start), m0, jac, eps)
-    if f < 0.0:
-        variables = packing.unpack(theta)
-        if verify_certificate(n, gain, h, gamma_m, variables, eps):
-            return True, variables
+    size = m0.shape[0]
+    basis = _with_column(m0, jac, -np.eye(size))
+    theta = packing.pack(_initial_variables(n, gain))
+    s = np.linalg.eigvalsh(m0 + np.tensordot(theta, basis[:-1], 1))[-1] + 1.0
+    cost = np.append(np.zeros(len(theta)), 1.0)
+    path = _central_path(
+        np.append(theta, s), size / max(s, 1.0), cost, m0, basis,
+        budget or _Budget(), until=lambda x: x[-1] < 0,
+    )
+    for x, gap in path:
+        if x[-1] < 0:
+            variables = packing.unpack(x[:-1])
+            if verify_certificate(n, gain, h, gamma_m, variables, eps):
+                return True, variables
+            break
+        if x[-1] > gap:  # the least s is at least s - gap > 0
+            break
     return False, "unknown"
 
 
@@ -318,43 +320,50 @@ def upper_bound_gamma(n):
 
 
 def max_gain_margin(n, tol=None):
-    """Bisection bracket for the certified gain margin at unit delay.
+    """Certified gain-margin bracket at unit delay: max t s.t. M(theta, t) < 0.
 
-    tol is the absolute bisection resolution, finite and positive; by default
-    it scales with the analytic upper bound so small-margin dimensions still
-    resolve, and the bisection also stops at float resolution or after
-    MAX_BISECTION_STEPS halvings, whichever comes first. The
-    strictness margin likewise shrinks with the expected slope magnitude:
-    certificates for higher dimensions are intrinsically ill-conditioned
-    (the attainable interior slack falls roughly with the square of the
-    margin itself), and a fixed strictness would reject them wholesale.
-    The returned lower bound always carries a verified certificate, except
-    in the degenerate case where even slope 0 could not be certified,
-    reported as lower 0 with no certificate.
+    Phase I (lmi_feasible) certifies slope 0; phase II follows the central
+    path of -tau t - log det(-M) from there, verifying each centered point.
+    It stops once the gap, converted to gamma, is at most min(tol, 1e-4
+    upper), so lower is within tol of the LMI optimum over the ball; or
+    with the best verified point when the line search stalls or the shared
+    MAX_NEWTON_STEPS is spent. The strictness eps shrinks with the margin,
+    whose attainable interior slack falls roughly with its square. Lower 0
+    with no certificate means even slope 0 went uncertified.
     """
     if not 1 <= n <= MAX_MARGIN_DIMENSION:
         raise ValueError("dimension must be in 1..%d" % MAX_MARGIN_DIMENSION)
     gain = gain_star(n)
     upper = gain.l[-1]
     if tol is None:
-        tol = 1e-3 * upper
+        tol = 1e-4 * upper
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError("tol must be finite and positive")
+    tol = min(tol, 1e-4 * upper)
     eps = min(1e-6, max(1e-2 * upper ** 2, 1e-11))
-    ok, best = lmi_feasible(n, gain, 1.0, 0.0, eps=eps)
+    budget = _Budget()
+    ok, best = lmi_feasible(n, gain, 1.0, 0.0, eps=eps, budget=budget)
     if not ok:
         return MarginBracket(n=n, lower=0.0, upper=upper, certificate=None, eps=eps)
-    lo, hi = 0.0, upper
-    for _ in range(MAX_BISECTION_STEPS):
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= tol or not lo < mid < hi:  # adjacent floats: below resolution
+    packing = _Packing(n)
+    m0, jac = _affine_stack(packing, n, gain, 1.0, 0.0, eps)
+    slope_block = np.diag((np.arange(7 * n) < n) * 1.0)  # t I in W's (1,1) block
+    cost = np.append(np.zeros(packing.dim), -1.0)
+    lower = 0.0
+    path = _central_path(
+        np.append(packing.pack(best), 0.0), 7 * n / upper ** 2, cost, m0,
+        _with_column(m0, jac, slope_block), budget,
+    )
+    for x, gap in path:
+        t = max(x[-1], 0.0)
+        gamma = math.sqrt(t)
+        if gamma > lower:
+            variables = packing.unpack(x[:-1])
+            if verify_certificate(n, gain, 1.0, gamma, variables, eps):
+                lower, best = gamma, variables
+        if math.sqrt(t + gap) - gamma <= tol:  # the optimal t is at most t + gap
             break
-        ok, result = lmi_feasible(n, gain, 1.0, mid, eps=eps, warm_start=best)
-        if ok:
-            lo, best = mid, result
-        else:
-            hi = mid
-    return MarginBracket(n=n, lower=lo, upper=upper, certificate=best, eps=eps)
+    return MarginBracket(n=n, lower=lower, upper=upper, certificate=best, eps=eps)
 
 
 def design_chain(n, gamma_phi, h, gamma_m):

@@ -67,13 +67,13 @@ class SimConfig:
     predictor_history: tuple = None
 
     def __post_init__(self):
+        if self.system.h <= 0:
+            raise ValueError("simulation requires a positive input delay")
         if self.N < 1:
             raise ValueError("at least one sub-predictor is required")
         if not 0 < self.lam < math.inf:
             raise ValueError("scalar gain must be finite and positive")
         object.__setattr__(self, "lam", float(self.lam))
-        if self.system.h <= 0:
-            raise ValueError("simulation requires a positive input delay")
         if not self.system.h <= self.t_end < math.inf:
             raise ValueError("horizon must be finite and reach at least one delay span")
         if self.dt is not None and not 0 < self.dt < math.inf:
@@ -137,7 +137,7 @@ def integrate(config):
     width = (N + 1) * n
     if (steps + 1) * width > MAX_STATE_VALUES:
         raise ValueError(
-            "%d nodes of %d states exceed the budget of %d stored values; enlarge dt"
+            "%.3g nodes of %d states exceed the budget of %d stored values; enlarge dt"
             % (steps + 1, width, MAX_STATE_VALUES)
         )
     # numpy's power, not Python's: the two can differ in the last bit

@@ -88,7 +88,7 @@ def test_design_certifies_the_gain_margin_when_none_is_given(tmp_path, capsys, m
     assert run(tmp_path, *design) == 0
     first, *sizing = capsys.readouterr().out.splitlines()
     assert [b.n for b in brackets] == [1]
-    assert first == "certified gain margin 0.342013"
+    assert first == "certified gain margin 0.342068"
     # the rest is the sizing for that margin given on the command line
     assert run(tmp_path, *design, "--gamma-m", repr(brackets[0].lower)) == 0
     assert capsys.readouterr().out.splitlines() == sizing
@@ -190,6 +190,24 @@ def test_simulate_field_domain_error(tmp_path, capsys):
     # the predictor starts from zero history, outside the domain of log
     assert run(tmp_path, "simulate", "--config", str(config), "--N", "1") == 1
     assert "error: log of a non-positive value" in capsys.readouterr().err
+
+
+def test_simulate_zero_delay_is_refused_before_the_gain(tmp_path, capsys):
+    # the default scalar gain N / h would divide by the zero delay
+    config = tmp_path / "undelayed.kv"
+    config.write_text('n = 1\nh = 0\nphi = ["-x1"]\ngamma = [1.0]\n')
+    assert run(tmp_path, "simulate", "--config", str(config), "--N", "1") == 1
+    assert capsys.readouterr().err == "error: simulation requires a positive input delay\n"
+
+
+def test_simulate_node_budget_error_stays_short(tmp_path, capsys):
+    # a delay of 1e-300 asks for about 1e303 nodes
+    config = tmp_path / "tiny.kv"
+    config.write_text('n = 1\nh = 1e-300\nphi = ["-x1"]\ngamma = [1.0]\n')
+    assert run(tmp_path, "simulate", "--config", str(config), "--N", "1") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "exceed the budget" in err
+    assert len(err) < 120 and err.count("\n") == 1, err
 
 
 def test_simulate_requires_source(tmp_path, capsys):
@@ -482,21 +500,24 @@ def test_unbounded_inputs_fail_fast(tmp_path, argv):
     assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1, proc.stderr
 
 
-COLD_START = """
+EVERY_SUBCOMMAND = """
 import sys
 from midpredict.cli import dispatch
 
 outdir, config = sys.argv[1:]
-for argv in (["synth", "--n", "2"], ["margins", "--n", "2"],
-             ["simulate", "--config", config, "--N", "1", "--t-end", "1"]):
+for argv in (["synth", "--n", "2"], ["spectrum", "--n", "2", "--delta", "1"],
+             ["margins", "--n", "2"], ["gainmargin", "--n", "1"],
+             ["design", "--n", "1", "--gamma-phi", "1.1", "--h", "0.25"],
+             ["simulate", "--config", config, "--N", "1", "--t-end", "1"],
+             ["compare", "--n", "2", "--h", "0.25", "--lambda", "2", "--L", "2,1",
+              "--gamma-phi", "1.1", "--gamma-m", "0.06"],
+             ["repro", "--figure", "d_vs_n", "--n-max", "3"]):
     assert dispatch(["--outdir", outdir] + argv) == 0, argv
-print("before:", sorted(m for m in sys.modules if m.startswith("scipy")))
-assert dispatch(["--outdir", outdir, "gainmargin", "--n", "1", "--tol", "0.005"]) == 0
-print("after:", any(m.startswith("scipy") for m in sys.modules))
+print("scipy:", sorted(m for m in sys.modules if m.partition(".")[0] == "scipy"))
 """
 
 
-def test_cold_start_loads_scipy_only_for_gainmargin(tmp_path):
+def test_no_subcommand_imports_scipy(tmp_path):
     import subprocess
     import sys
 
@@ -506,16 +527,15 @@ def test_cold_start_loads_scipy_only_for_gainmargin(tmp_path):
     config.write_text('n = 2\nh = 1.0\nphi = ["0", "0"]\ngamma = [0.0, 0.0]\nu = "0"\n')
     src = os.path.dirname(os.path.dirname(midpredict.__file__))
     proc = subprocess.run(
-        [sys.executable, "-c", COLD_START, str(tmp_path), str(config)],
+        [sys.executable, "-c", EVERY_SUBCOMMAND, str(tmp_path), str(config)],
         env=dict(os.environ, PYTHONPATH=src),
         capture_output=True,
         text=True,
         timeout=120.0,
     )
     assert proc.returncode == 0, proc.stderr
-    assert "before: []" in proc.stdout
-    assert "certified lower bound 0.342013" in proc.stdout
-    assert "after: True" in proc.stdout
+    assert "certified lower bound 0.342068" in proc.stdout
+    assert "scipy: []" in proc.stdout
 
 
 BLAS_THREADS = """

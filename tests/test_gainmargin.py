@@ -91,22 +91,56 @@ def test_affine_stack_matches_assemble_w():
             assert np.max(np.abs(m - expected)) <= 1e-13 * np.max(np.abs(expected))
 
 
-def test_smoothed_gradient_matches_finite_differences():
-    from midpredict.gainmargin import _affine_stack, _Packing, _smoothed_value_grad
+def _phase_one_start(n):
+    """Phase I's barrier problem at slope 0 and its starting point."""
+    from midpredict.gainmargin import (
+        _affine_stack, _initial_variables, _Packing, _with_column,
+    )
+
+    packing = _Packing(n)
+    m0, jac = _affine_stack(packing, n, gain_star(n), 1.0, 0.0, 1e-6)
+    basis = _with_column(m0, jac, -np.eye(7 * n))
+    theta = packing.pack(_initial_variables(n, gain_star(n)))
+    s = np.linalg.eigvalsh(m0 + np.tensordot(theta, basis[:-1], 1))[-1] + 1.0
+    return np.append(theta, s), m0, basis
+
+
+def test_barrier_derivatives_match_finite_differences():
+    from midpredict.gainmargin import _barrier, _barrier_derivatives
 
     rng = np.random.default_rng(4)
     for n in (1, 2, 3):
-        packing = _Packing(n)
-        m0, jac = _affine_stack(packing, n, gain_star(n), 1.0, 0.05, 1e-6)
-        theta = 0.3 * rng.standard_normal(packing.dim)
-        _, grad = _smoothed_value_grad(theta, 0.1, m0, jac)
+        x, m0, basis = _phase_one_start(n)
+        x = x + 0.05 * rng.standard_normal(len(x))
+        cost = rng.standard_normal(len(x))
+        grad, hess = _barrier_derivatives(x, 1.7, cost, m0, basis)
+        assert np.allclose(hess, hess.T, rtol=0, atol=1e-12 * np.max(np.abs(hess)))
         step = 1e-6
-        for k in range(packing.dim):
-            e = np.zeros(packing.dim)
+        for k in range(len(x)):
+            e = np.zeros(len(x))
             e[k] = step
-            hi, _ = _smoothed_value_grad(theta + e, 0.1, m0, jac)
-            lo, _ = _smoothed_value_grad(theta - e, 0.1, m0, jac)
-            assert grad[k] == pytest.approx((hi - lo) / (2 * step), rel=1e-6, abs=1e-8)
+            hi, lo = (_barrier(x + d, 1.7, cost, m0, basis) for d in (e, -e))
+            assert grad[k] == pytest.approx((hi - lo) / (2 * step), rel=1e-6, abs=1e-7)
+            (g_hi, _), (g_lo, _) = (
+                _barrier_derivatives(x + d, 1.7, cost, m0, basis) for d in (e, -e)
+            )
+            fd = (g_hi - g_lo) / (2 * step)
+            assert np.allclose(hess[k], fd, rtol=1e-5, atol=1e-6 * np.max(np.abs(hess)))
+
+
+def test_barrier_is_infinite_outside_its_domain():
+    from midpredict.gainmargin import _RADIUS, _barrier
+
+    x, m0, basis = _phase_one_start(2)
+    cost = np.zeros(len(x))
+    assert math.isfinite(_barrier(x, 1.0, cost, m0, basis))
+    below = x.copy()
+    below[-1] -= 100.0  # s under the largest eigenvalue of M(theta)
+    assert _barrier(below, 1.0, cost, m0, basis) == math.inf
+    outside = x.copy()
+    outside[:-1] *= 1.01 * _RADIUS / np.linalg.norm(x[:-1])
+    outside[-1] += 1e6  # still inside the cone, but out of the ball
+    assert _barrier(outside, 1.0, cost, m0, basis) == math.inf
 
 
 def test_feasible_at_zero_slope():
@@ -125,29 +159,6 @@ def test_infeasible_above_analytic_ceiling():
     ok, info = lmi_feasible(2, G2, 1.0, 0.10)
     assert not ok
     assert info == "unknown"
-
-
-def test_each_query_runs_one_continuation(monkeypatch):
-    import midpredict.gainmargin as gm
-
-    runs = []
-    solve = gm._solve_feasibility
-
-    def counted(*args):
-        runs.append(args[0])
-        return solve(*args)
-
-    monkeypatch.setattr(gm, "_solve_feasibility", counted)
-    ok, cert = lmi_feasible(1, G1, 1.0, 0.3)
-    assert ok and len(runs) == 1
-    ok, info = lmi_feasible(1, G1, 1.0, 0.5)
-    assert (ok, info) == (False, "unknown") and len(runs) == 2
-    packing = gm._Packing(1)
-    for slope, certified in ((0.32, True), (0.5, False)):
-        ok, _ = lmi_feasible(1, G1, 1.0, slope, warm_start=cert)
-        assert ok == certified
-        assert np.array_equal(runs[-1], packing.pack(cert))
-    assert len(runs) == 4
 
 
 def test_rejects_negative_slope():
@@ -190,15 +201,50 @@ def test_max_gain_margin_n1_bracket():
 
 def test_max_gain_margin_lower_bounds_n1_n2():
     for n, tol, lower in (
-        (1, 0.005, 0.3420129179640753),
-        (2, 0.005, 0.0642869011632653),
-        (3, 0.002, 0.00906589929638385),
+        (1, 0.005, 0.3420676258620573),
+        (2, 0.005, 0.06723790905061379),
+        (3, 0.002, 0.010460536500295938),
     ):
         bracket = max_gain_margin(n, tol=tol)
         assert bracket.lower == lower
         assert verify_certificate(
             n, gain_star(n), 1.0, bracket.lower, bracket.certificate, bracket.eps
         )
+
+
+# lower bounds of the bisection under L-BFGS smoothing that the barrier solve
+# replaced, at the same (n, tol); None is the default tol
+BISECTION_LOWER_BOUNDS = (
+    (1, 0.005, 0.34201291796407529),
+    (2, 0.005, 0.064286901163265298),
+    (3, 0.002, 0.0090658992963838503),
+    (1, None, 0.34201291796407529),
+    (2, None, 0.067223081745241359),
+    (3, None, 0.010458836948692825),
+    (4, None, 0.0012134923237992986),
+)
+
+
+@pytest.mark.parametrize("n, tol, floor", BISECTION_LOWER_BOUNDS)
+def test_lower_bound_never_falls_below_the_bisection(n, tol, floor):
+    bracket = max_gain_margin(n, tol=tol)
+    assert bracket.lower >= floor
+    assert bracket.upper == gain_star(n).l[-1]
+    assert verify_certificate(
+        n, gain_star(n), 1.0, bracket.lower, bracket.certificate, bracket.eps
+    )
+
+
+def test_tol_only_tightens():
+    # tol above 1e-4 upper has no effect; a smaller one runs further along
+    # the same central path, keeping the best verified iterate
+    default = max_gain_margin(2)
+    loose = max_gain_margin(2, tol=1.0)
+    assert loose.lower == default.lower
+    assert np.array_equal(loose.certificate.P2, default.certificate.P2)
+    tight = max_gain_margin(2, tol=1e-300)
+    assert tight.lower >= default.lower
+    assert verify_certificate(2, G2, 1.0, tight.lower, tight.certificate, tight.eps)
 
 
 def test_design_chain_benchmark_numbers():
@@ -240,43 +286,51 @@ def test_design_chain_rejects_bad_inputs():
         design_chain(2, 1.0, 0.0, 0.1)
 
 
-def _threshold_oracle(monkeypatch, threshold):
-    """Replace the LMI query by "feasible iff slope <= threshold", counted."""
+def test_max_gain_margin_rejects_bad_tol(monkeypatch):
     import midpredict.gainmargin as gm
 
-    slopes = []
-
-    def verdict(n, gain, delta, slope, **kw):
-        slopes.append(slope)
-        assert len(slopes) < 2000, "bisection does not end"
-        return slope <= threshold, None
-
-    monkeypatch.setattr(gm, "lmi_feasible", verdict)
-    return slopes
-
-
-def test_max_gain_margin_rejects_bad_tol(monkeypatch):
-    slopes = _threshold_oracle(monkeypatch, 0.1 * G1.l[-1])
+    queries = []
+    monkeypatch.setattr(gm, "lmi_feasible", lambda *args, **kw: queries.append(args))
     for bad in (0.0, -1e-3, math.nan, math.inf):
         with pytest.raises(ValueError):
             max_gain_margin(1, tol=bad)
-    assert slopes == []
+    assert queries == []
 
 
-def test_bisection_ends_at_float_resolution(monkeypatch):
-    # a feasibility threshold at a float: the bracket closes onto adjacent
-    # floats, where the midpoint equals an endpoint and can no longer move
-    threshold = 0.1 * G1.l[-1]
-    _threshold_oracle(monkeypatch, threshold)
-    assert max_gain_margin(1, tol=1e-300).lower == threshold
-
-
-def test_bisection_step_budget(monkeypatch):
-    # only slope 0 is certified, so lo stays 0 and hi would halve towards
-    # the denormals, one "unknown" query per halving, without the budget
+def _counted_newton_steps(monkeypatch):
     import midpredict.gainmargin as gm
 
-    slopes = _threshold_oracle(monkeypatch, 0.0)
-    bracket = max_gain_margin(1, tol=1e-300)
-    assert bracket.lower == 0.0
-    assert len(slopes) == 1 + gm.MAX_BISECTION_STEPS
+    steps = []
+    centre = gm.minimize
+
+    def counted(*args, **kwargs):
+        result = centre(*args, **kwargs)
+        steps.append(result.nfev)
+        return result
+
+    monkeypatch.setattr(gm, "minimize", counted)
+    return steps
+
+
+def test_newton_step_budget(monkeypatch):
+    import midpredict.gainmargin as gm
+
+    steps = _counted_newton_steps(monkeypatch)
+    bracket = max_gain_margin(2, tol=1e-300)  # the gap never closes
+    assert sum(steps) <= gm.MAX_NEWTON_STEPS
+    assert verify_certificate(2, G2, 1.0, bracket.lower, bracket.certificate, bracket.eps)
+    # a budget spent in phase II keeps the last verified iterate
+    for budget in (40, 50, 60):
+        monkeypatch.setattr(gm, "MAX_NEWTON_STEPS", budget)
+        steps.clear()
+        bracket = max_gain_margin(2)
+        assert sum(steps) <= budget
+        assert 0.0 < bracket.lower < bracket.upper
+        assert verify_certificate(2, G2, 1.0, bracket.lower, bracket.certificate, bracket.eps)
+    # a budget spent in phase I gives up: "unknown", then a degenerate bracket
+    monkeypatch.setattr(gm, "MAX_NEWTON_STEPS", 3)
+    steps.clear()
+    assert lmi_feasible(2, G2, 1.0, 0.0) == (False, "unknown")
+    assert sum(steps) <= 3
+    bracket = max_gain_margin(2)
+    assert (bracket.lower, bracket.certificate) == (0.0, None)
