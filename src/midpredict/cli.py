@@ -305,8 +305,8 @@ def _cmd_compare(args):
         raise ValueError("gain margin must be finite")
     gain = GainVector(tuple(float(v) for v in args.L.split(",")), args.n)
     verdicts = [
-        ahmed_conditions(args.n, gain, args.lam, args.h, args.gamma_phi),
-        lei_conditions(args.n, gain, args.lam, args.h),
+        ahmed_conditions(gain, args.lam, args.h, args.gamma_phi),
+        lei_conditions(gain, args.lam, args.h),
     ]
     gamma_m = args.gamma_m if args.gamma_m is not None else max_gain_margin(args.n).lower
     chain = design_chain(args.n, args.gamma_phi, args.h, gamma_m) if gamma_m > 0 else None

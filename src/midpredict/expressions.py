@@ -32,7 +32,6 @@ __all__ = [
     "parse_expression",
     "eval_expression",
     "free_variables",
-    "to_source",
     "compile_chain_run",
     "FUNCTIONS",
 ]
@@ -294,48 +293,6 @@ def eval_expression(node, bindings):
     if op == "/":
         return _div(a, b)
     return _pow(a, b)
-
-
-_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}
-
-
-def _node_prec(node):
-    if isinstance(node, (Num, Var, Call)):
-        return 5
-    if isinstance(node, Neg):
-        return _PREC["neg"]
-    return _PREC[node.op]
-
-
-def to_source(node):
-    """Render an AST back to text; re-parsing yields a structurally equal AST."""
-    if isinstance(node, Num):
-        # a literal past the float range parses to inf, which repr cannot give back
-        return "1e999" if node.value == math.inf else repr(node.value)
-    if isinstance(node, Var):
-        return node.name
-    if isinstance(node, Call):
-        return "%s(%s)" % (node.func, to_source(node.arg))
-    if isinstance(node, Neg):
-        inner = to_source(node.operand)
-        if _node_prec(node.operand) < _PREC["neg"]:
-            inner = "(%s)" % inner
-        return "-" + inner
-    p = _PREC[node.op]
-    left = to_source(node.left)
-    right = to_source(node.right)
-    if node.op == "^":
-        # right associative, so the left operand needs parens at equal level
-        if _node_prec(node.left) <= p:
-            left = "(%s)" % left
-        if _node_prec(node.right) < p:
-            right = "(%s)" % right
-    else:
-        if _node_prec(node.left) < p:
-            left = "(%s)" % left
-        if _node_prec(node.right) <= p:
-            right = "(%s)" % right
-    return "%s %s %s" % (left, node.op, right)
 
 
 def _literal(value):

@@ -32,7 +32,6 @@ __all__ = [
     "verify_certificate",
     "max_gain_margin",
     "minimize",
-    "upper_bound_gamma",
     "design_chain",
 ]
 
@@ -307,16 +306,6 @@ def lmi_feasible(n, gain, h, gamma_m, eps=None, budget=None):
         if x[-1] > gap:  # the least s is at least s - gap > 0
             break
     return False, "unknown"
-
-
-def upper_bound_gamma(n):
-    """Analytic ceiling: the trailing design gain.
-
-    A constant output perturbation of this slope shifts the characteristic
-    equation to D(s) - l_n = 0, which is solved by s = 0, so no larger
-    slope can leave the loop asymptotically stable.
-    """
-    return gain_star(n).l[-1]
 
 
 def max_gain_margin(n, tol=None):

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .polynomials import bisect_root, isolate_positive_roots, sign_at, unstable_root_count
 from .spectrum import _injection_value
@@ -30,7 +29,6 @@ __all__ = [
     "DegenerateCrossingError",
     "crossing_frequencies",
     "crossing_points",
-    "crossing_polynomial",
     "stability_partition",
     "partition_for_gain",
     "hurwitz_check",
@@ -134,12 +132,6 @@ def _crossing_numerators(gain):
     f[gain.n] += den
     content = math.gcd(*f)
     return [v // content for v in f], den // content
-
-
-def crossing_polynomial(gain):
-    """x**n - |L(j*sqrt(x))|**2 with exact rational coefficients."""
-    f, den = _crossing_numerators(gain)
-    return [Fraction(v, den) for v in f]
 
 
 def _polish_root(f, den, lo, hi):

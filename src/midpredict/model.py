@@ -1,9 +1,10 @@
-"""Canonical triangular systems, weighted dilations, and Lipschitz bookkeeping.
+"""Canonical triangular systems: their definition file, checks and demo.
 
 A system is a chain of integrators driven by a triangular vector field: the
 state map A shifts coordinates up (component i of Ax is ``x[i+1]``, last
 component 0) and the output reads the first coordinate. Neither A nor C is
-ever stored densely here.
+ever stored densely here. The per-component Lipschitz constants gamma are
+stored as the user declares them.
 """
 
 from __future__ import annotations
@@ -15,73 +16,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expressions import EvaluationError, Node, eval_expression, free_variables, parse_expression
+from .expressions import Node, eval_expression, free_variables, parse_expression
 
 __all__ = [
     "ModelError",
     "CanonicalSystem",
-    "canonical_weights",
-    "dilate",
-    "dilated_error_transform",
-    "aggregate_lipschitz",
     "check_triangular",
-    "shift_map",
     "make_system",
     "parse_system_config",
     "load_system",
     "demo_system",
-    "sample_component_slopes",
 ]
 
 
 class ModelError(ValueError):
     pass
-
-
-def canonical_weights(n):
-    """Weight tuple (1, 2, ..., n) used throughout the design."""
-    if n < 1:
-        raise ModelError("dimension must be positive")
-    return tuple(range(1, n + 1))
-
-
-def dilate(r, lam, x):
-    """Scale component i of x by lam**r[i]. Weights must be positive."""
-    if lam <= 0:
-        raise ModelError("dilation parameter must be positive")
-    r = np.asarray(r, dtype=float)
-    x = np.asarray(x, dtype=float)
-    if r.shape != x.shape:
-        raise ModelError("weight and vector lengths differ")
-    if np.any(r <= 0):
-        raise ModelError("weights must be positive")
-    return x * lam ** r
-
-
-def dilated_error_transform(r, lam, e):
-    """Map an error e to its dilated form using the inverse dilation.
-
-    Only lam >= 1 is accepted: the Lipschitz bound that motivates reporting
-    the dilated error holds on that range.
-    """
-    if lam < 1:
-        raise ModelError("dilated errors are defined for lam >= 1")
-    return dilate(r, 1.0 / lam, e)
-
-
-def aggregate_lipschitz(gamma):
-    """Combine per-component Lipschitz constants into a single constant."""
-    g = np.asarray(gamma, dtype=float)
-    if np.any(g < 0):
-        raise ModelError("Lipschitz constants must be nonnegative")
-    return float(np.sqrt(np.sum(g * g)))
-
-
-def shift_map(x):
-    """Apply the up-shift A: (Ax)_i = x_{i+1}, (Ax)_n = 0."""
-    out = np.zeros_like(np.asarray(x, dtype=float))
-    out[:-1] = x[1:]
-    return out
 
 
 @dataclass(frozen=True)
@@ -218,32 +167,3 @@ def demo_system(h=0.25):
         h=h,
         u_source="0.1*sin(0.1*t)",
     )
-
-
-def sample_component_slopes(system, box, samples=2000, u_range=(-0.1, 0.1), seed=0):
-    """Sanity helper: sample finite-difference slopes of each phi component.
-
-    box is a list of (lo, hi) per state coordinate. Returns one sampled
-    slope bound per component for comparison against the declared gamma.
-    This is a spot check, not a certified bound.
-    """
-    rng = np.random.default_rng(seed)
-    lo = np.array([b[0] for b in box], dtype=float)
-    hi = np.array([b[1] for b in box], dtype=float)
-    if lo.shape != (system.n,):
-        raise ModelError("box must have one (lo, hi) pair per coordinate")
-    best = np.zeros(system.n)
-    for _ in range(samples):
-        x = lo + (hi - lo) * rng.random(system.n)
-        d = rng.standard_normal(system.n)
-        d /= np.linalg.norm(d)
-        step = 1e-6 * max(1.0, np.linalg.norm(x))
-        u = u_range[0] + (u_range[1] - u_range[0]) * rng.random()
-        try:
-            f0 = system.phi_value(x, u)
-            f1 = system.phi_value(x + step * d, u)
-        except EvaluationError:
-            continue
-        slopes = np.abs(f1 - f0) / step
-        best = np.maximum(best, slopes)
-    return best

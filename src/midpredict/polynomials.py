@@ -7,9 +7,9 @@ as itself, never as its float rounding. Descartes' rule of signs bounds the
 roots in (0, inf) by the sign variations of the coefficients, exactly when
 that bound is 0 or 1, and reaches any other interval through a Taylor
 shift: isolate_positive_roots bisects on it (Collins & Akritas, 1976), and
-bisect_root narrows one root on exact signs. A Sturm chain counts negative
-roots and yields gcd(p, p'). Signs at rationals come from one homogeneous
-Horner sum on integers; unstable_root_count is an exact Routh count.
+bisect_root narrows one root on exact signs. A Sturm chain yields
+gcd(p, p'). Signs at rationals come from one homogeneous Horner sum on
+integers; unstable_root_count is an exact Routh count.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ __all__ = [
     "sign_variations",
     "taylor_shift",
     "squarefree_part",
-    "sturm_root_certificate",
     "isolate_positive_roots",
     "bisect_root",
     "rightmost_root",
@@ -278,32 +277,13 @@ def bisect_root(p, lo, hi):
     return float(hi)
 
 
-def sturm_root_certificate(coeffs):
-    """Exact count of distinct negative real roots plus a squarefree flag.
-
-    coeffs are ascending and exact: ints, Fractions or floats, each read as
-    the rational it is, so the certificate speaks for that polynomial and
-    not for a float rounding of it. Returns (count_negative, all_distinct).
-    For p = x**m r with r(0) != 0, both read the Sturm chain of r: the count
-    is its sign changes at -inf minus those at 0, and p is squarefree when
-    the chain ends in a constant and m <= 1.
-    """
-    p = _to_int_poly(coeffs)
-    if len(p) < 2:
-        raise ValueError("certificate requires a nonconstant polynomial")
-    m = next(i for i, c in enumerate(p) if c)
-    chain = _sturm_chain(p[m:])
-    # at -inf the leading term decides, flipped for odd degree
-    at_minus_inf = sign_variations([c[-1] if len(c) % 2 else -c[-1] for c in chain])
-    return at_minus_inf - sign_variations([c[0] for c in chain]), len(chain[-1]) == 1 and m <= 1
-
-
 def rightmost_root(coeffs):
     """Largest real root of the polynomial with exact ascending coeffs.
 
-    coeffs are read as in sturm_root_certificate. The seed c is the largest
-    near-real eigenvalue of the companion matrix of their float rounding
-    (np.roots), so its last bits come from the LAPACK build numpy uses. It
+    coeffs are ascending and exact: ints, Fractions or floats, each read as
+    the rational it is. The seed c is the largest near-real eigenvalue of
+    the companion matrix of their float rounding (np.roots), so its last
+    bits come from the LAPACK build numpy uses. It
     is returned as it is when the exact polynomial changes sign across
     [c - pad, c + pad], pad about 1e-9 |c|, and Descartes' rule sees no root
     above c + pad. Otherwise the largest root of the squarefree part, found

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
@@ -38,7 +38,6 @@ __all__ = [
     "integrate",
     "demo_config",
     "run_demo_variant",
-    "fit_decay_rate",
     "DEMO_VARIANTS",
 ]
 
@@ -106,9 +105,8 @@ class SimulationTrace:
     xhat: np.ndarray  # (T, N, n) sub-predictor states
     e_chain: np.ndarray  # (T, N) per-stage error norms
     e_pred: np.ndarray  # (T,) |xhat^N(t-h) - x(t)|, NaN before t = h
-    epsilon: np.ndarray | None  # (T, N) dilated per-stage error norms
     divergent: bool
-    metadata: dict = field(default_factory=dict)
+    metadata: dict  # dt, the step used; nodes_per_stage_delay, the m with h/N = m dt
 
 
 def _row_norms(d):
@@ -163,31 +161,14 @@ def integrate(config):
     diff[:offset, N] = np.nan
     diff[offset:, N] = state[: count - offset, N] - state[offset:, 0]
     norms = _row_norms(diff)
-    e_chain, e_pred = norms[:, :N], norms[:, N]
-    epsilon = None
-    if lam >= 1.0:
-        stages = diff[:, :N]
-        stages *= lam ** (-np.arange(1, n + 1))
-        epsilon = _row_norms(stages)
     return SimulationTrace(
         times=np.arange(count) * dt,
         x=state[:, 0],
         xhat=state[:, 1:],
-        e_chain=e_chain,
-        e_pred=e_pred,
-        epsilon=epsilon,
+        e_chain=norms[:, :N],
+        e_pred=norms[:, N],
         divergent=divergent,
-        metadata={
-            "dt": dt,
-            "h": h,
-            "h_e": h_e,
-            "nodes_per_stage_delay": m,
-            "lam": lam,
-            "N": N,
-            "x0": config.x0,
-            "predictor_history": config.predictor_history,
-            "t_end": config.t_end,
-        },
+        metadata={"dt": dt, "nodes_per_stage_delay": m},
     )
 
 
@@ -205,25 +186,11 @@ def demo_config(variant, h, t_end=60.0, dt=None):
     if variant == "ahmed":
         gain = GainVector(l=(2.0, 1.0), n=2)
         return SimConfig(system=system, gain=gain, lam=2.0, N=1, t_end=t_end, dt=dt)
-    if variant == "ours_N1":
-        return SimConfig(system=system, gain=gain_star(2), lam=1.0 / h, N=1, t_end=t_end, dt=dt)
-    return SimConfig(system=system, gain=gain_star(2), lam=5.0 / h, N=5, t_end=t_end, dt=dt)
+    N = 1 if variant == "ours_N1" else 5
+    lam = N / h if h > 0 else None  # else SimConfig refuses the delay first
+    return SimConfig(system=system, gain=gain_star(2), lam=lam, N=N, t_end=t_end, dt=dt)
 
 
 def run_demo_variant(variant, h, t_end=60.0, dt=None):
     """Simulate the bundled benchmark under one of the demo_config tunings."""
     return integrate(demo_config(variant, h, t_end=t_end, dt=dt))
-
-
-def fit_decay_rate(trace, window):
-    """Least-squares slope of log prediction-error norm over a time window."""
-    t1, t2 = window
-    mask = (trace.times >= t1) & (trace.times <= t2) & np.isfinite(trace.e_pred)
-    if not np.any(mask):
-        raise ValueError("window contains no prediction-error samples")
-    errs = trace.e_pred[mask]
-    if np.any(errs <= 0.0):
-        raise ValueError("prediction error must be positive on the window")
-    ts = trace.times[mask]
-    slope, _ = np.polyfit(ts, np.log(errs), 1)
-    return float(slope)

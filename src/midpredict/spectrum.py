@@ -31,7 +31,6 @@ __all__ = [
     "qp_scale",
     "count_roots_region",
     "roots_in_region",
-    "rightmost_in_region",
     "default_certification_rect",
 ]
 
@@ -443,14 +442,6 @@ def _sorted_roots(roots):
             if s.imag < 0 < z.imag and k == m and abs(z - s.conjugate()) <= 1e-8 * abs(z):
                 keys[i] = keys[j] = min(s.real, z.real)
     return [r for _, r in sorted(zip(keys, roots), key=lambda kr: (kr[0], kr[1][0].imag))]
-
-
-def rightmost_in_region(qp, rect):
-    """Root of maximal real part in the rectangle."""
-    result = roots_in_region(qp, rect)
-    if not result.roots:
-        raise SpectrumError("empty spectrum in region")
-    return result.dominant
 
 
 def default_certification_rect(sigma_st, delta):

@@ -5,8 +5,7 @@ The delay-normalized characteristic function is
 ``s**n + (l1*s**(n-1) + ... + ln) * exp(-delta*s)``. Forcing a root of
 multiplicity n+1 pins every gain: the root must be a zero of a fixed
 polynomial q (degree n, all roots real, negative, distinct), and the gains
-follow from the derivative conditions either in closed form or by solving a
-triangular linear system. Both routes are implemented; they must agree.
+follow from the derivative conditions in closed form (gain_star).
 multiplicity_at checks the conditions D^(k)(s0) = 0 at any point s0, each
 against the largest term magnitude of D^(k).
 """
@@ -17,18 +16,14 @@ import itertools
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .polynomials import rightmost_root
 from .spectrum import Quasipolynomial, _kth_derivs
 
 __all__ = [
     "GainVector",
     "q_coefficients",
-    "rk_terms",
     "sigma_star",
     "gain_star",
-    "gain_from_derivative_system",
     "scale_gain",
     "multiplicity_at",
     "delay_free_poly",
@@ -74,23 +69,6 @@ def q_coefficients(n):
     return [math.comb(n, j) * nf // math.factorial(j) for j in range(n + 1)]
 
 
-def rk_terms(n, k):
-    """Exact terms of the k-th derivative polynomial R_k.
-
-    Returns a list of (s_power, delta_power, integer_coefficient) with
-    s_power = n-k+i-1 and delta_power = i-1 for i = 1..k+1.
-    """
-    if not 0 <= k <= n:
-        raise ValueError("derivative order must be in 0..n")
-    kf = math.factorial(k)
-    terms = []
-    for i in range(1, k + 2):
-        coef = math.comb(n, k - i + 1) * (kf // math.factorial(i - 1))
-        if coef:
-            terms.append((n - k + i - 1, i - 1, coef))
-    return terms
-
-
 def sigma_star(n):
     """Rightmost root of q, the only multiplicity-(n+1) assignment that is
     also dominant."""
@@ -134,35 +112,6 @@ def gain_star(n):
     esig = math.exp(sig)
     scale = nf * den ** (2 * n - 1)
     gains = tuple(-poly[n - k] / scale * esig for k in range(1, n + 1))
-    return GainVector(l=gains, n=n, sigma_star=sig)
-
-
-def gain_from_derivative_system(n):
-    """Solve the derivative conditions directly for the gains.
-
-    The unit-delay conditions are linear in the reversed gain vector with an
-    upper-triangular coefficient matrix whose diagonal entry in row i is
-    (i-1)!, so back-substitution is exact up to rounding. This is the
-    authoritative cross-check for gain_star.
-    """
-    if not 1 <= n <= MAX_GAIN_DIMENSION:
-        raise ValueError("dimension must be in 1..%d" % MAX_GAIN_DIMENSION)
-    sig = sigma_star(n)
-    esig = math.exp(sig)
-    m = np.zeros((n, n))
-    for i in range(1, n + 1):
-        for j in range(i, n + 1):
-            m[i - 1, j - 1] = math.factorial(j - 1) / math.factorial(j - i) * sig ** (j - i)
-    rhs = np.zeros(n)
-    for i in range(1, n + 1):
-        value = 0.0
-        for s_pow, _, coef in rk_terms(n, i - 1):
-            value += coef * sig ** s_pow
-        rhs[i - 1] = -value * esig
-    y = np.zeros(n)
-    for i in range(n - 1, -1, -1):
-        y[i] = (rhs[i] - m[i, i + 1 :] @ y[i + 1 :]) / m[i, i]
-    gains = tuple(reversed(y.tolist()))
     return GainVector(l=gains, n=n, sigma_star=sig)
 
 

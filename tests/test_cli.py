@@ -200,6 +200,13 @@ def test_simulate_zero_delay_is_refused_before_the_gain(tmp_path, capsys):
     assert capsys.readouterr().err == "error: simulation requires a positive input delay\n"
 
 
+@pytest.mark.parametrize("variant", ["ours_N1", "ours_N5"])
+def test_simulate_variant_zero_delay_is_refused_before_the_gain(tmp_path, capsys, variant):
+    # these variants set the scalar gain to N / h
+    assert run(tmp_path, "simulate", "--variant", variant, "--h", "0") == 1
+    assert capsys.readouterr().err == "error: simulation requires a positive input delay\n"
+
+
 def test_simulate_node_budget_error_stays_short(tmp_path, capsys):
     # a delay of 1e-300 asks for about 1e303 nodes
     config = tmp_path / "tiny.kv"

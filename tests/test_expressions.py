@@ -17,8 +17,8 @@ from midpredict.expressions import (
     eval_expression,
     free_variables,
     parse_expression,
-    to_source,
 )
+from oracles import to_source
 
 XU = ["x1", "x2", "u"]
 

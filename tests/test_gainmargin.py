@@ -10,7 +10,6 @@ from midpredict.gainmargin import (
     design_chain,
     lmi_feasible,
     max_gain_margin,
-    upper_bound_gamma,
     verify_certificate,
 )
 from midpredict.synthesis import gain_star
@@ -180,13 +179,13 @@ def test_certificate_survives_smaller_slopes():
 
 
 def test_upper_bound_is_trailing_gain():
-    assert upper_bound_gamma(2) == pytest.approx(0.0791, abs=5e-5)
-    assert upper_bound_gamma(1) == pytest.approx(math.exp(-1.0), abs=1e-15)
+    assert G2.l[-1] == pytest.approx(0.0791, abs=5e-5)
+    assert G1.l[-1] == pytest.approx(math.exp(-1.0), abs=1e-15)
     # consistency: the value of the loop at s = 0 equals the trailing gain
     from midpredict.spectrum import Quasipolynomial, qp_eval
 
     qp = Quasipolynomial(2, G2.l, 1.0)
-    assert qp_eval(qp, 0.0).real - upper_bound_gamma(2) == pytest.approx(0.0, abs=1e-18)
+    assert qp_eval(qp, 0.0).real - G2.l[-1] == pytest.approx(0.0, abs=1e-18)
 
 
 def test_max_gain_margin_n1_bracket():

@@ -1,6 +1,6 @@
 """Every module of the package uses each name it imports or exports it,
 its __all__ lists exactly the names it exports, and it generates code in
-one place only."""
+one place only; every definition in it is reached from the CLI."""
 
 import ast
 import importlib
@@ -133,3 +133,48 @@ def test_code_is_generated_only_for_the_simulator_run():
             target.setdefault((path.stem, owner), set()).add(name)
     assert runners == {("expressions", "_define"): {"compile", "exec"}}
     assert definers == {("expressions", "compile_chain_run"): {"_define"}}
+
+
+def _unreached_definitions(sources, roots):
+    """Module-level functions and classes that no root reaches.
+
+    sources maps a module name to its source; roots are (module, name) of
+    the entry points. A definition is reached when an ast name or attribute
+    with its name occurs in a module-level statement, in a root or in a
+    reached definition; the whole of a reached class counts, methods too.
+    """
+    defined, pending = {}, []
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.setdefault(node.name, []).append((module, node))
+            else:
+                pending.append(node)
+    pending += [node for module, name in roots
+                for owner, node in defined.get(name, ()) if owner == module]
+    reached = set(roots)
+    while pending:
+        for node in ast.walk(pending.pop()):
+            name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+            for module, definition in defined.get(name, ()):
+                if (module, name) not in reached:
+                    reached.add((module, name))
+                    pending.append(definition)
+    return sorted((module, name) for name, nodes in defined.items()
+                  for module, _ in nodes if (module, name) not in reached)
+
+
+def test_checker_finds_unreached_definitions():
+    sources = {
+        "a": "X = g\ndef main():\n    return b.f()\ndef g(): pass\ndef h(): pass\n"
+             "class C:\n    def m(self):\n        return k()\n",
+        "b": "def f():\n    return C()\ndef k(): pass\ndef unused(): return h\n",
+    }
+    assert _unreached_definitions(sources, {("a", "main")}) == [
+        ("a", "h"), ("b", "unused")]
+
+
+def test_every_definition_is_reached_from_the_cli():
+    sources = {path.stem: path.read_text(encoding="utf-8")
+               for path in sorted(PACKAGE.glob("*.py"))}
+    assert _unreached_definitions(sources, {("cli", "main"), ("cli", "dispatch")}) == []

@@ -6,17 +6,12 @@ import pytest
 from midpredict import expressions
 from midpredict.model import (
     ModelError,
-    aggregate_lipschitz,
-    canonical_weights,
     check_triangular,
     demo_system,
-    dilate,
-    dilated_error_transform,
     make_system,
     parse_system_config,
-    sample_component_slopes,
-    shift_map,
 )
+from oracles import canonical_weights, dilate, shift_map
 
 RNG = np.random.default_rng(20240811)
 
@@ -69,32 +64,6 @@ def test_shift_commutation_randomized():
         assert np.allclose(left, right, rtol=1e-12, atol=1e-250)
 
 
-def test_aggregate_lipschitz_values():
-    assert aggregate_lipschitz([0.0, 1.1]) == pytest.approx(1.1, abs=1e-15)
-    assert aggregate_lipschitz([0.0, 0.0, 0.0]) == 0.0
-    assert aggregate_lipschitz([3.0, 4.0]) == pytest.approx(5.0, abs=1e-15)
-    with pytest.raises(ModelError):
-        aggregate_lipschitz([-1.0])
-
-
-def test_dilated_error_transform():
-    assert np.allclose(dilated_error_transform((1, 2), 4.0, [4.0, 16.0]), [1.0, 1.0])
-    e = np.array([0.3, -2.0])
-    assert np.allclose(dilated_error_transform((1, 2), 1.0, e), e)
-    with pytest.raises(ModelError):
-        dilated_error_transform((1, 2), 0.5, e)
-
-
-def test_dilated_error_round_trip():
-    for _ in range(50):
-        n = int(RNG.integers(1, 6))
-        r = canonical_weights(n)
-        e = RNG.standard_normal(n)
-        lam = 20.0
-        back = dilate(r, lam, dilated_error_transform(r, lam, e))
-        assert np.allclose(back, e, rtol=1e-12)
-
-
 def test_check_triangular_demo():
     assert check_triangular(demo_system()) is True
 
@@ -138,9 +107,9 @@ def test_phi_value_demo():
 
 def test_dilated_lipschitz_bound_demo():
     # scaling the error up, applying the field difference, and scaling back
-    # down never exceeds the aggregated constant
+    # down never exceeds the aggregate constant, the root-sum-square of gamma
     system = demo_system()
-    gamma_phi = aggregate_lipschitz(system.gamma)
+    gamma_phi = float(np.linalg.norm(system.gamma))
     r = canonical_weights(2)
     for _ in range(200):
         x = RNG.uniform(-5.0, 5.0, 2)
@@ -206,11 +175,3 @@ def test_parse_system_config_missing_key():
 def test_parse_system_config_unknown_key():
     with pytest.raises(ModelError):
         parse_system_config("n = 1\nh = 0\nphi = ['0']\ngamma = [0]\nbogus = 1")
-
-
-def test_sample_component_slopes_demo():
-    system = demo_system()
-    slopes = sample_component_slopes(system, [(-3, 3), (-3, 3)], samples=500)
-    assert slopes[0] == 0.0
-    assert slopes[1] <= 1.1 + 1e-6
-    assert slopes[1] > 0.5

@@ -6,9 +6,7 @@ import pytest
 
 from midpredict.polynomials import (
     SQUAREFREE_PRIME,
-    _exact_quotient,
     _primitive,
-    _sturm_chain,
     _to_int_poly,
     bisect_root,
     isolate_positive_roots,
@@ -16,7 +14,6 @@ from midpredict.polynomials import (
     sign_at,
     sign_variations,
     squarefree_part,
-    sturm_root_certificate,
     taylor_shift,
     unstable_root_count,
 )
@@ -27,41 +24,7 @@ from midpredict.synthesis import (
     gain_star,
     q_coefficients,
 )
-
-
-# The reference that the Descartes isolation, the repeated-root rule and
-# sigma_star are checked against here, in test_margins and in test_synthesis.
-class SturmChain:
-    """Sturm sequence of one polynomial, built once and counted at many points.
-
-    Members are primitive integer polynomials, evaluated at a point by
-    sign_at. Points are rationals (anything Fraction accepts) or +-inf.
-    """
-
-    def __init__(self, coeffs):
-        chain = _sturm_chain(coeffs)
-        last = chain[-1]
-        # True iff gcd(p, p') is constant, read off the end of the chain
-        self.squarefree = len(last) == 1 and last[0] != 0
-        if len(last) > 1:
-            # divide out gcd(p, p') so that a multiple root, where every
-            # member vanishes, still counts once
-            chain = [_exact_quotient(m, last) for m in chain]
-        self.members = chain
-
-    def variations(self, x):
-        """Sign changes along the chain at x, zeros skipped."""
-        if x == math.inf or x == -math.inf:
-            # the leading term decides; at -inf it flips for odd degree
-            signs = [m[-1] if x > 0 or len(m) % 2 else -m[-1] for m in self.members]
-        else:
-            x = Fraction(x)
-            signs = [sign_at(m, x.numerator, x.denominator) for m in self.members]
-        return sign_variations(signs)
-
-    def count_between(self, a, b):
-        """Distinct real roots in (a, b], exact."""
-        return self.variations(a) - self.variations(b)
+from oracles import SturmChain, sturm_root_certificate
 
 
 def test_certificate_double_root():

@@ -7,13 +7,9 @@ import pytest
 from midpredict import expressions
 from midpredict.expressions import FUNCTIONS
 from midpredict.model import CanonicalSystem, demo_system, make_system
-from midpredict.simulate import (
-    SimConfig,
-    fit_decay_rate,
-    integrate,
-    run_demo_variant,
-)
+from midpredict.simulate import SimConfig, integrate, run_demo_variant
 from midpredict.synthesis import GainVector, gain_star
+from oracles import fit_decay_rate
 
 
 def _linear_system(n, h):
@@ -99,6 +95,7 @@ def test_step_snaps_to_stage_delay():
     cfg = SimConfig(system=demo_system(0.25), gain=gain_star(2), lam=4.0, N=1,
                     t_end=1.0, dt=0.0132)
     trace = integrate(cfg)
+    assert sorted(trace.metadata) == ["dt", "nodes_per_stage_delay"]
     m = trace.metadata["nodes_per_stage_delay"]
     assert m * trace.metadata["dt"] == pytest.approx(0.25, rel=1e-12)
     assert trace.metadata["dt"] <= 0.0132 + 1e-15
@@ -144,7 +141,7 @@ def test_linear_decay_rate_matches_dominant_root():
 def test_linear_rates_match_region_spectrum():
     # simulated decay against the rightmost root of the matching
     # normalized loop, across dimension/delay combinations
-    from midpredict.spectrum import Quasipolynomial, rightmost_in_region
+    from midpredict.spectrum import Quasipolynomial, roots_in_region
 
     cases = [
         (1, 1.0, 1.0, (120.0, 200.0), 200.0),
@@ -158,7 +155,7 @@ def test_linear_rates_match_region_spectrum():
         cfg = _error_only_config(n, h, lam, t_end, tuple(1.0 for _ in range(n)))
         rate = fit_decay_rate(integrate(cfg), window)
         qp = Quasipolynomial(n, gain.l, delta)
-        dominant = rightmost_in_region(qp, (-3.0, 0.5, 0.0, 10.0))
+        dominant = roots_in_region(qp, (-3.0, 0.5, 0.0, 10.0)).dominant
         target = dominant.real * lam
         assert abs(rate - target) <= 0.05 * abs(target), (n, delta)
 
@@ -353,7 +350,7 @@ def test_integer_scalar_gain_accepted():
     cfg = SimConfig(system=demo_system(0.25), gain=gain_star(2), lam=20, N=1, t_end=0.5)
     assert isinstance(cfg.lam, float)
     trace = integrate(cfg)
-    assert trace.epsilon is not None and np.all(np.isfinite(trace.epsilon))
+    assert np.all(np.isfinite(trace.e_chain))
 
 
 def test_integrate_compiles_once_per_run(monkeypatch):
@@ -431,16 +428,13 @@ def _reference_integrate(cfg):
     def block(j, idx):
         return state[idx, j] if idx >= 0 else hist[j - 1]
 
-    def stage_norms(weights):
-        return np.array([[np.linalg.norm((block(j, k - j * m) - block(j - 1, k - (j - 1) * m))
-                                         * weights) for j in range(1, N + 1)]
-                         for k in range(count)]).reshape(count, N)
+    e_chain = np.array([[np.linalg.norm(block(j, k - j * m) - block(j - 1, k - (j - 1) * m))
+                         for j in range(1, N + 1)] for k in range(count)]).reshape(count, N)
 
     e_pred = np.array([np.linalg.norm(state[k - N * m, N] - state[k, 0]) if k >= N * m
                        else np.nan for k in range(count)])
-    epsilon = stage_norms(lam ** -np.arange(1, n + 1)) if lam >= 1.0 else None
-    return dict(x=state[:, 0], xhat=state[:, 1:], e_chain=stage_norms(1.0), e_pred=e_pred,
-                epsilon=epsilon, divergent=divergent, times=np.arange(count) * dt)
+    return dict(x=state[:, 0], xhat=state[:, 1:], e_chain=e_chain, e_pred=e_pred,
+                divergent=divergent, times=np.arange(count) * dt)
 
 
 def _random_config(rng, n, N):
@@ -480,12 +474,8 @@ def test_integrate_matches_per_block_reference_bitwise():
         ref = _reference_integrate(cfg)
         assert trace.divergent == ref["divergent"]
         diverged += trace.divergent
-        for name in ("times", "x", "xhat", "e_chain", "e_pred", "epsilon"):
-            got = getattr(trace, name)
-            if ref[name] is None:
-                assert got is None
-            else:
-                assert np.array_equal(got, ref[name], equal_nan=True), name
+        for name in ("times", "x", "xhat", "e_chain", "e_pred"):
+            assert np.array_equal(getattr(trace, name), ref[name], equal_nan=True), name
     assert diverged == 2
 
 
@@ -608,12 +598,9 @@ def test_integrate_matches_per_block_reference_on_random_fields():
             return
         trace = integrate(cfg)
         assert trace.divergent == ref["divergent"]
-        for name in ("times", "x", "xhat", "e_chain", "e_pred", "epsilon"):
+        for name in ("times", "x", "xhat", "e_chain", "e_pred"):
             got = getattr(trace, name)
-            if ref[name] is None:
-                assert got is None
-            else:
-                assert np.array_equal(got, ref[name], equal_nan=True), name
-                assert np.array_equal(np.signbit(got), np.signbit(ref[name])), name
+            assert np.array_equal(got, ref[name], equal_nan=True), name
+            assert np.array_equal(np.signbit(got), np.signbit(ref[name])), name
 
     check()

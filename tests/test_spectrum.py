@@ -17,7 +17,6 @@ from midpredict.spectrum import (
     qp_eval,
     qp_kth_deriv,
     qp_scale,
-    rightmost_in_region,
     roots_in_region,
 )
 from midpredict.synthesis import gain_star, scale_gain
@@ -305,12 +304,12 @@ def test_roots_delay_free_quadratic():
 
 
 def test_rightmost_in_region():
-    assert rightmost_in_region(QP2, (-6.0, 1.0, 0.0, 30.0)) == pytest.approx(
+    assert roots_in_region(QP2, (-6.0, 1.0, 0.0, 30.0)).dominant == pytest.approx(
         G2.sigma_star, abs=1e-9
     )
     scaled = scale_gain(G2, 0.25)
     qph = Quasipolynomial(2, scaled.l, 0.25)
-    assert rightmost_in_region(qph, (-12.0, 1.0, 0.0, 40.0)) == pytest.approx(
+    assert roots_in_region(qph, (-12.0, 1.0, 0.0, 40.0)).dominant == pytest.approx(
         G2.sigma_star / 0.25, abs=1e-8
     )
 

@@ -5,21 +5,18 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from midpredict.polynomials import sturm_root_certificate
 from midpredict.spectrum import Quasipolynomial, _kth_deriv
 from midpredict.synthesis import (
     MULTIPLICITY_REL_TOL,
     GainVector,
     delay_free_poly,
-    gain_from_derivative_system,
     gain_star,
     multiplicity_at,
     q_coefficients,
-    rk_terms,
     scale_gain,
     sigma_star,
 )
-from test_polynomials import SturmChain
+from oracles import SturmChain, gain_from_derivative_system, rk_terms, sturm_root_certificate
 
 
 def test_q_coefficients_small():

@@ -7,12 +7,11 @@ from midpredict.gainmargin import design_chain
 from midpredict.synthesis import GainVector
 from midpredict.tradeoff import (
     ahmed_conditions,
-    ahmed_necessary,
     closed_loop_matrix,
     lei_conditions,
     lyapunov_solve,
-    matrix_norms,
 )
+from oracles import ahmed_necessary
 
 COMPARISON_GAIN = GainVector((2.0, 1.0), 2)
 
@@ -80,7 +79,7 @@ def test_lyapunov_residual_randomized():
 
 
 def test_ahmed_not_satisfied_at_benchmark():
-    verdict = ahmed_conditions(2, COMPARISON_GAIN, 2.0, 0.25, 1.1)
+    verdict = ahmed_conditions(COMPARISON_GAIN, 2.0, 0.25, 1.1)
     assert verdict.satisfied is False
     assert all(math.isfinite(v) for v in verdict.details.values())
 
@@ -88,7 +87,7 @@ def test_ahmed_not_satisfied_at_benchmark():
 def test_ahmed_satisfied_tiny_delay_no_nonlinearity():
     # the decay inequality needs the scalar gain above twice the squared
     # closed-loop norm, about 11.7 for these gains
-    verdict = ahmed_conditions(2, COMPARISON_GAIN, 15.0, 1e-4, 0.0)
+    verdict = ahmed_conditions(COMPARISON_GAIN, 15.0, 1e-4, 0.0)
     assert verdict.satisfied is True
     assert all(v > 0 for v in verdict.details.values())
 
@@ -111,7 +110,7 @@ def test_ahmed_conditions_imply_necessary():
         lam = float(10 ** rng.uniform(-1, 2))
         h = float(10 ** rng.uniform(-5, 0))
         gamma_phi = float(rng.uniform(0, 2))
-        verdict = ahmed_conditions(n, gain, lam, h, gamma_phi)
+        verdict = ahmed_conditions(gain, lam, h, gamma_phi)
         if verdict.satisfied:
             assert ahmed_necessary(n, h, lam) is True
 
@@ -122,12 +121,12 @@ def test_lei_sigma_floor():
         n = int(rng.integers(2, 6))
         roots = rng.uniform(-2.0, -0.1, n)
         gain = GainVector(tuple(np.poly(roots)[1:]), n)
-        verdict = lei_conditions(n, gain, 1.0, 0.01)
+        verdict = lei_conditions(gain, 1.0, 0.01)
         assert verdict.derived["sigma"] >= 8.0
 
 
 def test_lei_not_satisfied_at_benchmark():
-    verdict = lei_conditions(2, COMPARISON_GAIN, 2.0, 0.25)
+    verdict = lei_conditions(COMPARISON_GAIN, 2.0, 0.25)
     assert verdict.satisfied is False
     assert verdict.derived["sigma"] * 0.25 * 2.0 >= 4.0
 
@@ -141,12 +140,12 @@ def test_lei_necessary_bound():
         gain = GainVector(tuple(np.poly(roots)[1:]), n)
         h = float(rng.uniform(0.01, 1.0))
         lam = (1.0 / 8.0) / h * float(rng.uniform(1.001, 10.0))
-        assert lei_conditions(n, gain, lam, h).satisfied is False
+        assert lei_conditions(gain, lam, h).satisfied is False
 
 
 @pytest.mark.parametrize("condition", [
-    lambda: ahmed_conditions(2, COMPARISON_GAIN, 2.0, 0.25, 1.1),
-    lambda: lei_conditions(2, COMPARISON_GAIN, 2.0, 0.25),
+    lambda: ahmed_conditions(COMPARISON_GAIN, 2.0, 0.25, 1.1),
+    lambda: lei_conditions(COMPARISON_GAIN, 2.0, 0.25),
 ])
 def test_each_condition_counts_roots_and_solves_lyapunov_once(monkeypatch, condition):
     import midpredict.margins as margins
@@ -161,7 +160,7 @@ def test_each_condition_counts_roots_and_solves_lyapunov_once(monkeypatch, condi
 
 
 def test_matrix_norms_values():
-    norms = matrix_norms(COMPARISON_GAIN)
+    norms = lei_conditions(COMPARISON_GAIN, 2.0, 0.25).derived
     assert norms["L"] == pytest.approx(math.sqrt(5.0), abs=1e-12)
     assert norms["LC"] == pytest.approx(norms["L"], abs=1e-12)
     assert norms["A_minus_LC"] >= max(norms["L"], 1.0)
@@ -192,5 +191,5 @@ def test_contrast_with_cascade_rule():
         h = float(rng.uniform(0.2, 2.0))
         lam = 1.0 / h
         if h * lam > 1.0 / 8.0:
-            verdict = lei_conditions(2, COMPARISON_GAIN, lam, h)
+            verdict = lei_conditions(COMPARISON_GAIN, lam, h)
             assert verdict.satisfied is False
