@@ -14,6 +14,7 @@ before being believed; a negative answer is unknown, never a proof.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import namedtuple
 from dataclasses import dataclass
@@ -75,35 +76,42 @@ class ChainDesign:
 
 
 def assemble_W(n, gain, h, gamma_m, variables):
-    """The 4x4-block descriptor matrix; symmetric by construction."""
+    """The 4x4-block descriptor matrix; symmetric by construction.
+
+    The variables may be equal stacks of n x n matrices, (..., n, n), which
+    give the stack of matrices W, (..., 4n, 4n).
+    """
     if h <= 0:
         raise ValueError("delay must be positive")
     p, r, s = variables.P, variables.R, variables.S
     p2, p3, p4 = variables.P2, variables.P3, variables.P4
     for mat in (p, r, s, p2, p3, p4):
-        if mat.shape != (n, n):
+        if mat.shape[-2:] != (n, n):
             raise ValueError("all variables must be n x n")
     a = np.eye(n, k=1)
     a1 = -_injection_matrix(gain)
     eye = np.eye(n)
-    w11 = a.T @ p2 + p2.T @ a + s - r + gamma_m ** 2 * eye
-    w12 = p - p2.T + a.T @ p3
-    w13 = p2.T @ a1 + r
-    w14 = p2.T + a.T @ p4
-    w22 = -p3 - p3.T + h ** 2 * r
-    w23 = p3.T @ a1
-    w24 = p3.T - p4
+
+    def tr(mat):
+        return np.swapaxes(mat, -1, -2)
+
+    w11 = a.T @ p2 + tr(p2) @ a + s - r + gamma_m ** 2 * eye
+    w12 = p - tr(p2) + a.T @ p3
+    w13 = tr(p2) @ a1 + r
+    w14 = tr(p2) + a.T @ p4
+    w22 = -p3 - tr(p3) + h ** 2 * r
+    w23 = tr(p3) @ a1
+    w24 = tr(p3) - p4
     w33 = -s - r
     w34 = a1.T @ p4
-    w44 = p4.T + p4 - eye
-    return np.block(
-        [
-            [w11, w12, w13, w14],
-            [w12.T, w22, w23, w24],
-            [w13.T, w23.T, w33, w34],
-            [w14.T, w24.T, w34.T, w44],
-        ]
+    w44 = tr(p4) + p4 - eye
+    rows = (
+        (w11, w12, w13, w14),
+        (tr(w12), w22, w23, w24),
+        (tr(w13), tr(w23), w33, w34),
+        (tr(w14), tr(w24), tr(w34), w44),
     )
+    return np.concatenate([np.concatenate(row, axis=-1) for row in rows], axis=-2)
 
 
 def verify_certificate(n, gain, h, gamma_m, variables, eps):
@@ -127,11 +135,16 @@ class _Packing:
         self.dim = 3 * len(self.tri[0]) + 3 * n * n
 
     def unpack(self, theta):
+        """The variables of theta; a stack of vectors, (..., dim), gives
+        stacks of matrices, (..., n, n)."""
         n, k = self.n, len(self.tri[0])
-        sym = np.zeros((3, n, n))
-        sym[:, self.tri[0], self.tri[1]] = theta[: 3 * k].reshape(3, k)
-        sym[:, self.tri[1], self.tri[0]] = theta[: 3 * k].reshape(3, k)
-        return LmiVariables(*sym, *theta[3 * k :].reshape(3, n, n).copy())
+        batch = theta.shape[:-1]
+        lower = theta[..., : 3 * k].reshape(batch + (3, k))
+        sym = np.zeros(batch + (3, n, n))
+        sym[..., self.tri[0], self.tri[1]] = lower
+        sym[..., self.tri[1], self.tri[0]] = lower
+        full = theta[..., 3 * k :].reshape(batch + (3, n, n)).copy()
+        return LmiVariables(*np.moveaxis(sym, -3, 0), *np.moveaxis(full, -3, 0))
 
     def pack(self, variables):
         sym = [m[self.tri] for m in (variables.P, variables.R, variables.S)]
@@ -139,25 +152,29 @@ class _Packing:
         return np.concatenate(sym + full)
 
 
-def _affine_stack(packing, n, gain, h, gamma_m, eps):
+@functools.lru_cache(maxsize=1)
+def _affine_stack(n, gain, h, gamma_m, eps):
     """M0 and J with M(theta) = M0 + (J @ theta).reshape(7n, 7n), where
-    M(theta) = blkdiag(W + eps I, eps I - P, eps I - R, eps I - S).
+    M(theta) = blkdiag(W + eps I, eps I - P, eps I - R, eps I - S) over the
+    packed variables theta of _Packing(n).
 
-    M is affine in the packed variables, so it is read off assemble_W at
-    zero and at each basis vector: column k of J is vec(M(e_k) - M0).
+    M is affine in the packed variables, so it is read off one stacked
+    assemble_W call at zero and at each basis vector: column k of J is
+    vec(M(e_k) - M0). max_gain_margin's phase II asks for the stack its
+    phase I query built, so the last one is kept; both arrays are read-only.
     """
+    packing = _Packing(n)
+    v = packing.unpack(np.vstack([np.zeros(packing.dim), np.eye(packing.dim)]))
+    m = np.zeros((packing.dim + 1, 7 * n, 7 * n))
+    m[:, : 4 * n, : 4 * n] = assemble_W(n, gain, h, gamma_m, v) + eps * np.eye(4 * n)
     eye = np.eye(n)
-
-    def stacked(theta):
-        v = packing.unpack(theta)
-        m = np.zeros((7 * n, 7 * n))
-        m[: 4 * n, : 4 * n] = assemble_W(n, gain, h, gamma_m, v) + eps * np.eye(4 * n)
-        for k, mat in enumerate((v.P, v.R, v.S), start=4):
-            m[k * n : (k + 1) * n, k * n : (k + 1) * n] = eps * eye - mat
-        return m
-
-    m0 = stacked(np.zeros(packing.dim))
-    jac = np.column_stack([(stacked(e) - m0).reshape(-1) for e in np.eye(packing.dim)])
+    for k, mat in enumerate((v.P, v.R, v.S), start=4):
+        m[:, k * n : (k + 1) * n, k * n : (k + 1) * n] = eps * eye - mat
+    m0 = m[0].copy()
+    # C order: _with_column's basis inherits J's layout, which sets the
+    # summation order of the solver's products and so their last bits
+    jac = np.ascontiguousarray((m[1:] - m0).reshape(packing.dim, -1).T)
+    m0.flags.writeable = jac.flags.writeable = False
     return m0, jac
 
 
@@ -287,7 +304,7 @@ def lmi_feasible(n, gain, h, gamma_m, eps=None, budget=None):
     if eps is None:
         eps = 1e-6 * (1.0 + gamma_m ** 2)
     packing = _Packing(n)
-    m0, jac = _affine_stack(packing, n, gain, h, gamma_m, eps)
+    m0, jac = _affine_stack(n, gain, h, gamma_m, eps)
     size = m0.shape[0]
     basis = _with_column(m0, jac, -np.eye(size))
     theta = packing.pack(_initial_variables(n, gain))
@@ -335,7 +352,7 @@ def max_gain_margin(n, tol=None):
     if not ok:
         return MarginBracket(n=n, lower=0.0, upper=upper, certificate=None, eps=eps)
     packing = _Packing(n)
-    m0, jac = _affine_stack(packing, n, gain, 1.0, 0.0, eps)
+    m0, jac = _affine_stack(n, gain, 1.0, 0.0, eps)
     slope_block = np.diag((np.arange(7 * n) < n) * 1.0)  # t I in W's (1,1) block
     cost = np.append(np.zeros(packing.dim), -1.0)
     lower = 0.0

@@ -4,12 +4,17 @@
 argument-principle count over a rectangle boundary is an exact root count
 with multiplicity. The boundary is sampled and then refined level by level
 until no step can hide a full turn of the argument; each level is one array
-evaluation. Roots inside a rectangle are located by bisecting it on that
-count (Delves & Lyness, Math. Comp. 21, 1967): boxes holding one root are
-polished by a multiplicity-robust Newton iteration on D/D', and a cluster
-that no cut can split is located as one multiple root through the
-derivative of matching order. The count is the only route, so the roots
-returned account for it exactly.
+evaluation. The same sweep sums the first moment of log D along the
+boundary, which over 2*pi*i approximates the sum of the roots inside. Roots
+inside a rectangle are located by bisecting it on that count (Delves &
+Lyness, Math. Comp. 21, 1967): boxes holding one root are polished by a
+multiplicity-robust Newton iteration on D/D', and a cluster that no cut
+can split is located as one multiple root through the derivative of
+matching order. A box of k >= 2 roots is first zoomed: Newton on D^(k-1)
+from the roots' mean (moment / k) proposes one k-fold root, and a small
+box around it that counts all k roots replaces the box, so the halving
+skips the walk down to the cluster. The count is the only route, so the
+roots returned account for it exactly.
 """
 
 from __future__ import annotations
@@ -39,6 +44,9 @@ CONTOUR_REL_TOL = 1e-8
 CUT_FRACTIONS = (0.5, 0.47, 0.53, 0.41, 0.59)
 CONTOUR_FACTORS = (1.0, 1.7, 2.9, 4.3, 7.1)
 MAX_CONTOUR_POINTS = 10**7
+CLUSTER_NEWTON_STEPS = 60
+ZOOM_NEWTON_STEPS = 16
+ZOOM_RADII = 3.0  # zoom box half-width in radii where |D| is below the contour's tolerance
 
 
 class SpectrumError(RuntimeError):
@@ -165,19 +173,26 @@ def qp_scale(qp, s):
 
 
 def _phase_sweep(qp, points, budget):
-    """Total continuous argument change of D along a polyline of points.
+    """Total continuous argument change of D along a polyline of points, and
+    the first moment of log D along it.
 
     A step is halved when its wrapped phase jump exceeds 1 radian, and also
-    when the walk passes close to a root relative to the step length
-    (|D/D'| underestimates the distance to the nearest root, so this is the
-    safe side). Fast full turns between samples would otherwise wrap
-    invisibly and corrupt the winding number. Whether a step is halved
-    depends on its two ends alone, so the polyline is refined level by
-    level: each level tests all of its steps at once and evaluates all of
-    its new midpoints in one call. A split needed at depth 60, or a sweep
-    whose samples before its last split exceed budget, raises SpectrumError.
+    when the walk passes close to a root relative to the step length: when
+    the step is longer than half of |D/D'| at its end nearer to a root. That
+    second rule is a heuristic, not a bound: |D/D'| can exceed the distance
+    to the nearest root, so a fast full turn between two samples, which
+    would wrap invisibly and corrupt the winding number, is made unlikely
+    but not impossible. Whether a step is halved depends on its two ends
+    alone, so the polyline is refined level by level: each level tests all
+    of its steps at once and evaluates all of its new midpoints in one
+    call. A split needed at depth 60, or a sweep whose samples before its
+    last split exceed budget, raises SpectrumError.
     D or its scale overflowing at a sample raises ValueError; midpoints lie
     on the sampled edges, between samples, so only the samples are checked.
+
+    The moment sums (a + b)/2 * (log D(b) - log D(a)) over the steps kept,
+    with the continuous argument; on a closed polyline that is the
+    trapezoid rule for the integral of s d(log D) after integration by parts.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         values = qp_eval(qp, points)
@@ -188,15 +203,17 @@ def _phase_sweep(qp, points, budget):
             "(e^(-delta*s) overflows below -709.78) and |s| reaches %.6g"
             % (qp.delta * points.real.min(), np.abs(points).max())
         )
-    rel = np.abs(values) / scale
+    mag = np.abs(values)
+    rel = mag / scale
     if np.any(rel < CONTOUR_REL_TOL):
         raise RootOnContourError("characteristic value vanishes on the contour")
-    ends = (points, values, rel, np.angle(values))
+    ends = (points, values, rel, np.angle(values), np.log(mag))
     first, last = [x[:-1] for x in ends], [x[1:] for x in ends]
     total = 0.0
+    moment = 0.0
     used = len(points)
     for depth in range(61):
-        (a, w_a, rel_a, ang_a), (b, w_b, rel_b, ang_b) = first, last
+        (a, w_a, rel_a, ang_a, log_a), (b, w_b, rel_b, ang_b, log_b) = first, last
         jump = (ang_b - ang_a + math.pi) % (2 * math.pi) - math.pi
         split = np.abs(jump) > 1.0
         near = ~split & (np.minimum(rel_a, rel_b) < 0.1)
@@ -206,19 +223,22 @@ def _phase_sweep(qp, points, budget):
             dp = qp_kth_deriv(qp, np.where(at_a, a[near], b[near]), 1)
             dist_est = np.abs(w_small) / np.maximum(np.abs(dp), 1e-300)
             split[near] = np.abs(b[near] - a[near]) > 0.5 * dist_est
-        total += jump[~split].sum()
+        kept = ~split
+        total += jump[kept].sum()
+        moment += ((a[kept] + b[kept]) * (log_b[kept] - log_a[kept] + 1j * jump[kept])).sum()
         halved = np.flatnonzero(split)
         if not halved.size:
-            return total
+            return total, moment / 2
         used += halved.size
         if depth == 60 or used - 1 > budget:
             raise SpectrumError("contour refinement budget exceeded")
         mid = (a[halved] + b[halved]) / 2
         w = qp_eval(qp, mid)
-        rel_m = np.abs(w) / qp_scale(qp, mid)
+        mag = np.abs(w)
+        rel_m = mag / qp_scale(qp, mid)
         if np.any(rel_m < CONTOUR_REL_TOL):
             raise RootOnContourError("characteristic value vanishes on the contour")
-        middle = (mid, w, rel_m, np.angle(w))
+        middle = (mid, w, rel_m, np.angle(w), np.log(mag))
         first = [np.concatenate((x[halved], m)) for x, m in zip(first, middle)]
         last = [np.concatenate((m, x[halved])) for x, m in zip(last, middle)]
 
@@ -241,7 +261,9 @@ def _rect_boundary(rect, samples_per_unit):
 
 
 def count_roots_region(qp, rect):
-    """Exact root count (with multiplicity) inside a rectangle.
+    """Exact root count (with multiplicity) inside a rectangle, and the
+    first moment: the integral of s d(log D) around it over 2*pi*i, which
+    approximates the sum of those roots.
 
     The boundary is sampled at max(8, 4 delta) points per unit length, plus
     64; a contour of more than MAX_CONTOUR_POINTS such samples is refused
@@ -260,12 +282,17 @@ def count_roots_region(qp, rect):
         )
     contour_points = int(samples) + 64
     points = _rect_boundary(rect, max(2.0, contour_points / perimeter))
-    total = _phase_sweep(qp, points, budget=64 * contour_points)
+    total, moment = _phase_sweep(qp, points, budget=64 * contour_points)
     winding = total / (2 * math.pi)
     nearest = round(winding)
     if abs(winding - nearest) > 0.05:
         raise SpectrumError("non-integral winding number")
-    return int(nearest)
+    return int(nearest), moment / (2j * math.pi)
+
+
+def _derivs(qp, s, first, count):
+    """D^(first), ..., D^(first + count - 1) at a scalar s, from one _kth_derivs pass."""
+    return [value for value, _ in itertools.islice(_kth_derivs(qp, s, first, False), count)]
 
 
 def _polish(qp, s0, rect):
@@ -280,12 +307,10 @@ def _polish(qp, s0, rect):
     s = complex(s0)
     last_step = math.inf
     for _ in range(80):
-        d = qp_eval(qp, s)
-        dp = qp_kth_deriv(qp, s, 1)
+        d, dp, dpp = _derivs(qp, s, 0, 3)
         if abs(dp) == 0.0:
             return None
         g = d / dp
-        dpp = qp_kth_deriv(qp, s, 2)
         denom = 1.0 - (d * dpp) / (dp * dp)
         step = g / denom if abs(denom) > 1e-12 else g
         s_new = s - step
@@ -314,23 +339,23 @@ def _inside(s, box, slack=0.0):
 
 
 def _first_counted(qp, rects):
-    """(rect, count) for the first of rects whose boundary meets no root,
-    or None when every boundary meets one."""
+    """(rect, count, moment) for the first of rects whose boundary meets no
+    root, or None when every boundary meets one."""
     for rect in rects:
         try:
-            return rect, count_roots_region(qp, rect)
+            return (rect, *count_roots_region(qp, rect))
         except RootOnContourError:
             continue
     return None
 
 
-def _split(qp, box, count):
+def _split(qp, box, count, moment):
     """Halve a box of count roots along its longer side.
 
     The first cut in CUT_FRACTIONS whose half-box boundary meets no root
-    wins; only that half is counted, since the two halves' counts add up to
-    the box's. Returns ((half, count), (half, count)), or None when every
-    cut meets a root.
+    wins; only that half is counted, since the two halves' counts, and
+    their moments, add up to the box's. Returns ((half, count, moment),
+    (half, count, moment)), or None when every cut meets a root.
     """
     re0, re1, im0, im1 = box
     wide = re1 - re0 >= im1 - im0
@@ -341,11 +366,31 @@ def _split(qp, box, count):
     counted = _first_counted(qp, firsts)
     if counted is None:
         return None
-    first, k = counted
+    first, k, first_moment = counted
     if not 0 <= k <= count:
         raise SpectrumError("half-box count %d exceeds the box count %d" % (k, count))
     second = (first[1], re1, im0, im1) if wide else (re0, re1, first[3], im1)
-    return (first, k), (second, count - k)
+    return counted, (second, count - k, moment - first_moment)
+
+
+def _derivative_newton(qp, z, order, box, steps):
+    """Newton on D^(order) from z, for at most steps steps or until a step
+    falls below 1e-16 |z|.
+
+    Returns (z, D^(order+1) at the last iterate evaluated), or None once an
+    iterate leaves the box: outside a counted box e^(-delta*s) may overflow.
+    """
+    for _ in range(steps):
+        if not _inside(z, box):
+            return None
+        f, fp = _derivs(qp, z, order, 2)
+        if abs(fp) == 0.0:
+            break
+        step = f / fp
+        z -= step
+        if abs(step) < 1e-16 * max(1.0, abs(z)):
+            break
+    return (z, fp) if _inside(z, box) else None
 
 
 def _cluster_root(qp, box, mult):
@@ -357,19 +402,42 @@ def _cluster_root(qp, box, mult):
     must lie in the box and pass _is_root.
     """
     re0, re1, im0, im1 = box
-    z = complex((re0 + re1) / 2, (im0 + im1) / 2)
-    for _ in range(60):
-        f = qp_kth_deriv(qp, z, mult - 1)
-        fp = qp_kth_deriv(qp, z, mult)
-        if abs(fp) == 0.0:
-            break
-        step = f / fp
-        z -= step
-        if abs(step) < 1e-16 * max(1.0, abs(z)):
-            break
-    if not (_inside(z, box) and _is_root(qp, z)):
+    centre = complex((re0 + re1) / 2, (im0 + im1) / 2)
+    landed = _derivative_newton(qp, centre, mult - 1, box, CLUSTER_NEWTON_STEPS)
+    if landed is None or not _is_root(qp, landed[0]):
         raise SpectrumError("cannot locate the %d-fold root cluster in %s" % (mult, box))
-    return z
+    return landed[0]
+
+
+def _zoom(qp, box, count, moment):
+    """(small box, count, moment) for a small box around one count-fold
+    root that holds all count roots of box, or None.
+
+    The count roots of box have mean moment / count. A count-fold root is a
+    simple root z of D^(count-1), which a short Newton from that mean finds
+    when the roots are one cluster; z must pass _is_root. Near it |D| is
+    about |D^(count)(z)| r**count / count! at distance r, which falls below
+    CONTOUR_REL_TOL of the scale within rho; the box of half-width
+    ZOOM_RADII * rho around z, clipped to box (whose edges are clear of
+    roots), is counted. When it holds all count roots, the rest of box
+    holds none.
+    """
+    landed = _derivative_newton(qp, moment / count, count - 1, box, ZOOM_NEWTON_STEPS)
+    if landed is None:
+        return None
+    z, dk = landed
+    if abs(dk) == 0.0 or not _is_root(qp, z):
+        return None
+    scale = float(qp_scale(qp, np.asarray(z)))
+    rho = (CONTOUR_REL_TOL * scale * math.factorial(count) / abs(dk)) ** (1.0 / count)
+    half = ZOOM_RADII * rho
+    re0, re1, im0, im1 = box
+    small = (max(re0, z.real - half), min(re1, z.real + half),
+             max(im0, z.imag - half), min(im1, z.imag + half))
+    if small == box or not (small[1] > small[0] and small[3] > small[2]):
+        return None
+    counted = _first_counted(qp, (small,))
+    return counted if counted is not None and counted[1] == count else None
 
 
 def roots_in_region(qp, rect):
@@ -382,8 +450,12 @@ def roots_in_region(qp, rect):
     is tried again scaled by 1/delta. The expanded box is then bisected on
     its argument-principle count: a one-root box is done when _polish converges
     inside it, and a box of k >= 2 roots that no cut can pass without
-    meeting a root is one root of multiplicity k. Every root comes from a
-    counted box, so together they account exactly for the boundary count.
+    meeting a root is one root of multiplicity k. A box of k >= 2 roots is
+    first offered to _zoom, once along each line of descent, if k is at
+    most 2n, the largest multiplicity D can have (Polya & Szego: the degrees
+    n and n - 1 of its two terms, plus one): when a small counted box
+    around one k-fold root holds all k, the bisection goes on from it. Every root comes from a counted box, so together they account
+    exactly for the boundary count.
     Only roots lying in the closed requested rectangle are returned, and the
     reported count is the sum of their multiplicities.
     """
@@ -399,24 +471,29 @@ def roots_in_region(qp, rect):
     )
     if counted is None:
         raise RootOnContourError("roots crowd every candidate contour around the rectangle")
-    ext, target = counted
+    target = counted[1]
     found = []
-    pending = [(ext, target)] if target else []
+    pending = [(counted, True)] if target else []  # ((box, count, moment), may zoom)
     max_boxes = 64 * (target + 1)
     boxes = 0
     while pending:
         boxes += 1
         if boxes > max_boxes:
             raise SpectrumError("root isolation exceeded its budget of %d boxes" % max_boxes)
-        box, count = pending.pop()
+        (box, count, moment), zoomable = pending.pop()
         if count == 1:
             s = _polish(qp, complex((box[0] + box[1]) / 2, (box[2] + box[3]) / 2), box)
             if s is not None and _inside(s, box):
                 found.append((s, 1))
                 continue
-        halves = _split(qp, box, count)
+        elif zoomable and count <= 2 * qp.n:
+            small = _zoom(qp, box, count, moment)
+            if small is not None:
+                pending.append((small, False))
+                continue
+        halves = _split(qp, box, count, moment)
         if halves is not None:
-            pending.extend(half for half in halves if half[1])
+            pending.extend((half, zoomable) for half in halves if half[1])
         elif count == 1:
             raise SpectrumError("no cut isolates the root in %s" % (box,))
         else:

@@ -6,8 +6,6 @@ from midpredict.expressions import (
     BinOp,
     Call,
     EvaluationError,
-    Neg,
-    Num,
     ParseError,
     UnknownNameError,
     Var,

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from midpredict.gainmargin import (
-    ChainDesign,
     LmiVariables,
     assemble_W,
     design_chain,
@@ -79,7 +78,7 @@ def test_affine_stack_matches_assemble_w():
     for n in (1, 2, 3, 4):
         gain = gain_star(n)
         packing = _Packing(n)
-        m0, jac = _affine_stack(packing, n, gain, 1.3, 0.2, 1e-6)
+        m0, jac = _affine_stack(n, gain, 1.3, 0.2, 1e-6)
         for _ in range(5):
             theta = rng.standard_normal(packing.dim)
             m = m0 + (jac @ theta).reshape(m0.shape)
@@ -90,6 +89,36 @@ def test_affine_stack_matches_assemble_w():
             assert np.max(np.abs(m - expected)) <= 1e-13 * np.max(np.abs(expected))
 
 
+def test_affine_stack_equals_the_per_basis_vector_build_bitwise():
+    # one stacked assemble_W call gives M0 and J bit for bit as one call
+    # per basis vector did
+    from midpredict.gainmargin import _affine_stack, _Packing
+
+    for n in range(1, 9):
+        gain = gain_star(n)
+        packing = _Packing(n)
+        m0, jac = _affine_stack(n, gain, 1.0, 0.0, 1e-6)
+        ref_m0 = _stack_from_assemble_w(n, gain, 1.0, 0.0, 1e-6,
+                                        packing.unpack(np.zeros(packing.dim)))
+        ref_jac = np.column_stack([
+            (_stack_from_assemble_w(n, gain, 1.0, 0.0, 1e-6, packing.unpack(e)) - ref_m0).ravel()
+            for e in np.eye(packing.dim)
+        ])
+        assert np.array_equal(m0, ref_m0) and np.array_equal(jac, ref_jac), n
+
+
+def test_assemble_w_on_stacked_variables_matches_each_slice():
+    rng = np.random.default_rng(8)
+    for n in (1, 2, 3):
+        stacked = LmiVariables(*rng.standard_normal((6, 4, n, n)))
+        w = assemble_W(n, gain_star(n), 1.3, 0.2, stacked)
+        assert w.shape == (4, 4 * n, 4 * n)
+        for i in range(4):
+            single = LmiVariables(*(m[i] for m in (stacked.P, stacked.R, stacked.S,
+                                                    stacked.P2, stacked.P3, stacked.P4)))
+            assert np.array_equal(w[i], assemble_W(n, gain_star(n), 1.3, 0.2, single))
+
+
 def _phase_one_start(n):
     """Phase I's barrier problem at slope 0 and its starting point."""
     from midpredict.gainmargin import (
@@ -97,7 +126,7 @@ def _phase_one_start(n):
     )
 
     packing = _Packing(n)
-    m0, jac = _affine_stack(packing, n, gain_star(n), 1.0, 0.0, 1e-6)
+    m0, jac = _affine_stack(n, gain_star(n), 1.0, 0.0, 1e-6)
     basis = _with_column(m0, jac, -np.eye(7 * n))
     theta = packing.pack(_initial_variables(n, gain_star(n)))
     s = np.linalg.eigvalsh(m0 + np.tensordot(theta, basis[:-1], 1))[-1] + 1.0

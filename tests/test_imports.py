@@ -1,6 +1,7 @@
-"""Every module of the package uses each name it imports or exports it,
-its __all__ lists exactly the names it exports, and it generates code in
-one place only; every definition in it is reached from the CLI."""
+"""Every module of the package and of the tests uses each name it imports
+or exports it; each package module's __all__ lists exactly the names it
+exports, the package generates code in one place only, and every definition
+in it is reached from the CLI."""
 
 import ast
 import importlib
@@ -9,6 +10,7 @@ from pathlib import Path
 import midpredict
 
 PACKAGE = Path(midpredict.__file__).parent
+TESTS = Path(__file__).parent
 
 
 def _listed(tree):
@@ -56,8 +58,9 @@ def test_checker_finds_unused_imports():
 
 
 def test_modules_use_every_import():
+    # the package's modules and the tests alike
     unused = {}
-    for path in sorted(PACKAGE.glob("*.py")):
+    for path in sorted(PACKAGE.glob("*.py")) + sorted(TESTS.glob("*.py")):
         if path.name != "__init__.py":
             names = _unused_imports(path.read_text(encoding="utf-8"))
             if names:

@@ -145,7 +145,7 @@ def test_partition_counts_match_winding():
         for (lo, hi), count in list(zip(part.intervals, part.unstable_counts))[:4]:
             mid = 0.5 * (lo + hi)
             qp = Quasipolynomial(n, gain.l, mid)
-            got = count_roots_region(qp, (1e-9, radius, -radius, radius))
+            got, _ = count_roots_region(qp, (1e-9, radius, -radius, radius))
             assert got == count, (n, lo, hi)
 
 
@@ -156,7 +156,7 @@ def test_partition_initial_count_matches_tiny_delay():
         cs = crossing_frequencies(gain)
         radius = max(2.0, 3.0 * max(cs.frequencies), 2.0 + max(abs(v) for v in gain.l))
         qp = Quasipolynomial(n, gain.l, 1e-3)
-        got = count_roots_region(qp, (1e-9, radius, -radius, radius))
+        got, _ = count_roots_region(qp, (1e-9, radius, -radius, radius))
         assert got == part.unstable_counts[0]
 
 

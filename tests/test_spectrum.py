@@ -10,6 +10,7 @@ from midpredict.spectrum import (
     RootOnContourError,
     SpectrumError,
     _kth_deriv,
+    _inside,
     _phase_sweep,
     _rect_boundary,
     count_roots_region,
@@ -128,15 +129,15 @@ def test_qp_derivatives_finite_difference():
 
 
 def test_count_double_root_region():
-    assert count_roots_region(QP1, (-2.0, 0.0, -1.0, 1.0)) == 2
+    assert count_roots_region(QP1, (-2.0, 0.0, -1.0, 1.0))[0] == 2
 
 
 def test_count_triple_root_region():
-    assert count_roots_region(QP2, (-3.0, 0.5, -5.0, 5.0)) == 3
+    assert count_roots_region(QP2, (-3.0, 0.5, -5.0, 5.0))[0] == 3
 
 
 def test_count_right_half_plane_stable():
-    assert count_roots_region(QP2, (0.1, 2.0, -3.0, 3.0)) == 0
+    assert count_roots_region(QP2, (0.1, 2.0, -3.0, 3.0))[0] == 0
 
 
 def test_count_root_on_contour_raises():
@@ -155,7 +156,8 @@ def test_count_overflow_raises_one_error():
 
 
 def _recursive_sweep(qp, points, budget):
-    """The depth-first scalar sweep that _phase_sweep replaced, kept as its reference."""
+    """The depth-first scalar sweep that _phase_sweep replaced, kept as its
+    reference; it sums the first moment of log D over the same steps."""
     pts = np.asarray(points, dtype=complex)
     values = qp_eval(qp, pts)
     rel = np.abs(values) / qp_scale(qp, pts)
@@ -172,7 +174,8 @@ def _recursive_sweep(qp, points, budget):
             dist_est = abs(w_small) / max(abs(qp_kth_deriv(qp, at, 1)), 1e-300)
             split = abs(b - a) > 0.5 * dist_est
         if not split:
-            return jump
+            dlog = math.log(abs(w_b)) - math.log(abs(w_a)) + 1j * jump
+            return jump, (a + b) / 2 * dlog
         if depth >= 60 or used[0] > budget:
             raise SpectrumError("contour refinement budget exceeded")
         mid = (a + b) / 2
@@ -182,22 +185,25 @@ def _recursive_sweep(qp, points, budget):
             raise RootOnContourError("characteristic value vanishes on the contour")
         used[0] += 1
         ang_m = cmath.phase(w)
-        return refine(a, mid, w_a, w, rel_a, rel_m, ang_a, ang_m, depth + 1) + refine(
-            mid, b, w, w_b, rel_m, rel_b, ang_m, ang_b, depth + 1
-        )
+        left = refine(a, mid, w_a, w, rel_a, rel_m, ang_a, ang_m, depth + 1)
+        right = refine(mid, b, w, w_b, rel_m, rel_b, ang_m, ang_b, depth + 1)
+        return left[0] + right[0], left[1] + right[1]
 
-    return sum(
+    steps = [
         refine(pts[i], pts[i + 1], values[i], values[i + 1], rel[i], rel[i + 1],
                angles[i], angles[i + 1], 0)
         for i in range(len(points) - 1)
-    )
+    ]
+    return sum(t for t, _ in steps), sum(m for _, m in steps)
 
 
 def _sweep_outcome(sweep, qp, points, budget):
+    """(winding number, first moment / 2 pi i), or the SpectrumError type raised."""
     try:
-        return sweep(qp, points, budget) / (2 * math.pi)
+        total, moment = sweep(qp, points, budget)
     except SpectrumError as exc:
         return type(exc)
+    return total / (2 * math.pi), moment / (2j * math.pi)
 
 
 def test_level_sweep_matches_recursive_sweep():
@@ -219,10 +225,12 @@ def test_level_sweep_matches_recursive_sweep():
         if isinstance(level, type):
             assert level is recursive
         else:
-            assert level == pytest.approx(recursive, abs=1e-6)
+            assert level[0] == pytest.approx(recursive[0], abs=1e-6)
+            reach = np.abs(points).max()
+            assert level[1] == pytest.approx(recursive[1], abs=1e-13 * reach * len(points))
         outcomes.append(level)
     assert sum(o is SpectrumError for o in outcomes) >= 30
-    assert sum(not isinstance(o, type) and round(o) != 0 for o in outcomes) >= 30
+    assert sum(not isinstance(o, type) and round(o[0]) != 0 for o in outcomes) >= 30
     # the smallest budget with which the recursion finishes, and one less
     points = _rect_boundary((-3.0, 0.5, -5.0, 5.0), 0.5)
     lo, hi = len(points), 64 * len(points)
@@ -234,7 +242,7 @@ def test_level_sweep_matches_recursive_sweep():
             hi = mid
     assert len(points) < lo < 64 * len(points)
     assert _sweep_outcome(_phase_sweep, QP2, points, lo - 1) is SpectrumError
-    assert _sweep_outcome(_phase_sweep, QP2, points, lo) == pytest.approx(3.0, abs=1e-6)
+    assert _sweep_outcome(_phase_sweep, QP2, points, lo)[0] == pytest.approx(3.0, abs=1e-6)
     # a root at a corner sample, and a root at the first midpoint of a step
     for points in (_rect_boundary((-1.0, 0.0, 0.0, 1.0), 4.0), np.array([-1.5, -0.5 + 0j])):
         for sweep in (_phase_sweep, _recursive_sweep):
@@ -340,7 +348,7 @@ def test_argument_principle_consistency_randomized():
         im1 = im0 + float(rng.uniform(1.0, 3.0))
         try:
             res = roots_in_region(qp, (re0, re1, im0, im1))
-            inner = count_roots_region(qp, (re0, re1, im0, im1))
+            inner, _ = count_roots_region(qp, (re0, re1, im0, im1))
         except RootOnContourError:
             continue
         # the region count uses the closed-rectangle convention, so only
@@ -408,3 +416,99 @@ def test_conjugate_pair_order_ignores_last_bit_of_real_part():
     for neg, pos in zip(complex_roots[::2], complex_roots[1::2]):
         assert neg.imag < 0 < pos.imag
         assert abs(neg - pos.conjugate()) <= 1e-8 * abs(pos)
+
+
+def test_count_moment_is_the_sum_of_the_roots_inside():
+    # moment / k is the mean of the k roots a counted box holds, to the
+    # trapezoid rule's accuracy on the sampled boundary
+    for n, delta, scaled in ((1, 1.0, False), (2, 1.0, False), (3, 1.0, False),
+                             (2, 0.25, True), (2, 2.0, False), (5, 1.0, False)):
+        gain = gain_star(n)
+        qp = Quasipolynomial(n, scale_gain(gain, delta).l if scaled else gain.l, delta)
+        outer = (-9.0, 1.0, -40.0, 40.0)
+        roots = roots_in_region(qp, outer).roots
+        for rect in (outer, (-9.0, 1.0, -0.5, 40.0), (-3.0, 1.0, -1.0, 1.0),
+                     (-6.0, 0.0, 5.0, 25.0), (-9.0, 1.0, -0.3, 0.3)):
+            k, moment = count_roots_region(qp, rect)
+            inside = [(s, m) for s, m in roots if _inside(s, rect)]
+            assert k == sum(m for _, m in inside)
+            if k:
+                mean = sum(s * m for s, m in inside) / k
+                side = max(rect[1] - rect[0], rect[3] - rect[2])
+                assert abs(moment / k - mean) <= 1e-4 * side, (n, delta, rect)
+
+
+def test_derivative_newton_stays_inside_its_box():
+    # unguarded, Newton on D' from 0.3+1.7i walks to Re s near -1.3e4 in
+    # three steps, where e^(-delta*s) overflows and _kth_derivs raises
+    # ValueError; the guard gives up at the box edge instead
+    from midpredict.spectrum import _cluster_root, _derivative_newton
+
+    qp = Quasipolynomial(1, gain_star(1).l, 1.0)
+    box = (0.2, 0.4, 1.6, 1.8)
+    assert _derivative_newton(qp, complex(0.3, 1.7), 1, box, 60) is None
+    with pytest.raises(SpectrumError, match="cannot locate the 2-fold root cluster"):
+        _cluster_root(qp, box, 2)
+
+
+def _counts_of_roots_in_region(monkeypatch, qp, rect):
+    import midpredict.spectrum as spectrum
+
+    calls = []
+    count = spectrum.count_roots_region
+    monkeypatch.setattr(spectrum, "count_roots_region", lambda *a: calls.append(a) or count(*a))
+    roots_in_region(qp, rect)
+    monkeypatch.setattr(spectrum, "count_roots_region", count)
+    return len(calls)
+
+
+def test_designed_spectra_take_few_counts(monkeypatch):
+    # the zoom onto the (n+1)-fold root replaces the halving walk down to
+    # it: 15 counts for n = 1..4 at unit delay (47, 45, 32 and 28 by
+    # halving alone) and 7 for the rescaled n = 2 spectrum at delay 0.25 (25)
+    for n in range(1, 5):
+        gain = gain_star(n)
+        qp = Quasipolynomial(n, gain.l, 1.0)
+        rect = default_certification_rect(gain.sigma_star, 1.0)
+        assert _counts_of_roots_in_region(monkeypatch, qp, rect) <= 16, n
+    qp = Quasipolynomial(2, scale_gain(G2, 0.25).l, 0.25)
+    rect = default_certification_rect(G2.sigma_star / 0.25, 0.25)
+    assert _counts_of_roots_in_region(monkeypatch, qp, rect) <= 8
+
+
+def _exact_derivative_root(qp, order, s0):
+    """The root of D^(order) near s0, with D's float gains and delay taken
+    as exact binary values, at 200 bits."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workprec(200):
+        gains = [mpmath.mpf(v) for v in qp.l]
+        delta = mpmath.mpf(qp.delta)
+
+        def derivative(s):
+            tail = 0
+            for j in range(order + 1):
+                lj = sum(c * math.perm(p, j) * s ** (p - j)
+                         for p, c in zip(range(qp.n - 1, j - 1, -1), gains))
+                tail += math.comb(order, j) * (-delta) ** (order - j) * lj
+            return math.perm(qp.n, order) * s ** (qp.n - order) + tail * mpmath.exp(-delta * s)
+
+        return mpmath.findroot(derivative, mpmath.mpf(s0)), mpmath
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_located_multiple_roots_within_few_ulp(n):
+    # each (n+1)-fold root lies within 3 ulp of the exact root of D^(n), and
+    # within 2 ulp for the spectra of n = 2 and 3. Float evaluation of D^(n)
+    # near its root is exact only to a few ulp, so Newton's last bit there
+    # depends on where it starts; the worst case is n = 6 at delay 0.25,
+    # 2.16 ulp (the halving reached n = 6 at unit delay 3.16 ulp away)
+    gain = gain_star(n)
+    for delta, gains in ((1.0, gain.l), (0.25, scale_gain(gain, 0.25).l)):
+        qp = Quasipolynomial(n, gains, delta)
+        rect = default_certification_rect(gain.sigma_star / delta, delta)
+        (root, mult), = [(s, m) for s, m in roots_in_region(qp, rect).roots if m > 1]
+        assert mult == n + 1 and root.imag == 0.0
+        exact, mpmath = _exact_derivative_root(qp, n, root.real)
+        ulps = (2 if n in (2, 3) else 3) * math.ulp(root.real)
+        with mpmath.workprec(200):
+            assert abs(mpmath.mpf(root.real) - exact) <= ulps, (n, delta)
