@@ -16,7 +16,6 @@ import math
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -29,16 +28,7 @@ from .spectrum import Quasipolynomial, default_certification_rect, roots_in_regi
 from .synthesis import MAX_GAIN_DIMENSION, GainVector, gain_star, multiplicity_at, scale_gain
 from .tradeoff import ahmed_conditions, check_lipschitz, lei_conditions
 
-__all__ = ["main", "dispatch", "emit_plot_script", "RunManifest"]
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    subcommand: str
-    flags: dict
-    config_path: str | None
-    outdir: str
-    version: str
+__all__ = ["main", "dispatch", "emit_plot_script"]
 
 
 def _fmt(value):
@@ -55,14 +45,13 @@ def _write_manifest(args, extra=None):
         for k, v in vars(args).items()
         if k not in ("func",) and not k.startswith("_")
     }
-    manifest = RunManifest(
-        subcommand=args.subcommand,
-        flags=flags,
-        config_path=getattr(args, "config", None),
-        outdir=args.outdir,
-        version=__version__,
-    )
-    payload = asdict(manifest)
+    payload = {
+        "subcommand": args.subcommand,
+        "flags": flags,
+        "config_path": getattr(args, "config", None),
+        "outdir": args.outdir,
+        "version": __version__,
+    }
     if extra:
         payload.update(extra)
     path = os.path.join(args.outdir, "manifest.json")
@@ -71,8 +60,9 @@ def _write_manifest(args, extra=None):
         fh.write("\n")
 
 
-def emit_plot_script(kind, data_path, out_path=None):
-    """Write a gnuplot script rendering one of the known CSV schemas."""
+def emit_plot_script(kind, data_path):
+    """Write a gnuplot script rendering one of the known CSV schemas next to
+    data_path, with its extension replaced by .gp."""
     if not os.path.exists(data_path):
         raise FileNotFoundError("data file %s does not exist" % data_path)
     rel = os.path.basename(data_path)
@@ -106,12 +96,9 @@ def emit_plot_script(kind, data_path, out_path=None):
         )
     else:
         raise ValueError("unknown plot kind '%s'" % kind)
-    if out_path is None:
-        out_path = os.path.splitext(data_path)[0] + ".gp"
-    with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
+    with open(os.path.splitext(data_path)[0] + ".gp", "w", encoding="utf-8", newline="\n") as fh:
         fh.write("# generated by midpredict %s\n" % __version__)
         fh.write(body)
-    return out_path
 
 
 def _write_csv(path, schema, header_cols, rows):

@@ -7,14 +7,13 @@ until no step can hide a full turn of the argument; each level is one array
 evaluation. The same sweep sums the first moment of log D along the
 boundary, which over 2*pi*i approximates the sum of the roots inside. Roots
 inside a rectangle are located by bisecting it on that count (Delves &
-Lyness, Math. Comp. 21, 1967): boxes holding one root are polished by a
-multiplicity-robust Newton iteration on D/D', and a cluster that no cut
-can split is located as one multiple root through the derivative of
-matching order. A box of k >= 2 roots is first zoomed: Newton on D^(k-1)
-from the roots' mean (moment / k) proposes one k-fold root, and a small
-box around it that counts all k roots replaces the box, so the halving
-skips the walk down to the cluster. The count is the only route, so the
-roots returned account for it exactly.
+Lyness, Math. Comp. 21, 1967). Each counted box of k roots is first
+settled by one rule: Newton on D^(k-1) from the roots' mean (moment / k)
+proposes one k-fold root z, which is a simple root of D^(k-1). One root
+is certified by the box's count. k >= 2 roots are taken as one when the
+box of a few radii around z, inside which |D| is too small for any cut to
+separate them, holds all k. A box that is not settled is halved. The count
+is the only route, so the roots returned account for it exactly.
 """
 
 from __future__ import annotations
@@ -44,8 +43,7 @@ CONTOUR_REL_TOL = 1e-8
 CUT_FRACTIONS = (0.5, 0.47, 0.53, 0.41, 0.59)
 CONTOUR_FACTORS = (1.0, 1.7, 2.9, 4.3, 7.1)
 MAX_CONTOUR_POINTS = 10**7
-CLUSTER_NEWTON_STEPS = 60
-ZOOM_NEWTON_STEPS = 16
+NEWTON_STEPS = 16
 ZOOM_RADII = 3.0  # zoom box half-width in radii where |D| is below the contour's tolerance
 
 
@@ -295,38 +293,6 @@ def _derivs(qp, s, first, count):
     return [value for value, _ in itertools.islice(_kth_derivs(qp, s, first, False), count)]
 
 
-def _polish(qp, s0, rect):
-    """Newton on D/D': quadratic convergence regardless of multiplicity.
-
-    Both a residual test and a step-size test gate acceptance; near a
-    multiple root the residual alone is satisfied on a whole ball, so a
-    stalled iterate would otherwise masquerade as a separate root.
-    """
-    re0, re1, im0, im1 = rect
-    span = max(re1 - re0, im1 - im0)
-    s = complex(s0)
-    last_step = math.inf
-    for _ in range(80):
-        d, dp, dpp = _derivs(qp, s, 0, 3)
-        if abs(dp) == 0.0:
-            return None
-        g = d / dp
-        denom = 1.0 - (d * dpp) / (dp * dp)
-        step = g / denom if abs(denom) > 1e-12 else g
-        s_new = s - step
-        if not (math.isfinite(s_new.real) and math.isfinite(s_new.imag)):
-            return None
-        if abs(s_new.real - (re0 + re1) / 2) > span or abs(s_new.imag - (im0 + im1) / 2) > span:
-            return None
-        s = s_new
-        last_step = abs(step)
-        if last_step < 1e-14 * max(1.0, abs(s)):
-            break
-    if not _is_root(qp, s) or last_step > 1e-10 * max(1.0, abs(s)):
-        return None
-    return s
-
-
 def _is_root(qp, z):
     """The residual gate of a located root: |D(z)| within POLISH_REL_TOL of
     the scale of D at z."""
@@ -373,71 +339,63 @@ def _split(qp, box, count, moment):
     return counted, (second, count - k, moment - first_moment)
 
 
-def _derivative_newton(qp, z, order, box, steps):
-    """Newton on D^(order) from z, for at most steps steps or until a step
-    falls below 1e-16 |z|.
+def _derivative_newton(qp, z, order, box):
+    """Newton on D^(order) from z, for at most NEWTON_STEPS steps or until a
+    step falls below 1e-16 |z|.
 
-    Returns (z, D^(order+1) at the last iterate evaluated), or None once an
-    iterate leaves the box: outside a counted box e^(-delta*s) may overflow.
+    Returns (z, D^(order+1) at the last iterate evaluated) once the last
+    step is at most 1e-10 max(1, |z|): near a multiple root of D the
+    residual of D is small on a whole ball, so a stalled iterate would
+    otherwise pass for a root. Returns None when it is not, when
+    D^(order+1) vanishes, or once an iterate leaves the box: outside a
+    counted box e^(-delta*s) may overflow.
     """
-    for _ in range(steps):
+    step = math.inf
+    for _ in range(NEWTON_STEPS):
         if not _inside(z, box):
             return None
         f, fp = _derivs(qp, z, order, 2)
         if abs(fp) == 0.0:
-            break
+            return None
         step = f / fp
         z -= step
         if abs(step) < 1e-16 * max(1.0, abs(z)):
             break
-    return (z, fp) if _inside(z, box) else None
+    if abs(step) > 1e-10 * max(1.0, abs(z)) or not _inside(z, box):
+        return None
+    return z, fp
 
 
-def _cluster_root(qp, box, mult):
-    """Locate mult roots that no cut can separate as one multiple root.
+def _settle(qp, box, count, moment):
+    """The one root of multiplicity count that a box of count roots holds,
+    or None.
 
-    A multiplicity-m root of D is a simple, well-conditioned root of
-    D^(m-1); Newton there from the box centre recovers the location far
-    below the noise floor that direct evaluation of D allows. The point
-    must lie in the box and pass _is_root.
+    A count-fold root is a simple root z of D^(count-1), which Newton from
+    the roots' mean, moment / count, finds when the roots are one cluster;
+    z must stay in box and pass _is_root. One root is certified by the
+    box's own count. For count >= 2, |D| near z is about
+    |D^(count)(z)| r**count / count! at distance r, which falls below
+    CONTOUR_REL_TOL of the scale within rho, so no contour can separate
+    roots closer to z than that. The box of half-width ZOOM_RADII * rho
+    around z, clipped to box (whose edges are clear of roots), must then be
+    box itself or be counted to hold all count roots.
     """
-    re0, re1, im0, im1 = box
-    centre = complex((re0 + re1) / 2, (im0 + im1) / 2)
-    landed = _derivative_newton(qp, centre, mult - 1, box, CLUSTER_NEWTON_STEPS)
+    landed = _derivative_newton(qp, moment / count, count - 1, box)
     if landed is None or not _is_root(qp, landed[0]):
-        raise SpectrumError("cannot locate the %d-fold root cluster in %s" % (mult, box))
-    return landed[0]
-
-
-def _zoom(qp, box, count, moment):
-    """(small box, count, moment) for a small box around one count-fold
-    root that holds all count roots of box, or None.
-
-    The count roots of box have mean moment / count. A count-fold root is a
-    simple root z of D^(count-1), which a short Newton from that mean finds
-    when the roots are one cluster; z must pass _is_root. Near it |D| is
-    about |D^(count)(z)| r**count / count! at distance r, which falls below
-    CONTOUR_REL_TOL of the scale within rho; the box of half-width
-    ZOOM_RADII * rho around z, clipped to box (whose edges are clear of
-    roots), is counted. When it holds all count roots, the rest of box
-    holds none.
-    """
-    landed = _derivative_newton(qp, moment / count, count - 1, box, ZOOM_NEWTON_STEPS)
-    if landed is None:
         return None
     z, dk = landed
-    if abs(dk) == 0.0 or not _is_root(qp, z):
-        return None
+    if count == 1:
+        return z
     scale = float(qp_scale(qp, np.asarray(z)))
     rho = (CONTOUR_REL_TOL * scale * math.factorial(count) / abs(dk)) ** (1.0 / count)
     half = ZOOM_RADII * rho
     re0, re1, im0, im1 = box
     small = (max(re0, z.real - half), min(re1, z.real + half),
              max(im0, z.imag - half), min(im1, z.imag + half))
-    if small == box or not (small[1] > small[0] and small[3] > small[2]):
-        return None
+    if small == box:
+        return z
     counted = _first_counted(qp, (small,))
-    return counted if counted is not None and counted[1] == count else None
+    return z if counted is not None and counted[1] == count else None
 
 
 def roots_in_region(qp, rect):
@@ -448,14 +406,13 @@ def roots_in_region(qp, rect):
     instance) are still resolved. At delay delta < 1 the spectrum is spread
     by 1/delta, so when every margin of the ladder meets a root the ladder
     is tried again scaled by 1/delta. The expanded box is then bisected on
-    its argument-principle count: a one-root box is done when _polish converges
-    inside it, and a box of k >= 2 roots that no cut can pass without
-    meeting a root is one root of multiplicity k. A box of k >= 2 roots is
-    first offered to _zoom, once along each line of descent, if k is at
-    most 2n, the largest multiplicity D can have (Polya & Szego: the degrees
-    n and n - 1 of its two terms, plus one): when a small counted box
-    around one k-fold root holds all k, the bisection goes on from it. Every root comes from a counted box, so together they account
-    exactly for the boundary count.
+    its argument-principle count. A box of k roots, k at most 2n (the
+    largest multiplicity D can have, Polya & Szego: the degrees n and n - 1
+    of its two terms, plus one), is first offered to _settle, which takes
+    it as one k-fold root at the point Newton on D^(k-1) reaches from the
+    roots' mean. A box _settle does not take is halved; a box that no cut
+    can halve raises SpectrumError. Every root comes from a counted box, so together
+    they account exactly for the boundary count.
     Only roots lying in the closed requested rectangle are returned, and the
     reported count is the sum of their multiplicities.
     """
@@ -473,31 +430,23 @@ def roots_in_region(qp, rect):
         raise RootOnContourError("roots crowd every candidate contour around the rectangle")
     target = counted[1]
     found = []
-    pending = [(counted, True)] if target else []  # ((box, count, moment), may zoom)
+    pending = [counted] if target else []  # (box, count, moment)
     max_boxes = 64 * (target + 1)
     boxes = 0
     while pending:
         boxes += 1
         if boxes > max_boxes:
             raise SpectrumError("root isolation exceeded its budget of %d boxes" % max_boxes)
-        (box, count, moment), zoomable = pending.pop()
-        if count == 1:
-            s = _polish(qp, complex((box[0] + box[1]) / 2, (box[2] + box[3]) / 2), box)
-            if s is not None and _inside(s, box):
-                found.append((s, 1))
-                continue
-        elif zoomable and count <= 2 * qp.n:
-            small = _zoom(qp, box, count, moment)
-            if small is not None:
-                pending.append((small, False))
+        box, count, moment = pending.pop()
+        if count <= 2 * qp.n:
+            s = _settle(qp, box, count, moment)
+            if s is not None:
+                found.append((s, count))
                 continue
         halves = _split(qp, box, count, moment)
-        if halves is not None:
-            pending.extend((half, zoomable) for half in halves if half[1])
-        elif count == 1:
-            raise SpectrumError("no cut isolates the root in %s" % (box,))
-        else:
-            found.append((_cluster_root(qp, box, count), count))
+        if halves is None:
+            raise SpectrumError("no cut splits the %d roots in %s" % (count, box))
+        pending.extend(half for half in halves if half[1])
     kept = []
     for s, m in found:
         if abs(s.imag) < 1e-8 * max(1.0, abs(s)):

@@ -442,13 +442,32 @@ def test_derivative_newton_stays_inside_its_box():
     # unguarded, Newton on D' from 0.3+1.7i walks to Re s near -1.3e4 in
     # three steps, where e^(-delta*s) overflows and _kth_derivs raises
     # ValueError; the guard gives up at the box edge instead
-    from midpredict.spectrum import _cluster_root, _derivative_newton
+    from midpredict.spectrum import _derivative_newton
 
     qp = Quasipolynomial(1, gain_star(1).l, 1.0)
-    box = (0.2, 0.4, 1.6, 1.8)
-    assert _derivative_newton(qp, complex(0.3, 1.7), 1, box, 60) is None
-    with pytest.raises(SpectrumError, match="cannot locate the 2-fold root cluster"):
-        _cluster_root(qp, box, 2)
+    assert _derivative_newton(qp, complex(0.3, 1.7), 1, (0.2, 0.4, 1.6, 1.8)) is None
+
+
+def test_double_root_in_a_rect_inside_its_zoom_radius():
+    # the requested rect is narrower than the box of ZOOM_RADII radii around
+    # the double root at -2, so that box, clipped to the counted box, is the
+    # counted box itself, and the root is taken without a further count
+    gain = scale_gain(gain_star(1), 0.5)
+    qp = Quasipolynomial(1, gain.l, 0.5)
+    rect = (-2.0003205017936576, -1.9997269043367547, -0.0001816024483796666,
+            0.0003512133370038433)
+    assert roots_in_region(qp, rect).roots == ((-2 + 0j, 2),)
+
+
+@pytest.mark.xfail(strict=True, reason="the sampled sweep misses one turn of the argument "
+                   "(ROADMAP item 5: certified counts)")
+def test_count_of_a_tall_n7_box_at_delay_2():
+    # a 2.4 M-point np.unwrap sweep of this boundary winds 24.0000 times;
+    # the sweep counts 23, and roots_in_region over the slightly smaller
+    # rect refuses with "half-box count 8 exceeds the box count 7"
+    qp = Quasipolynomial(7, scale_gain(gain_star(7), 2.0).l, 2.0)
+    rect = (-6.65329925731942, 0.030932465482121235, -26.39082626609756, 27.40339006109552)
+    assert count_roots_region(qp, rect)[0] == 24
 
 
 def _counts_of_roots_in_region(monkeypatch, qp, rect):
@@ -463,17 +482,18 @@ def _counts_of_roots_in_region(monkeypatch, qp, rect):
 
 
 def test_designed_spectra_take_few_counts(monkeypatch):
-    # the zoom onto the (n+1)-fold root replaces the halving walk down to
-    # it: 15 counts for n = 1..4 at unit delay (47, 45, 32 and 28 by
-    # halving alone) and 7 for the rescaled n = 2 spectrum at delay 0.25 (25)
+    # Newton on D^(k-1) from the moment settles each counted box of k roots,
+    # so the (n+1)-fold root costs at most one count, of the small box
+    # around it: 9 counts for n = 1..4 at unit delay and 2 for the rescaled
+    # n = 2 spectrum at delay 0.25
     for n in range(1, 5):
         gain = gain_star(n)
         qp = Quasipolynomial(n, gain.l, 1.0)
         rect = default_certification_rect(gain.sigma_star, 1.0)
-        assert _counts_of_roots_in_region(monkeypatch, qp, rect) <= 16, n
+        assert _counts_of_roots_in_region(monkeypatch, qp, rect) <= 9, n
     qp = Quasipolynomial(2, scale_gain(G2, 0.25).l, 0.25)
     rect = default_certification_rect(G2.sigma_star / 0.25, 0.25)
-    assert _counts_of_roots_in_region(monkeypatch, qp, rect) <= 8
+    assert _counts_of_roots_in_region(monkeypatch, qp, rect) <= 2
 
 
 def _exact_derivative_root(qp, order, s0):
