@@ -30,6 +30,10 @@ from .tradeoff import ahmed_conditions, check_lipschitz, lei_conditions
 
 __all__ = ["main", "dispatch", "emit_plot_script"]
 
+# the simulate options each source reads, with their defaults: a demo
+# variant fixes its own cascade, and a system file its own delay
+_SIMULATE_OPTIONS = {"variant": {"h": 0.25}, "config": {"N": 1, "lam": None}}
+
 
 def _fmt(value):
     return "%.6g" % value
@@ -175,7 +179,7 @@ def _cmd_spectrum(args):
     gain = gain_star(args.n)
     qp = Quasipolynomial(args.n, gain.l, args.delta)
     rect = _parse_rect(args.rect) if args.rect else default_certification_rect(
-        gain.sigma_star / max(args.delta, 1e-9) if args.delta > 0 else gain.sigma_star,
+        gain.sigma_star / args.delta if args.delta > 0 else gain.sigma_star,
         args.delta,
     )
     result = roots_in_region(qp, rect)
@@ -411,9 +415,9 @@ def _build_parser():
     source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("--config", default=None, help="system definition file")
     source.add_argument("--variant", choices=DEMO_VARIANTS, default=None)
-    p.add_argument("--h", type=float, default=0.25)
-    p.add_argument("--N", type=int, default=1)
-    p.add_argument("--lam", type=float, default=None)
+    p.add_argument("--h", type=float, default=argparse.SUPPRESS, help="--variant delay (0.25)")
+    p.add_argument("--N", type=int, default=argparse.SUPPRESS, help="--config stages (1)")
+    p.add_argument("--lam", type=float, default=argparse.SUPPRESS, help="--config gain (N / h)")
     p.add_argument("--t-end", dest="t_end", type=float, default=60.0)
     p.add_argument("--dt", type=float, default=None)
     p.set_defaults(func=_cmd_simulate)
@@ -454,6 +458,15 @@ def dispatch(argv):
         # argparse reads a value of "--" (as in --h=--) as no value and stores []
         if [] in vars(args).values():
             parser.error("an option was given '--' as its value")
+        if args.subcommand == "simulate":
+            # refuse what the source ignores, so the manifest records only used values
+            source = "variant" if args.variant else "config"
+            used = _SIMULATE_OPTIONS[source]
+            for name in ("h", "N", "lam"):
+                if name in vars(args) and name not in used:
+                    parser.error("--%s does not apply to a --%s run" % (name, source))
+            for name, default in used.items():
+                vars(args).setdefault(name, default)
     except SystemExit as exc:
         return int(exc.code or 0)
     if args.outdir is None:

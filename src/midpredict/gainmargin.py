@@ -386,6 +386,10 @@ def design_chain(n, gamma_phi, h, gamma_m):
     if not 0 < h < math.inf:
         raise ValueError("delay must be finite and positive")
     lambda_star = max(gamma_phi / gamma_m, 1.0)
+    if not math.isfinite(lambda_star * h):
+        raise ValueError(
+            "threshold gain %.3g times delay %.3g is past the float range" % (lambda_star, h)
+        )
     stages = max(1, math.ceil(lambda_star * h))
     lam = stages / h
     return ChainDesign(

@@ -224,7 +224,7 @@ def crossing_points(crossing_set, delta_max):
     )
     if total > MAX_CROSSING_POINTS:
         raise ValueError(
-            "delta_max %g reaches about %d crossing delays (budget %d)"
+            "delta_max %g reaches about %.3g crossing delays (budget %d)"
             % (delta_max, total, MAX_CROSSING_POINTS)
         )
     out = []

@@ -4,12 +4,15 @@ A polynomial is a plain sequence of coefficients, ascending by degree. Every
 routine reads them as exact (ints, Fractions or floats, each the rational
 it is), so a polynomial with integer coefficients beyond 2**53 is counted
 as itself, never as its float rounding. Descartes' rule of signs bounds the
-roots in (0, inf) by the sign variations of the coefficients, exactly when
-that bound is 0 or 1, and reaches any other interval through a Taylor
-shift: isolate_positive_roots bisects on it (Collins & Akritas, 1976), and
-bisect_root narrows one root on exact signs. A Sturm chain yields
-gcd(p, p'). Signs at rationals come from one homogeneous Horner sum on
-integers; unstable_root_count is an exact Routh count.
+roots in (0, inf) by the sign variations of the coefficients, counted with
+multiplicity, exactly when that bound is 0 or 1, and reaches any other
+interval through a Taylor shift: isolate_positive_roots bisects on it
+(Collins & Akritas, 1976), and bisect_root narrows one root on exact signs.
+A node with one variation holds one simple root, so the bisection itself
+proves most roots simple and takes gcd(p, p') only where it cannot tell
+close roots from a repeated one. Signs at rationals come from one
+homogeneous Horner sum on integers; unstable_root_count is an exact Routh
+count.
 """
 
 from __future__ import annotations
@@ -92,29 +95,6 @@ def taylor_shift(p, a=1):
     return desc[::-1]
 
 
-def _pseudo_rem(a, b):
-    """Integer pseudo-remainder of a by b with the sign of the true remainder."""
-    da, db = len(a) - 1, len(b) - 1
-    lc = b[-1]
-    r = list(a)
-    steps = da - db + 1
-    for _ in range(steps):
-        dr = len(r) - 1
-        if dr < db or all(c == 0 for c in r):
-            r = [c * lc for c in r]
-            continue
-        factor = r[-1]
-        r = [c * lc for c in r]
-        shift = dr - db
-        for i, c in enumerate(b):
-            r[i + shift] -= factor * c
-        while len(r) > 1 and r[-1] == 0:
-            r.pop()
-    if lc < 0 and steps % 2 == 1:
-        r = [-c for c in r]
-    return r
-
-
 def _exact_quotient(a, b):
     """a / b for integer polynomials when b divides a, made primitive; the
     rescaling is by a positive factor, so the quotient keeps its sign."""
@@ -127,61 +107,34 @@ def _exact_quotient(a, b):
     return _primitive(_to_int_poly(quot))
 
 
-def _sturm_chain(coeffs):
-    p = _primitive(_to_int_poly(coeffs))
-    if len(p) == 1:
-        return [p]
-    dp = _primitive([k * c for k, c in enumerate(p) if k > 0])
-    chain = [p, dp]
-    while len(chain[-1]) > 1:
-        rem = _pseudo_rem(chain[-2], chain[-1])
-        rem = [-c for c in rem]
-        if all(c == 0 for c in rem):
-            break
-        chain.append(_primitive(rem))
-    return chain
+def _gcd(a, b):
+    """A gcd of the integer polynomials a and b (b nonzero), primitive.
 
-
-# the integers modulo a prime form a field, where Euclid's gcd runs on
-# numbers of 127 bits; a squarefree p fails the certificate only when this
-# prime divides the resultant of p and p'
-SQUAREFREE_PRIME = 2 ** 127 - 1
-
-
-def _rem_mod(a, b, prime):
-    """Remainder of a by b over the integers modulo prime; b[-1] != 0."""
-    a = list(a)
-    inv = pow(b[-1], -1, prime)
-    head = b[:-1]
-    while len(a) >= len(b):
-        factor = a.pop() * inv % prime
-        shift = len(a) - len(head)
-        for i, c in enumerate(head):
-            a[shift + i] = (a[shift + i] - factor * c) % prime
-        while a and a[-1] == 0:
-            a.pop()
-    return a
+    Euclid on pseudo-remainders: a times a power of b's leading coefficient
+    is reduced by b until its degree is below b's. That is a nonzero
+    multiple of the remainder, so it has the same gcd with b, and it is
+    made primitive before the next step. The gcd's sign is arbitrary;
+    len(result) == 1 means a and b are coprime.
+    """
+    while b:
+        lc, r = b[-1], list(a)
+        while len(r) >= len(b):
+            shift = len(r) - len(b)
+            factor = r.pop()
+            r = [c * lc for c in r]
+            for i, c in enumerate(b[:-1]):
+                r[shift + i] -= factor * c
+            while r and r[-1] == 0:
+                r.pop()
+        a, b = b, _primitive(r)
+    return _primitive(a)
 
 
 def squarefree_part(p):
-    """A primitive integer polynomial with the distinct roots of p, each once.
-
-    p is a nonconstant primitive integer polynomial. When gcd(p, p') is
-    constant modulo SQUAREFREE_PRIME and neither leading coefficient
-    vanishes there, the resultant of p and p' is nonzero modulo the prime,
-    so it is nonzero, and p itself is squarefree. Otherwise p is divided by
-    the end of its Sturm chain, a multiple of gcd(p, p'), and the quotient
-    gets a positive leading coefficient. Correctness never depends on the
-    prime.
-    """
-    a = [c % SQUAREFREE_PRIME for c in p]
-    b = [k * c % SQUAREFREE_PRIME for k, c in enumerate(p) if k > 0]
-    if b and a[-1] and b[-1]:
-        while b:
-            if len(b) == 1:
-                return p
-            a, b = b, _rem_mod(a, b, SQUAREFREE_PRIME)
-    part = _exact_quotient(p, _sturm_chain(p)[-1])
+    """p / gcd(p, p'): a primitive integer polynomial with the distinct roots
+    of the nonconstant integer polynomial p, each once, and a positive
+    leading coefficient."""
+    part = _exact_quotient(p, _gcd(p, [k * c for k, c in enumerate(p) if k]))
     return part if part[-1] > 0 else [-c for c in part]
 
 
@@ -190,69 +143,85 @@ def isolate_positive_roots(coeffs):
 
     intervals are disjoint rational intervals (lo, hi], one distinct
     positive root each. The bisection of (0, bound] is decided by
-    Descartes' rule of signs on the squarefree part (Collins & Akritas,
-    1976): a node whose open interval shows 0 sign variations holds no root
-    there, one with 1 holds exactly one, which exact signs at the midpoints
-    then narrow. Each root gets the node a Sturm bisection of the same
-    dyadic tree stops at: the largest one on the root's path that holds no
-    other root and is narrower than max(1, hi)/1000. repeated isolates, the
-    same way, the positive roots of the cofactor p / squarefree part, a
-    multiple of gcd(p, p'): exactly the repeated positive roots of p. It is
-    [] when p is squarefree. Both lists come ascending.
+    Descartes' rule of signs on p itself (Collins & Akritas, 1976), which
+    counts roots with multiplicity: a node whose open interval shows 0 sign
+    variations holds no root there, and one with 1 holds exactly one root,
+    counted once, hence simple; exact signs at the midpoints then narrow
+    it. A root at a node's upper end hi is simple when p'(hi) != 0. A
+    repeated root shows >= 2 variations on every node around it, so it can
+    only be met as such an end with p'(hi) = 0, or as a node narrower than
+    the leaf width that still shows >= 2 variations. Only there is
+    g = gcd(p, p') computed: a constant g proves p squarefree, the roots
+    are merely close, and the bisection goes on; otherwise it starts again
+    on p / g. Each root gets the node a Sturm bisection of the same dyadic
+    tree stops at: the largest one on the root's path that holds no other
+    root and is narrower than max(1, hi)/1000. repeated isolates, the same
+    way, the positive roots of g: exactly the repeated positive roots of p.
+    It is [] when p has none. Both lists come ascending.
     """
     p = _primitive(_to_int_poly(coeffs))
     if len(p) == 1 or sign_variations(p) == 0:
         return [], []
     # bound >= 1 + max_{i<d} |c_i / c_d|, Cauchy's bound, so every root of p,
-    # and of its squarefree part, is smaller in modulus. By Gauss-Lucas no
+    # and of any divisor of it, is smaller in modulus. By Gauss-Lucas no
     # derivative vanishes on [bound, oo), so every Taylor coefficient at bound
     # has the leading coefficient's sign: no root lies outside (0, bound]
     bound = max(Fraction(2 * max(abs(c) for c in p), abs(p[-1])), Fraction(1))
     bn, bd = bound.numerator, bound.denominator
-    part = squarefree_part(p)
-    repeated = isolate_positive_roots(_exact_quotient(p, part))[0] if len(part) < len(p) else []
-    p = part
-    d = len(p) - 1
-    # node (k, a) is the interval bound*(a/2**k, (a+1)/2**k]; its polynomial
-    # is a positive multiple of p(bound*(a + t)/2**k), t in (0, 1]
-    top = [c * bn ** i * bd ** (d - i) for i, c in enumerate(p)]
 
     def narrow(k, a):
         return 1000 * bn < max(bd << k, bn * (a + 1))
 
-    leaves = []
-    stack = [(0, 0, top, None)]
-    while stack:
-        k, a, q, first = stack.pop()
-        if q is None:
-            # a narrow node whose subtree held one root is that root's leaf
-            if len(leaves) == first + 1:
-                leaves[first] = (k, a)
-            continue
-        value = sum(q)
-        s_hi = (value > 0) - (value < 0)
-        # sign changes of (1 + t)**d q(1/(1 + t)): Descartes on the open node
-        inside = sign_variations(taylor_shift(q[::-1]))
-        if inside <= 1 and inside + (s_hi == 0) == 1:
-            # one root: on the open node, or at hi when s_hi == 0
-            while not narrow(k, a):
-                if s_hi == 0:
-                    a = 2 * a + 1
-                else:
-                    s_mid = sign_at(top, 2 * a + 1, 2 << k)
-                    if s_mid == -s_hi:
+    repeated, squarefree = [], False
+    while True:  # once more, on p / g, when g = gcd(p, p') is nonconstant
+        d = len(p) - 1
+        dp = [k * c for k, c in enumerate(p) if k]
+        # node (k, a) is the interval bound*(a/2**k, (a+1)/2**k]; its polynomial
+        # is a positive multiple of p(bound*(a + t)/2**k), t in (0, 1]
+        top = [c * bn ** i * bd ** (d - i) for i, c in enumerate(p)]
+        leaves = []
+        stack = [(0, 0, top, None)]
+        while stack:
+            k, a, q, first = stack.pop()
+            if q is None:
+                # a narrow node whose subtree held one root is that root's leaf
+                if len(leaves) == first + 1:
+                    leaves[first] = (k, a)
+                continue
+            value = sum(q)
+            s_hi = (value > 0) - (value < 0)
+            # sign changes of (1 + t)**d q(1/(1 + t)): Descartes on the open node
+            inside = sign_variations(taylor_shift(q[::-1]))
+            if inside <= 1 and inside + (s_hi == 0) == 1:
+                # one root: simple on the open node, or at hi when s_hi == 0
+                if s_hi == 0 and not squarefree and sign_at(dp, bn * (a + 1), bd << k) == 0:
+                    g = _gcd(p, dp)
+                    break
+                while not narrow(k, a):
+                    if s_hi == 0:
                         a = 2 * a + 1
                     else:
-                        a, s_hi = 2 * a, s_mid
-                k += 1
-            leaves.append((k, a))
-        elif inside:
-            if narrow(k, a):
-                stack.append((k, a, None, len(leaves)))
-            left = [c << (d - i) for i, c in enumerate(q)]
-            stack.append((k + 1, 2 * a + 1, taylor_shift(left), None))
-            stack.append((k + 1, 2 * a, left, None))
-    return [(bound * a / (1 << k), bound * (a + 1) / (1 << k)) for k, a in leaves], repeated
+                        s_mid = sign_at(top, 2 * a + 1, 2 << k)
+                        if s_mid == -s_hi:
+                            a = 2 * a + 1
+                        else:
+                            a, s_hi = 2 * a, s_mid
+                    k += 1
+                leaves.append((k, a))
+            elif inside:
+                if narrow(k, a):
+                    if not squarefree:
+                        g = _gcd(p, dp)
+                        if len(g) > 1:
+                            break
+                        squarefree = True
+                    stack.append((k, a, None, len(leaves)))
+                left = [c << (d - i) for i, c in enumerate(q)]
+                stack.append((k + 1, 2 * a + 1, taylor_shift(left), None))
+                stack.append((k + 1, 2 * a, left, None))
+        else:
+            return [(bound * a / (1 << k), bound * (a + 1) / (1 << k)) for k, a in leaves], repeated
+        p, squarefree, repeated = _exact_quotient(p, g), True, isolate_positive_roots(g)[0]
 
 
 def bisect_root(p, lo, hi):

@@ -38,13 +38,13 @@ __all__ = [
     "default_certification_rect",
 ]
 
-POLISH_REL_TOL = 1e-10
+ROOT_REL_TOL = 1e-10
 CONTOUR_REL_TOL = 1e-8
 CUT_FRACTIONS = (0.5, 0.47, 0.53, 0.41, 0.59)
 CONTOUR_FACTORS = (1.0, 1.7, 2.9, 4.3, 7.1)
 MAX_CONTOUR_POINTS = 10**7
 NEWTON_STEPS = 16
-ZOOM_RADII = 3.0  # zoom box half-width in radii where |D| is below the contour's tolerance
+CLUSTER_RADII = 3.0  # half-width, in radii, of the box that must hold a k-fold root's cluster
 
 
 class SpectrumError(RuntimeError):
@@ -294,9 +294,9 @@ def _derivs(qp, s, first, count):
 
 
 def _is_root(qp, z):
-    """The residual gate of a located root: |D(z)| within POLISH_REL_TOL of
+    """The residual gate of a located root: |D(z)| within ROOT_REL_TOL of
     the scale of D at z."""
-    return abs(qp_eval(qp, z)) <= POLISH_REL_TOL * float(qp_scale(qp, np.asarray(z)))
+    return abs(qp_eval(qp, z)) <= ROOT_REL_TOL * float(qp_scale(qp, np.asarray(z)))
 
 
 def _inside(s, box, slack=0.0):
@@ -376,9 +376,9 @@ def _settle(qp, box, count, moment):
     box's own count. For count >= 2, |D| near z is about
     |D^(count)(z)| r**count / count! at distance r, which falls below
     CONTOUR_REL_TOL of the scale within rho, so no contour can separate
-    roots closer to z than that. The box of half-width ZOOM_RADII * rho
-    around z, clipped to box (whose edges are clear of roots), must then be
-    box itself or be counted to hold all count roots.
+    roots closer to z than that. The cluster box of half-width
+    CLUSTER_RADII * rho around z, clipped to box (whose edges are clear of
+    roots), must then be box itself or be counted to hold all count roots.
     """
     landed = _derivative_newton(qp, moment / count, count - 1, box)
     if landed is None or not _is_root(qp, landed[0]):
@@ -388,7 +388,7 @@ def _settle(qp, box, count, moment):
         return z
     scale = float(qp_scale(qp, np.asarray(z)))
     rho = (CONTOUR_REL_TOL * scale * math.factorial(count) / abs(dk)) ** (1.0 / count)
-    half = ZOOM_RADII * rho
+    half = CLUSTER_RADII * rho
     re0, re1, im0, im1 = box
     small = (max(re0, z.real - half), min(re1, z.real + half),
              max(im0, z.imag - half), min(im1, z.imag + half))

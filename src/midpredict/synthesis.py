@@ -119,11 +119,17 @@ def scale_gain(gain, delta):
     """Rescale gains for a physical delay: component k becomes l_k/delta**k.
 
     Run at delay delta, the rescaled loop has its (n+1)-fold dominant root
-    at sigma_star/delta.
+    at sigma_star/delta. ValueError: delta is not positive, or a power of
+    it, or a rescaled gain, leaves the float range (a nonzero gain turned 0).
     """
     if delta <= 0:
         raise ValueError("delay scale must be positive")
-    scaled = tuple(v / delta ** (k + 1) for k, v in enumerate(gain.l))
+    try:
+        scaled = tuple(v / delta ** (k + 1) for k, v in enumerate(gain.l))
+    except (OverflowError, ZeroDivisionError):
+        scaled = (math.inf,)
+    if not all(math.isfinite(s) and (s != 0) == (v != 0) for s, v in zip(scaled, gain.l)):
+        raise ValueError("delay scale %g takes the rescaled gains past the float range" % delta)
     return GainVector(l=scaled, n=gain.n, sigma_star=gain.sigma_star)
 
 

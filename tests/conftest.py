@@ -9,19 +9,19 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
 
 
 @pytest.fixture
-def chains_built(monkeypatch):
-    """Records the polynomials a Sturm chain is built for inside polynomials."""
+def gcds_taken(monkeypatch):
+    """Records the polynomial a of each gcd(a, b) computed inside polynomials."""
     from midpredict import polynomials
 
-    built = []
-    build = polynomials._sturm_chain
+    taken = []
+    take = polynomials._gcd
 
-    def recording(coeffs):
-        built.append(list(coeffs))
-        return build(coeffs)
+    def recording(a, b):
+        taken.append(list(a))
+        return take(a, b)
 
-    monkeypatch.setattr(polynomials, "_sturm_chain", recording)
-    return built
+    monkeypatch.setattr(polynomials, "_gcd", recording)
+    return taken
 
 
 @pytest.fixture

@@ -13,13 +13,7 @@ import numpy as np
 
 from midpredict.expressions import Call, Neg, Num, Var
 from midpredict.model import ModelError
-from midpredict.polynomials import (
-    _exact_quotient,
-    _sturm_chain,
-    _to_int_poly,
-    sign_at,
-    sign_variations,
-)
+from midpredict.polynomials import sign_at, sign_variations
 from midpredict.synthesis import MAX_GAIN_DIMENSION, GainVector, sigma_star
 
 
@@ -111,6 +105,75 @@ def gain_from_derivative_system(n):
     return GainVector(l=gains, n=n, sigma_star=sig)
 
 
+def fraction_to_int_poly(coeffs):
+    """Exact coefficients (ints, floats or Fractions) times the least common
+    denominator of their Fractions: an integer list, trailing zeros dropped."""
+    fracs = [Fraction(c) for c in coeffs]
+    denom = 1
+    for f in fracs:
+        denom = denom * f.denominator // math.gcd(denom, f.denominator)
+    ints = [int(f * denom) for f in fracs]
+    while len(ints) > 1 and ints[-1] == 0:
+        ints.pop()
+    return ints
+
+
+def _primitive(p):
+    content = math.gcd(*p)
+    return [c // content for c in p] if content > 1 else p
+
+
+def _pseudo_rem(a, b):
+    """Integer pseudo-remainder of a by b with the sign of the true remainder."""
+    da, db = len(a) - 1, len(b) - 1
+    lc = b[-1]
+    r = list(a)
+    steps = da - db + 1
+    for _ in range(steps):
+        dr = len(r) - 1
+        if dr < db or all(c == 0 for c in r):
+            r = [c * lc for c in r]
+            continue
+        factor = r[-1]
+        r = [c * lc for c in r]
+        shift = dr - db
+        for i, c in enumerate(b):
+            r[i + shift] -= factor * c
+        while len(r) > 1 and r[-1] == 0:
+            r.pop()
+    if lc < 0 and steps % 2 == 1:
+        r = [-c for c in r]
+    return r
+
+
+def _exact_quotient(a, b):
+    """a / b for integer polynomials when b divides a, made primitive by a
+    positive factor, so that the quotient keeps its sign."""
+    rem = [Fraction(c) for c in a]
+    quot = [Fraction(0)] * (len(a) - len(b) + 1)
+    for k in range(len(quot) - 1, -1, -1):
+        quot[k] = rem[k + len(b) - 1] / b[-1]
+        for j, c in enumerate(b):
+            rem[k + j] -= quot[k] * c
+    return _primitive(fraction_to_int_poly(quot))
+
+
+def _sturm_chain(coeffs):
+    """p, p' and the negated pseudo-remainders, each primitive: the signed
+    Sturm sequence of p, whose last member is gcd(p, p')."""
+    p = _primitive(fraction_to_int_poly(coeffs))
+    if len(p) == 1:
+        return [p]
+    dp = _primitive([k * c for k, c in enumerate(p) if k > 0])
+    chain = [p, dp]
+    while len(chain[-1]) > 1:
+        rem = [-c for c in _pseudo_rem(chain[-2], chain[-1])]
+        if all(c == 0 for c in rem):
+            break
+        chain.append(_primitive(rem))
+    return chain
+
+
 class SturmChain:
     """Sturm sequence of one polynomial, built once and counted at many points:
     the reference for the Descartes isolation, the repeated-root rule and
@@ -156,7 +219,7 @@ def sturm_root_certificate(coeffs):
     is its sign changes at -inf minus those at 0, and p is squarefree when
     the chain ends in a constant and m <= 1.
     """
-    p = _to_int_poly(coeffs)
+    p = fraction_to_int_poly(coeffs)
     if len(p) < 2:
         raise ValueError("certificate requires a nonconstant polynomial")
     m = next(i for i, c in enumerate(p) if c)

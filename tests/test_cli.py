@@ -234,8 +234,7 @@ SIMULATE_FIELDS = {"divergence_time": None, "divergent": False, "dt": 0.005, "in
     (["design", "--n", "2", "--gamma-phi", "1.1", "--h", "0.25", "--gamma-m", "0.0673"], 0,
      {"n": 2, "gamma_phi": 1.1, "h": 0.25, "gamma_m": 0.0673}),
     (["simulate", "--variant", "ours_N1", "--t-end", "2"], 0,
-     {"N": 1, "config": None, "dt": None, "h": 0.25, "lam": None, "t_end": 2.0,
-      "variant": "ours_N1"}),
+     {"config": None, "dt": None, "h": 0.25, "t_end": 2.0, "variant": "ours_N1"}),
     (["compare", "--n", "2", "--h", "0.25", "--lambda", "2", "--L", "2,1", "--gamma-phi", "1.1",
       "--gamma-m", "0.0673"], 0,
      {"n": 2, "h": 0.25, "lam": 2.0, "L": "2,1", "gamma_phi": 1.1, "gamma_m": 0.0673}),
@@ -244,6 +243,10 @@ SIMULATE_FIELDS = {"divergence_time": None, "divergent": False, "dt": 0.005, "in
     (["margins", "--n", "47"], 1, None),
     (["simulate"], 2, None),
     (["simulate", "--variant", "ours_N1", "--config", "system.kv"], 2, None),
+    # options the chosen source ignores are usage errors
+    (["simulate", "--variant", "ours_N1", "--N", "7", "--lam", "99"], 2, None),
+    (["simulate", "--variant", "ours_N1", "--lam", "99"], 2, None),
+    (["simulate", "--config", "system.kv", "--h", "0.5"], 2, None),
     (["repro", "--figure", "nope"], 2, None),
     # argparse stores [] for a value of "--"; it is a usage error, not a TypeError
     (["design", "--n", "2", "--gamma-phi", "1.1", "--h=--", "--gamma-m", "0.0673"], 2, None),
@@ -267,6 +270,35 @@ def test_each_successful_run_writes_one_manifest(tmp_path, capsys, argv, rc, fla
     text = manifests[0].read_text().replace(str(outdir), out)
     text = re.sub(r'"integrate_s": [^,]+,', '"integrate_s": 0,', text)
     assert text == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+
+
+def test_simulate_config_manifest_records_the_options_it_read(tmp_path, capsys):
+    # the file's h is the delay that runs, so no --h is recorded; N and lam are
+    config = tmp_path / "system.kv"
+    config.write_text('n = 1\nh = 0.5\nphi = ["-x1"]\ngamma = [1.0]\n')
+    assert run(tmp_path, "simulate", "--config", str(config), "--t-end", "1") == 0
+    capsys.readouterr()
+    flags = _manifest(tmp_path)["flags"]
+    assert "h" not in flags
+    assert (flags["N"], flags["lam"]) == (1, None)
+
+
+@pytest.mark.parametrize("argv, message", [
+    # delta**2 underflows to 0, overflows, or divides the gains down to 0
+    (("synth", "--n", "2", "--delta", "1e-300"),
+     "delay scale 1e-300 takes the rescaled gains past the float range"),
+    (("synth", "--n", "2", "--delta", "1e300"),
+     "delay scale 1e+300 takes the rescaled gains past the float range"),
+    (("synth", "--n", "2", "--delta", "inf"),
+     "delay scale inf takes the rescaled gains past the float range"),
+    (("margins", "--n", "2", "--delta-max", "1e300"),
+     "delta_max 1e+300 reaches about 7.78e+298 crossing delays (budget 10000)"),
+    (("design", "--n", "2", "--gamma-phi", "1e308", "--h", "1e308", "--gamma-m", "1e-308"),
+     "threshold gain inf times delay 1e+308 is past the float range"),
+])
+def test_boundary_inputs_name_the_bad_value(tmp_path, capsys, argv, message):
+    assert run(tmp_path, *argv) == 1
+    assert capsys.readouterr().err == "error: %s\n" % message
 
 
 def test_compare_table(tmp_path, capsys):

@@ -181,3 +181,37 @@ def test_every_definition_is_reached_from_the_cli():
     sources = {path.stem: path.read_text(encoding="utf-8")
                for path in sorted(PACKAGE.glob("*.py"))}
     assert _unreached_definitions(sources, {("cli", "main"), ("cli", "dispatch")}) == []
+
+
+def _private_package_names(source):
+    """Underscore names a module takes from midpredict: imported by name,
+    or read as attributes of an imported midpredict module."""
+    tree = ast.parse(source)
+    names, modules = [], set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").partition(".")[0] == "midpredict":
+            names += [a.name for a in node.names if a.name.startswith("_")]
+            modules.update(a.asname or a.name for a in node.names)
+        elif isinstance(node, ast.Import):
+            modules.update(a.asname or a.name.partition(".")[0] for a in node.names
+                           if a.name.partition(".")[0] == "midpredict")
+    names += [node.attr for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute) and node.attr.startswith("_")
+              and not node.attr.startswith("__")
+              and isinstance(node.value, ast.Name) and node.value.id in modules]
+    return sorted(names)
+
+
+def test_checker_finds_private_package_names():
+    source = (
+        "import midpredict.cli\nfrom midpredict import polynomials as P\n"
+        "from midpredict.spectrum import _inside, qp_eval\nfrom math import _x\n"
+        "P._gcd(1, 2), midpredict.__version__, midpredict._y, qp_eval(_x)\n"
+    )
+    assert _private_package_names(source) == ["_gcd", "_inside", "_y"]
+
+
+def test_oracles_take_no_private_name_from_the_package():
+    # a reference that borrowed the package's helpers would share their faults
+    source = (TESTS / "oracles.py").read_text(encoding="utf-8")
+    assert _private_package_names(source) == []

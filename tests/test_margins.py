@@ -14,13 +14,9 @@ from midpredict.margins import (
     partition_for_gain,
     stability_partition,
 )
-from midpredict.polynomials import (
-    SQUAREFREE_PRIME,
-    isolate_positive_roots,
-    unstable_root_count,
-)
+from midpredict.polynomials import isolate_positive_roots, unstable_root_count
 from midpredict.spectrum import Quasipolynomial, count_roots_region, qp_eval
-from midpredict.synthesis import GainVector, delay_free_poly, gain_star
+from midpredict.synthesis import MAX_GAIN_DIMENSION, GainVector, delay_free_poly, gain_star
 from oracles import SturmChain
 
 G1 = gain_star(1)
@@ -410,30 +406,36 @@ def test_repeated_roots_match_the_sturm_rule_on_random_polynomials():
     check()
 
 
-def test_crossing_frequencies_decides_squarefreeness_once(monkeypatch):
-    from midpredict import margins, polynomials
-
-    calls = []
-    original = polynomials.squarefree_part
-
-    def counted(p):
-        calls.append(p)
-        return original(p)
-
-    monkeypatch.setattr(polynomials, "squarefree_part", counted)
-    monkeypatch.setattr(margins, "squarefree_part", counted, raising=False)
-    crossing_frequencies(gain_star(9))
-    assert len(calls) == 1
+def test_crossing_frequencies_computes_no_gcd(gcds_taken):
+    # every root of F the bisection meets is alone on a node with one sign
+    # variation, so it is proven simple without gcd(F, F')
+    for n in range(1, MAX_GAIN_DIMENSION + 1):
+        crossing_frequencies(gain_star(n))
+    assert gcds_taken == []
 
 
-def test_isolation_takes_exact_route_when_modular_gcd_is_nonconstant(chains_built):
-    # (x - 1)(x - 1 - P) is squarefree, but (x - 1)**2 modulo P
-    coeffs = [1 + SQUAREFREE_PRIME, -2 - SQUAREFREE_PRIME, 1]
+def test_isolation_of_two_far_simple_roots_takes_no_gcd(gcds_taken):
+    # (x - 1)(x - 1 - P), P = 2**127 - 1: squarefree, but (x - 1)**2 modulo P
+    prime = 2**127 - 1
+    coeffs = [1 + prime, -2 - prime, 1]
     intervals, repeated = isolate_positive_roots(coeffs)
-    assert chains_built == [coeffs]
+    assert gcds_taken == []
     assert intervals == _sturm_isolate(coeffs)
     assert repeated == []
-    assert [lo < r <= hi for (lo, hi), r in zip(intervals, (1, 1 + SQUAREFREE_PRIME))] == [True] * 2
+    assert [lo < r <= hi for (lo, hi), r in zip(intervals, (1, 1 + prime))] == [True] * 2
+
+
+def test_isolation_goes_on_past_two_close_simple_roots(gcds_taken):
+    # (x - r)(x - r - 1e-6)(x - 5), r = 23/14: a node narrower than the leaf
+    # width still shows two variations, so one gcd(p, p') is taken; it is
+    # constant, and the bisection on p separates the two roots
+    r = Fraction(23, 14)
+    coeffs = _expand([r, r + Fraction(1, 10**6), 5], [], 1)
+    intervals, repeated = isolate_positive_roots(coeffs)
+    assert len(gcds_taken) == 1
+    assert intervals == _sturm_isolate(coeffs)
+    assert len(intervals) == 3
+    assert repeated == []
 
 
 def test_bisection_fallback_finds_the_crossing_root_to_one_ulp(monkeypatch):

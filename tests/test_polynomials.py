@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from midpredict.polynomials import (
-    SQUAREFREE_PRIME,
     _primitive,
     _to_int_poly,
     bisect_root,
@@ -24,7 +23,7 @@ from midpredict.synthesis import (
     gain_star,
     q_coefficients,
 )
-from oracles import SturmChain, sturm_root_certificate
+from oracles import SturmChain, fraction_to_int_poly, sturm_root_certificate
 
 
 def test_certificate_double_root():
@@ -201,29 +200,33 @@ def test_sign_at_and_sign_variations():
         assert sign_at(p, x.numerator, x.denominator) == (value > 0) - (value < 0)
 
 
-def test_squarefree_part_certifies_modulo_the_prime(chains_built):
-    p = [-2, 1, 1]  # (x - 1)(x + 2)
-    assert squarefree_part(p) is p
-    assert chains_built == []
-
-
+# P = 2**127 - 1: squarefree polynomials that are not squarefree modulo P
 @pytest.mark.parametrize("p, part", [
     # (x - 1)**2 (x + 2): repeated root, exact squarefree part (x - 1)(x + 2)
     ([2, -3, 0, 1], [-2, 1, 1]),
     # x (x - P): squarefree, but x**2 modulo P
-    ([0, -SQUAREFREE_PRIME, 1], [0, -SQUAREFREE_PRIME, 1]),
+    ([0, -(2**127 - 1), 1], [0, -(2**127 - 1), 1]),
     # P x**2 - 1: squarefree, but its leading coefficient vanishes modulo P
-    ([-1, 0, SQUAREFREE_PRIME], [-1, 0, SQUAREFREE_PRIME]),
+    ([-1, 0, 2**127 - 1], [-1, 0, 2**127 - 1]),
+    # (x - 1)(x + 2): squarefree, so the gcd is constant and p is its own part
+    ([-2, 1, 1], [-2, 1, 1]),
 ])
-def test_squarefree_part_takes_exact_route_without_certificate(chains_built, p, part):
+def test_squarefree_part_takes_exact_route_without_certificate(gcds_taken, p, part):
     assert squarefree_part(p) == part
-    assert chains_built == [p]
+    assert gcds_taken == [p]
 
 
 @pytest.mark.parametrize("coeffs, roots, repeated", [
     ([-3, 7, -5, 1], (1, 3), (1,)),  # (x - 1)**2 (x - 3)
     ([-2, -3, 0, 1], (2,), ()),  # (x + 1)**2 (x - 2): the double root is negative
     ([-2, 1, -4, 2, -2, 1], (2,), ()),  # (x**2 + 1)**2 (x - 2): complex double roots
+    # (x - 2)**2 (x + 1): the double root is the upper end of the node (0, 2]
+    # of the bound-8 tree, where p' vanishes too
+    ([4, 0, -3, 1], (2,), (2,)),
+    # (x - r)(x - r - 1e-6)(x - 5), r = 23/14: squarefree, two roots closer
+    # than the leaf width
+    (_from_roots((Fraction(23, 14), Fraction(23, 14) + Fraction(1, 10**6), 5)),
+     (Fraction(23, 14), Fraction(23, 14) + Fraction(1, 10**6), 5), ()),
 ])
 def test_isolation_reports_repeated_positive_roots(coeffs, roots, repeated):
     intervals, touching = isolate_positive_roots(coeffs)
@@ -234,7 +237,7 @@ def test_isolation_reports_repeated_positive_roots(coeffs, roots, repeated):
 
 def test_root_bound_of_the_isolation_leaves_no_sign_variation_above_it():
     # isolate_positive_roots bisects (0, bound], bound = max(2 max|c| / |c_d|, 1),
-    # on the squarefree part q of p without checking the bound: every
+    # on p or on its squarefree part q without checking the bound: every
     # coefficient of q(bound (1 + t)) has one sign, so no root lies at or above it
     rng = np.random.default_rng(3000)
     for _ in range(3000):
@@ -254,19 +257,19 @@ def test_root_bound_of_the_isolation_leaves_no_sign_variation_above_it():
         assert sign_variations(taylor_shift(top)) == 0, p
 
 
-def test_rightmost_root_simple_root_builds_no_sturm_chain(chains_built, squarefree_parts_taken):
+def test_rightmost_root_simple_root_builds_no_sturm_chain(gcds_taken, squarefree_parts_taken):
     assert rightmost_root((-6, 11, -6, 1)) == pytest.approx(3.0, abs=1e-12)
-    assert chains_built == []
+    assert gcds_taken == []
     assert squarefree_parts_taken == []
 
 
-def test_rightmost_root_double_root_falls_back_to_bisection(chains_built, squarefree_parts_taken):
+def test_rightmost_root_double_root_falls_back_to_bisection(gcds_taken, squarefree_parts_taken):
     # (x - 1)**2 (x + 2): no sign change at the rightmost root, so the
     # companion seed 1.0000000155... is refused and the exact bisection of
     # the squarefree part gives 1.0
     p = (2, -3, 0, 1)
     assert rightmost_root(p) == 1.0
-    assert chains_built == [list(p)]
+    assert gcds_taken == [list(p)]
     assert squarefree_parts_taken[0] == list(p)
     # x**2 and (x - 1)**2, where a bisection on Sturm counts had returned
     # -4.4e-16 and 0.9999999999999996
@@ -293,26 +296,14 @@ def test_bisect_root_decides_against_the_upper_end():
     assert bisect_root([8, 3], Fraction(-3), Fraction(-8, 3)) == float(Fraction(-8, 3))
 
 
-def test_rightmost_root_certifies_every_design_seed(chains_built, squarefree_parts_taken):
+def test_rightmost_root_certifies_every_design_seed(gcds_taken, squarefree_parts_taken):
     # q(s) = n! L_n(-s), with L_n the Laguerre polynomial, has real, negative
     # and simple roots, so its largest companion eigenvalue passes the exact
     # test at every n and the exact fallback never runs
     for n in range(1, MAX_Q_DIMENSION + 1):
         assert rightmost_root(q_coefficients(n)) < 0
-    assert chains_built == []
+    assert gcds_taken == []
     assert squarefree_parts_taken == []
-
-
-def _fraction_to_int_poly(coeffs):
-    """The conversion through Fraction that _to_int_poly must reproduce."""
-    fracs = [Fraction(c) for c in coeffs]
-    denom = 1
-    for f in fracs:
-        denom = denom * f.denominator // math.gcd(denom, f.denominator)
-    ints = [int(f * denom) for f in fracs]
-    while len(ints) > 1 and ints[-1] == 0:
-        ints.pop()
-    return ints
 
 
 def test_to_int_poly_equals_fraction_conversion():
@@ -333,5 +324,5 @@ def test_to_int_poly_equals_fraction_conversion():
         cases.append([np.int64(v) for v in rng.integers(-9, 9, size)] + [0.5])
     for coeffs in cases:
         ints = _to_int_poly(coeffs)
-        assert ints == _fraction_to_int_poly(coeffs), coeffs
+        assert ints == fraction_to_int_poly(coeffs), coeffs
         assert all(type(c) is int for c in ints)

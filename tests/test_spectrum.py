@@ -449,9 +449,10 @@ def test_derivative_newton_stays_inside_its_box():
 
 
 def test_double_root_in_a_rect_inside_its_zoom_radius():
-    # the requested rect is narrower than the box of ZOOM_RADII radii around
-    # the double root at -2, so that box, clipped to the counted box, is the
-    # counted box itself, and the root is taken without a further count
+    # the requested rect is narrower than the cluster box of CLUSTER_RADII
+    # radii around the double root at -2, so that box, clipped to the counted
+    # box, is the counted box itself, and the root is taken without a further
+    # count
     gain = scale_gain(gain_star(1), 0.5)
     qp = Quasipolynomial(1, gain.l, 0.5)
     rect = (-2.0003205017936576, -1.9997269043367547, -0.0001816024483796666,
