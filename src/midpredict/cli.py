@@ -259,12 +259,9 @@ def _cmd_simulate(args):
         label = args.variant
     else:
         system = load_system(args.config)
-        gain = gain_star(system.n)
-        lam = args.lam
-        if lam is None and system.h > 0:  # else SimConfig refuses the delay first
-            lam = args.N / system.h
         cfg = SimConfig(
-            system=system, gain=gain, lam=lam, N=args.N, t_end=args.t_end, dt=args.dt
+            system=system, gain=gain_star(system.n), lam=args.lam, N=args.N,
+            t_end=args.t_end, dt=args.dt,
         )
         label = "config"
     start = time.perf_counter()

@@ -378,7 +378,9 @@ def design_chain(n, gamma_phi, h, gamma_m):
     Threshold gain max(gamma_phi/gamma_m, 1); stage count the integer
     ceiling of threshold times delay (at least one stage); per-stage scalar
     gain N/h, which puts every stage exactly at the unit normalized delay
-    the gains were designed for.
+    the gains were designed for. Past 2**53 stages consecutive floats are
+    more than one stage apart, so a larger threshold times delay raises
+    ValueError.
     """
     if not 0 < gamma_m < math.inf:
         raise ValueError("gain margin must be finite and positive")
@@ -389,6 +391,11 @@ def design_chain(n, gamma_phi, h, gamma_m):
     if not math.isfinite(lambda_star * h):
         raise ValueError(
             "threshold gain %.3g times delay %.3g is past the float range" % (lambda_star, h)
+        )
+    if lambda_star * h > 2 ** 53:
+        raise ValueError(
+            "threshold gain %.3g times delay %.3g is %.6g stages, past 2**53"
+            % (lambda_star, h, lambda_star * h)
         )
     stages = max(1, math.ceil(lambda_star * h))
     lam = stages / h

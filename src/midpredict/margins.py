@@ -8,9 +8,10 @@ Each frequency generates an arithmetic progression of delays where a
 conjugate root pair crosses the axis, rightward as the delay grows exactly
 when F increases through w**2 (Cooke & van den Driessche, "On zeroes of some
 transcendental equations", Funkcialaj Ekvacioj 29, 1986). So the count steps
-by +-2 by an exact sign of F; a repeated root of F touches the axis with no
-direction. Walking the sorted crossing delays from the delay-free count
-partitions the axis into intervals of constant unstable-root count.
+by +-2 by an exact sign of F. A repeated root of F, where roots touch the
+axis with no direction, is refused by the isolation with ValueError.
+Walking the sorted crossing delays from the delay-free count partitions the
+axis into intervals of constant unstable-root count.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ __all__ = [
     "Crossing",
     "CrossingSet",
     "StabilityPartition",
-    "DegenerateCrossingError",
     "crossing_frequencies",
     "crossing_points",
     "stability_partition",
@@ -37,11 +37,6 @@ __all__ = [
 
 # crossing delays crossing_points may walk before it refuses a delta_max
 MAX_CROSSING_POINTS = 10_000
-
-
-class DegenerateCrossingError(RuntimeError):
-    """A crossing at a repeated root of the crossing polynomial: a tangential
-    touch of the imaginary axis, which has no direction."""
 
 
 @dataclass(frozen=True)
@@ -184,19 +179,13 @@ def crossing_frequencies(gain):
     F); locations are polished in floating point afterwards. Each direction
     is the exact sign of F at the upper end hi of the root's isolating
     interval, or of F' when the root is hi: +1 where F increases through
-    the root. A repeated root of F raises DegenerateCrossingError.
+    the root. A repeated root of F, a tangential touch of the axis, makes
+    isolate_positive_roots raise ValueError.
     """
     f, den = _crossing_numerators(gain)
     df = [k * v for k, v in enumerate(f) if k > 0]
-    intervals, repeated = isolate_positive_roots(f)
-    if repeated:
-        raise DegenerateCrossingError(
-            "the crossing polynomial has a repeated root at some w in (%.6g, %.6g]: "
-            "roots touch the imaginary axis there without crossing it"
-            % tuple(math.sqrt(x) for x in repeated[0])
-        )
     found = []
-    for lo, hi in intervals:
+    for lo, hi in isolate_positive_roots(f):
         at_hi = (hi.numerator, hi.denominator)
         direction = sign_at(f, *at_hi) or sign_at(df, *at_hi)
         found.append((math.sqrt(_polish_root(f, den, lo, hi)), direction))

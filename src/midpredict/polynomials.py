@@ -9,10 +9,10 @@ multiplicity, exactly when that bound is 0 or 1, and reaches any other
 interval through a Taylor shift: isolate_positive_roots bisects on it
 (Collins & Akritas, 1976), and bisect_root narrows one root on exact signs.
 A node with one variation holds one simple root, so the bisection itself
-proves most roots simple and takes gcd(p, p') only where it cannot tell
-close roots from a repeated one. Signs at rationals come from one
-homogeneous Horner sum on integers; unstable_root_count is an exact Routh
-count.
+proves each root it returns simple, and refuses with ValueError where the
+rule alone cannot tell close roots from a repeated one. Signs at rationals
+come from one homogeneous Horner sum on integers; unstable_root_count is an
+exact Routh count.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ __all__ = [
     "sign_at",
     "sign_variations",
     "taylor_shift",
-    "squarefree_part",
     "isolate_positive_roots",
     "bisect_root",
     "rightmost_root",
@@ -95,133 +94,81 @@ def taylor_shift(p, a=1):
     return desc[::-1]
 
 
-def _exact_quotient(a, b):
-    """a / b for integer polynomials when b divides a, made primitive; the
-    rescaling is by a positive factor, so the quotient keeps its sign."""
-    rem = [Fraction(c) for c in a]
-    quot = [Fraction(0)] * (len(a) - len(b) + 1)
-    for k in range(len(quot) - 1, -1, -1):
-        quot[k] = rem[k + len(b) - 1] / b[-1]
-        for j, c in enumerate(b):
-            rem[k + j] -= quot[k] * c
-    return _primitive(_to_int_poly(quot))
-
-
-def _gcd(a, b):
-    """A gcd of the integer polynomials a and b (b nonzero), primitive.
-
-    Euclid on pseudo-remainders: a times a power of b's leading coefficient
-    is reduced by b until its degree is below b's. That is a nonzero
-    multiple of the remainder, so it has the same gcd with b, and it is
-    made primitive before the next step. The gcd's sign is arbitrary;
-    len(result) == 1 means a and b are coprime.
-    """
-    while b:
-        lc, r = b[-1], list(a)
-        while len(r) >= len(b):
-            shift = len(r) - len(b)
-            factor = r.pop()
-            r = [c * lc for c in r]
-            for i, c in enumerate(b[:-1]):
-                r[shift + i] -= factor * c
-            while r and r[-1] == 0:
-                r.pop()
-        a, b = b, _primitive(r)
-    return _primitive(a)
-
-
-def squarefree_part(p):
-    """p / gcd(p, p'): a primitive integer polynomial with the distinct roots
-    of the nonconstant integer polynomial p, each once, and a positive
-    leading coefficient."""
-    part = _exact_quotient(p, _gcd(p, [k * c for k, c in enumerate(p) if k]))
-    return part if part[-1] > 0 else [-c for c in part]
-
-
 def isolate_positive_roots(coeffs):
-    """The positive roots of p, isolated: returns (intervals, repeated).
+    """The positive roots of p, isolated: disjoint rational intervals (lo, hi],
+    ascending, one root each.
 
-    intervals are disjoint rational intervals (lo, hi], one distinct
-    positive root each. The bisection of (0, bound] is decided by
-    Descartes' rule of signs on p itself (Collins & Akritas, 1976), which
-    counts roots with multiplicity: a node whose open interval shows 0 sign
-    variations holds no root there, and one with 1 holds exactly one root,
-    counted once, hence simple; exact signs at the midpoints then narrow
-    it. A root at a node's upper end hi is simple when p'(hi) != 0. A
-    repeated root shows >= 2 variations on every node around it, so it can
-    only be met as such an end with p'(hi) = 0, or as a node narrower than
-    the leaf width that still shows >= 2 variations. Only there is
-    g = gcd(p, p') computed: a constant g proves p squarefree, the roots
-    are merely close, and the bisection goes on; otherwise it starts again
-    on p / g. Each root gets the node a Sturm bisection of the same dyadic
-    tree stops at: the largest one on the root's path that holds no other
-    root and is narrower than max(1, hi)/1000. repeated isolates, the same
-    way, the positive roots of g: exactly the repeated positive roots of p.
-    It is [] when p has none. Both lists come ascending.
+    The bisection of (0, bound] is decided by Descartes' rule of signs on p
+    (Collins & Akritas, 1976), which counts roots with multiplicity: a node
+    whose open interval shows 0 sign variations holds no root there, and one
+    with 1 holds exactly one root, counted once, hence simple; exact signs at
+    the midpoints then narrow it. A root at a node's upper end hi is simple
+    when p'(hi) != 0. A repeated root shows >= 2 variations on every node
+    around it, so it can only be met as such an end with p'(hi) = 0, or as a
+    node narrower than the leaf width that still shows >= 2 variations. Both
+    raise ValueError naming the node: the rule alone cannot tell a repeated
+    root there from close ones, real or a complex pair near the axis. Each
+    root gets the node a Sturm bisection of the same dyadic tree stops at:
+    the largest one on the root's path that holds no other root and is
+    narrower than max(1, hi)/1000.
     """
     p = _primitive(_to_int_poly(coeffs))
     if len(p) == 1 or sign_variations(p) == 0:
-        return [], []
-    # bound >= 1 + max_{i<d} |c_i / c_d|, Cauchy's bound, so every root of p,
-    # and of any divisor of it, is smaller in modulus. By Gauss-Lucas no
-    # derivative vanishes on [bound, oo), so every Taylor coefficient at bound
-    # has the leading coefficient's sign: no root lies outside (0, bound]
+        return []
+    # bound >= 1 + max_{i<d} |c_i / c_d|, Cauchy's bound, so every root of p
+    # is smaller in modulus. By Gauss-Lucas no derivative vanishes on
+    # [bound, oo), so every Taylor coefficient at bound has the leading
+    # coefficient's sign: no root lies outside (0, bound]
     bound = max(Fraction(2 * max(abs(c) for c in p), abs(p[-1])), Fraction(1))
     bn, bd = bound.numerator, bound.denominator
+
+    def node(k, a):
+        return bound * a / (1 << k), bound * (a + 1) / (1 << k)
 
     def narrow(k, a):
         return 1000 * bn < max(bd << k, bn * (a + 1))
 
-    repeated, squarefree = [], False
-    while True:  # once more, on p / g, when g = gcd(p, p') is nonconstant
-        d = len(p) - 1
-        dp = [k * c for k, c in enumerate(p) if k]
-        # node (k, a) is the interval bound*(a/2**k, (a+1)/2**k]; its polynomial
-        # is a positive multiple of p(bound*(a + t)/2**k), t in (0, 1]
-        top = [c * bn ** i * bd ** (d - i) for i, c in enumerate(p)]
-        leaves = []
-        stack = [(0, 0, top, None)]
-        while stack:
-            k, a, q, first = stack.pop()
-            if q is None:
-                # a narrow node whose subtree held one root is that root's leaf
-                if len(leaves) == first + 1:
-                    leaves[first] = (k, a)
-                continue
-            value = sum(q)
-            s_hi = (value > 0) - (value < 0)
-            # sign changes of (1 + t)**d q(1/(1 + t)): Descartes on the open node
-            inside = sign_variations(taylor_shift(q[::-1]))
-            if inside <= 1 and inside + (s_hi == 0) == 1:
-                # one root: simple on the open node, or at hi when s_hi == 0
-                if s_hi == 0 and not squarefree and sign_at(dp, bn * (a + 1), bd << k) == 0:
-                    g = _gcd(p, dp)
-                    break
-                while not narrow(k, a):
-                    if s_hi == 0:
+    d = len(p) - 1
+    dp = [k * c for k, c in enumerate(p) if k]
+    # node (k, a) is the interval bound*(a/2**k, (a+1)/2**k]; its polynomial
+    # is a positive multiple of p(bound*(a + t)/2**k), t in (0, 1]
+    top = [c * bn ** i * bd ** (d - i) for i, c in enumerate(p)]
+    leaves = []
+    stack = [(0, 0, top)]
+    while stack:
+        k, a, q = stack.pop()
+        value = sum(q)
+        s_hi = (value > 0) - (value < 0)
+        # sign changes of (1 + t)**d q(1/(1 + t)): Descartes on the open node
+        inside = sign_variations(taylor_shift(q[::-1]))
+        if inside <= 1 and inside + (s_hi == 0) == 1:
+            # one root: simple on the open node, or at hi when s_hi == 0
+            if s_hi == 0 and sign_at(dp, bn * (a + 1), bd << k) == 0:
+                raise ValueError(
+                    "repeated root at the upper end of (%.17g, %.17g]" % node(k, a)
+                )
+            while not narrow(k, a):
+                if s_hi == 0:
+                    a = 2 * a + 1
+                else:
+                    s_mid = sign_at(top, 2 * a + 1, 2 << k)
+                    if s_mid == -s_hi:
                         a = 2 * a + 1
                     else:
-                        s_mid = sign_at(top, 2 * a + 1, 2 << k)
-                        if s_mid == -s_hi:
-                            a = 2 * a + 1
-                        else:
-                            a, s_hi = 2 * a, s_mid
-                    k += 1
-                leaves.append((k, a))
-            elif inside:
-                if narrow(k, a):
-                    if not squarefree:
-                        g = _gcd(p, dp)
-                        if len(g) > 1:
-                            break
-                        squarefree = True
-                    stack.append((k, a, None, len(leaves)))
-                left = [c << (d - i) for i, c in enumerate(q)]
-                stack.append((k + 1, 2 * a + 1, taylor_shift(left), None))
-                stack.append((k + 1, 2 * a, left, None))
-        else:
-            return [(bound * a / (1 << k), bound * (a + 1) / (1 << k)) for k, a in leaves], repeated
-        p, squarefree, repeated = _exact_quotient(p, g), True, isolate_positive_roots(g)[0]
+                        a, s_hi = 2 * a, s_mid
+                k += 1
+            leaves.append((k, a))
+        elif inside:
+            if narrow(k, a):
+                raise ValueError(
+                    "(%.17g, %.17g] is narrower than the leaf width and still shows two "
+                    "or more sign variations: a repeated root or roots closer than "
+                    "Descartes' rule can separate" % node(k, a)
+                )
+            left = [c << (d - i) for i, c in enumerate(q)]
+            stack.append((k + 1, 2 * a + 1, taylor_shift(left)))
+            stack.append((k + 1, 2 * a, left))
+    return [node(k, a) for k, a in leaves]
 
 
 def bisect_root(p, lo, hi):
@@ -252,13 +199,12 @@ def rightmost_root(coeffs):
     coeffs are ascending and exact: ints, Fractions or floats, each read as
     the rational it is. The seed c is the largest near-real eigenvalue of
     the companion matrix of their float rounding (np.roots), so its last
-    bits come from the LAPACK build numpy uses. It
-    is returned as it is when the exact polynomial changes sign across
-    [c - pad, c + pad], pad about 1e-9 |c|, and Descartes' rule sees no root
-    above c + pad. Otherwise the largest root of the squarefree part, found
-    among its positive roots, at 0 or among those of part(-x) negated, is
-    isolated and bisect_root narrows it to one ulp. Either way the result is
-    near the root, not the correctly rounded root.
+    bits come from the LAPACK build numpy uses. It is returned as it is when
+    the exact polynomial changes sign across [c - pad, c + pad], pad about
+    1e-9 |c|, and Descartes' rule sees no root above c + pad: near the
+    root, not the correctly rounded root. A seed that is not finite or
+    fails that test raises ValueError, as a largest root of even
+    multiplicity always does: p keeps its sign across it.
     """
     ints = _to_int_poly(coeffs)
     if len(ints) < 2:
@@ -266,27 +212,21 @@ def rightmost_root(coeffs):
     roots = np.roots([float(c) for c in reversed(coeffs)])
     real_parts = [z.real for z in roots if abs(z.imag) <= 1e-8 * (1.0 + abs(z))]
     seed = float(max(real_parts, default=math.nan))
-    if math.isfinite(seed):
-        pad = max(1e-9, 1e-9 * abs(seed))
-        lo, hi = Fraction(seed - pad), Fraction(seed + pad)
-        # den**d p((y + num)/den) for hi = num/den: its roots y > 0 are
-        # the roots of p above hi
-        d, num, den = len(ints) - 1, hi.numerator, hi.denominator
-        above = taylor_shift([c * den ** (d - i) for i, c in enumerate(ints)], num)
-        change = sign_at(ints, lo.numerator, lo.denominator) * sign_at(ints, num, den)
-        if change < 0 and sign_variations(above) == 0:
-            return seed
-    part = squarefree_part(_primitive(ints))
-    intervals = isolate_positive_roots(part)[0]
-    if intervals:
-        return bisect_root(part, *intervals[-1])
-    if part[0] == 0:
-        return 0.0
-    mirror = [-c if i % 2 else c for i, c in enumerate(part)]
-    intervals = isolate_positive_roots(mirror)[0]
-    if not intervals:
-        raise ValueError("no real roots")
-    return -bisect_root(mirror, *intervals[0])
+    if not math.isfinite(seed):
+        raise ValueError("no finite near-real companion eigenvalue to seed the largest root")
+    pad = max(1e-9, 1e-9 * abs(seed))
+    lo, hi = Fraction(seed - pad), Fraction(seed + pad)
+    # den**d p((y + num)/den) for hi = num/den: its roots y > 0 are
+    # the roots of p above hi
+    d, num, den = len(ints) - 1, hi.numerator, hi.denominator
+    above = taylor_shift([c * den ** (d - i) for i, c in enumerate(ints)], num)
+    change = sign_at(ints, lo.numerator, lo.denominator) * sign_at(ints, num, den)
+    if change < 0 and sign_variations(above) == 0:
+        return seed
+    raise ValueError(
+        "the companion seed %r is not certified as the largest real root: no sign "
+        "change across it, or a root above it" % seed
+    )
 
 
 def unstable_root_count(coeffs):

@@ -51,6 +51,8 @@ DEMO_VARIANTS = ("ahmed", "ours_N1", "ours_N5")
 class SimConfig:
     """Scenario description for one closed prediction-loop run.
 
+    lam, the per-stage scalar gain, defaults to N/h, which puts every stage
+    at the unit normalized delay the gains were designed for.
     predictor_history holds one constant vector per sub-predictor, used for
     all times at or before zero. dt is a request; the integrator shrinks it
     so the per-stage delay is an exact multiple.
@@ -58,9 +60,9 @@ class SimConfig:
 
     system: CanonicalSystem
     gain: GainVector
-    lam: float
     N: int
     t_end: float
+    lam: float | None = None
     dt: float | None = None
     x0: tuple = None
     predictor_history: tuple = None
@@ -70,6 +72,8 @@ class SimConfig:
             raise ValueError("simulation requires a positive input delay")
         if self.N < 1:
             raise ValueError("at least one sub-predictor is required")
+        if self.lam is None:
+            object.__setattr__(self, "lam", self.N / self.system.h)
         if not 0 < self.lam < math.inf:
             raise ValueError("scalar gain must be finite and positive")
         object.__setattr__(self, "lam", float(self.lam))
@@ -187,8 +191,7 @@ def demo_config(variant, h, t_end=60.0, dt=None):
         gain = GainVector(l=(2.0, 1.0), n=2)
         return SimConfig(system=system, gain=gain, lam=2.0, N=1, t_end=t_end, dt=dt)
     N = 1 if variant == "ours_N1" else 5
-    lam = N / h if h > 0 else None  # else SimConfig refuses the delay first
-    return SimConfig(system=system, gain=gain_star(2), lam=lam, N=N, t_end=t_end, dt=dt)
+    return SimConfig(system=system, gain=gain_star(2), N=N, t_end=t_end, dt=dt)
 
 
 def run_demo_variant(variant, h, t_end=60.0, dt=None):

@@ -88,20 +88,27 @@ def ahmed_conditions(gain, lam, h, gamma_phi):
 
     The Lyapunov inequality is met with equality by P = h*lam**2 * P0 where
     P0 solves the unit-right-hand-side equation; that is the most favorable
-    standard choice, and the verdict reports the P actually used.
+    standard choice, and the verdict reports the P actually used. Inputs
+    whose powers leave the float range raise ValueError naming them.
     """
     if not (0 < lam < math.inf and 0 <= h < math.inf):
         raise ValueError("gain must be finite and positive, delay finite and nonnegative")
     check_lipschitz(gamma_phi)
     p0 = lyapunov_solve(gain)
-    p = h * lam ** 2 * p0
-    norm_p = _spectral_norm(p)
     norm_m = _spectral_norm(closed_loop_matrix(gain))
-    lhs1 = h * lam ** 3 / 2.0
-    rhs1 = 2.0 * norm_p * gamma_phi + h * lam ** 2 * (norm_m + 2.0 * norm_p * gamma_phi) ** 2
     norm_l = float(np.linalg.norm(gain.l))
+    try:
+        p = h * lam ** 2 * p0
+        norm_p = _spectral_norm(p)
+        lhs1 = h * lam ** 3 / 2.0
+        rhs1 = 2.0 * norm_p * gamma_phi + h * lam ** 2 * (norm_m + 2.0 * norm_p * gamma_phi) ** 2
+        rhs2 = 2.0 * norm_l ** 2 * (norm_p ** 2 + h ** 2 * lam ** 4)
+    except OverflowError:
+        raise ValueError(
+            "lam %g, h %g and gamma_phi %g take the first recipe's terms past the float range"
+            % (lam, h, gamma_phi)
+        ) from None
     lhs2 = 1.0
-    rhs2 = 2.0 * norm_l ** 2 * (norm_p ** 2 + h ** 2 * lam ** 4)
     details = {
         "decay_dominance": lhs1 - rhs1,
         "injection_smallness": lhs2 - rhs2,

@@ -295,10 +295,21 @@ def test_simulate_config_manifest_records_the_options_it_read(tmp_path, capsys):
      "delta_max 1e+300 reaches about 7.78e+298 crossing delays (budget 10000)"),
     (("design", "--n", "2", "--gamma-phi", "1e308", "--h", "1e308", "--gamma-m", "1e-308"),
      "threshold gain inf times delay 1e+308 is past the float range"),
+    # a finite stage count past 2**53, where floats are more than one stage apart
+    (("design", "--n", "2", "--gamma-phi", "1e100", "--h", "1e100", "--gamma-m", "1"),
+     "threshold gain 1e+100 times delay 1e+100 is 1e+200 stages, past 2**53"),
+    # the first recipe's powers overflow
+    (("compare", "--n", "2", "--h", "1e100", "--lambda", "2", "--L", "2,1",
+      "--gamma-phi", "1e100", "--gamma-m", "1"),
+     "lam 2, h 1e+100 and gamma_phi 1e+100 take the first recipe's terms past the float range"),
+    (("compare", "--n", "2", "--h", "0.25", "--lambda", "1e200", "--L", "2,1",
+      "--gamma-phi", "1.1", "--gamma-m", "1"),
+     "lam 1e+200, h 0.25 and gamma_phi 1.1 take the first recipe's terms past the float range"),
 ])
 def test_boundary_inputs_name_the_bad_value(tmp_path, capsys, argv, message):
     assert run(tmp_path, *argv) == 1
     assert capsys.readouterr().err == "error: %s\n" % message
+    assert not (tmp_path / "manifest.json").exists()
 
 
 def test_compare_table(tmp_path, capsys):

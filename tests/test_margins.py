@@ -6,7 +6,6 @@ import pytest
 
 from midpredict import margins
 from midpredict.margins import (
-    DegenerateCrossingError,
     _crossing_numerators,
     crossing_frequencies,
     crossing_points,
@@ -18,6 +17,7 @@ from midpredict.polynomials import isolate_positive_roots, unstable_root_count
 from midpredict.spectrum import Quasipolynomial, count_roots_region, qp_eval
 from midpredict.synthesis import MAX_GAIN_DIMENSION, GainVector, delay_free_poly, gain_star
 from oracles import SturmChain
+from test_polynomials import _refused_node
 
 G1 = gain_star(1)
 G2 = gain_star(2)
@@ -93,10 +93,12 @@ def test_tangential_touch_is_degenerate():
     # F(x) = x**3 - |3(j w)**2 + 4|**2 = (x - 4)**2 (x - 1): a double root at w = 2
     gain = GainVector((3.0, 0.0, 4.0), 3)
     assert _crossing_numerators(gain) == ([-16, 24, -9, 1], 1)
-    with pytest.raises(DegenerateCrossingError):
-        crossing_frequencies(gain)
-    with pytest.raises(DegenerateCrossingError):
-        partition_for_gain(gain, 10.0)
+    # the isolation refuses it, naming a node of x = w**2 around 4
+    for refused in (lambda: crossing_frequencies(gain), lambda: partition_for_gain(gain, 10.0)):
+        with pytest.raises(ValueError, match="repeated root") as refusal:
+            refused()
+        lo, hi = _refused_node(refusal)
+        assert lo <= 4 <= hi
 
 
 def CrossingSetOnly(c):
@@ -296,7 +298,7 @@ def test_isolation_matches_sturm_bisection_on_crossing_polynomials():
     # the reference alone takes 0.4 s at n = 46, so n > 30 is sampled
     for n in list(range(1, 31)) + [36, 46]:
         coeffs = _crossing_numerators(gain_star(n))[0]
-        assert isolate_positive_roots(coeffs) == (_sturm_isolate(coeffs), []), n
+        assert isolate_positive_roots(coeffs) == _sturm_isolate(coeffs), n
 
 
 def _mul(a, b):
@@ -384,58 +386,58 @@ def _random_polynomials():
 
 
 def test_isolation_matches_sturm_bisection_on_random_polynomials():
+    # where the isolation returns, it returns the Sturm bisection's intervals
     @_random_polynomials()
     def check(coeffs):
-        assert isolate_positive_roots(coeffs)[0] == _sturm_isolate(coeffs)
+        try:
+            intervals = isolate_positive_roots(coeffs)
+        except ValueError:
+            return
+        assert intervals == _sturm_isolate(coeffs)
 
     check()
 
 
 def test_repeated_roots_match_the_sturm_rule_on_random_polynomials():
     # the reference marks the isolating intervals where F**2 + F'**2 has a
-    # root; repeated must hold one interval per marked one, around that root
+    # root; the isolation must refuse every polynomial with a marked one
     @_random_polynomials()
     def check(coeffs):
-        intervals, repeated = isolate_positive_roots(coeffs)
         touches = _touches(coeffs)
-        marked = [(lo, hi) for lo, hi in intervals if touches.count_between(lo, hi)]
-        assert len(repeated) == len(marked)
-        for (lo, hi), (a, b) in zip(marked, repeated):
-            assert touches.count_between(max(lo, a), min(hi, b)) == 1
+        if any(touches.count_between(lo, hi) for lo, hi in _sturm_isolate(coeffs)):
+            with pytest.raises(ValueError):
+                isolate_positive_roots(coeffs)
 
     check()
 
 
-def test_crossing_frequencies_computes_no_gcd(gcds_taken):
-    # every root of F the bisection meets is alone on a node with one sign
-    # variation, so it is proven simple without gcd(F, F')
+def test_crossing_frequencies_returns_for_every_designed_gain():
+    # every root of F is alone on a node with one sign variation, so no
+    # crossing polynomial of a designed gain meets the isolation's refusals
     for n in range(1, MAX_GAIN_DIMENSION + 1):
-        crossing_frequencies(gain_star(n))
-    assert gcds_taken == []
+        assert len(crossing_frequencies(gain_star(n))) in (1, 3, 5), n
 
 
-def test_isolation_of_two_far_simple_roots_takes_no_gcd(gcds_taken):
+def test_isolation_of_two_far_simple_roots():
     # (x - 1)(x - 1 - P), P = 2**127 - 1: squarefree, but (x - 1)**2 modulo P
     prime = 2**127 - 1
     coeffs = [1 + prime, -2 - prime, 1]
-    intervals, repeated = isolate_positive_roots(coeffs)
-    assert gcds_taken == []
+    intervals = isolate_positive_roots(coeffs)
     assert intervals == _sturm_isolate(coeffs)
-    assert repeated == []
     assert [lo < r <= hi for (lo, hi), r in zip(intervals, (1, 1 + prime))] == [True] * 2
 
 
-def test_isolation_goes_on_past_two_close_simple_roots(gcds_taken):
+def test_isolation_refuses_two_close_simple_roots():
     # (x - r)(x - r - 1e-6)(x - 5), r = 23/14: a node narrower than the leaf
-    # width still shows two variations, so one gcd(p, p') is taken; it is
-    # constant, and the bisection on p separates the two roots
+    # width still shows two variations, and Descartes' rule cannot tell the
+    # two simple roots it holds from one double root
     r = Fraction(23, 14)
     coeffs = _expand([r, r + Fraction(1, 10**6), 5], [], 1)
-    intervals, repeated = isolate_positive_roots(coeffs)
-    assert len(gcds_taken) == 1
-    assert intervals == _sturm_isolate(coeffs)
-    assert len(intervals) == 3
-    assert repeated == []
+    with pytest.raises(ValueError, match="narrower than the leaf width") as refusal:
+        isolate_positive_roots(coeffs)
+    lo, hi = _refused_node(refusal)
+    assert lo < r < r + Fraction(1, 10**6) < hi
+    assert len(_sturm_isolate(coeffs)) == 3
 
 
 def test_bisection_fallback_finds_the_crossing_root_to_one_ulp(monkeypatch):
@@ -453,7 +455,7 @@ def test_bisection_fallback_finds_the_crossing_root_to_one_ulp(monkeypatch):
     crossing_frequencies(gain_star(27))
     x = polished[0]
     coeffs = _crossing_numerators(gain_star(27))[0]
-    lo, hi = isolate_positive_roots(coeffs)[0][0]
+    lo, hi = isolate_positive_roots(coeffs)[0]
 
     def sign(t):
         value = sum(c * t ** i for i, c in enumerate(coeffs))

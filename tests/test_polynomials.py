@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -12,7 +13,6 @@ from midpredict.polynomials import (
     rightmost_root,
     sign_at,
     sign_variations,
-    squarefree_part,
     taylor_shift,
     unstable_root_count,
 )
@@ -200,20 +200,13 @@ def test_sign_at_and_sign_variations():
         assert sign_at(p, x.numerator, x.denominator) == (value > 0) - (value < 0)
 
 
-# P = 2**127 - 1: squarefree polynomials that are not squarefree modulo P
-@pytest.mark.parametrize("p, part", [
-    # (x - 1)**2 (x + 2): repeated root, exact squarefree part (x - 1)(x + 2)
-    ([2, -3, 0, 1], [-2, 1, 1]),
-    # x (x - P): squarefree, but x**2 modulo P
-    ([0, -(2**127 - 1), 1], [0, -(2**127 - 1), 1]),
-    # P x**2 - 1: squarefree, but its leading coefficient vanishes modulo P
-    ([-1, 0, 2**127 - 1], [-1, 0, 2**127 - 1]),
-    # (x - 1)(x + 2): squarefree, so the gcd is constant and p is its own part
-    ([-2, 1, 1], [-2, 1, 1]),
-])
-def test_squarefree_part_takes_exact_route_without_certificate(gcds_taken, p, part):
-    assert squarefree_part(p) == part
-    assert gcds_taken == [p]
+def _refused_node(refusal):
+    """The ends (lo, hi] a refusal of isolate_positive_roots names, as floats."""
+    lo, hi = re.search(r"\(([^,]+), ([^\]]+)\]", str(refusal.value)).groups()
+    return float(lo), float(hi)
+
+
+P127 = 2**127 - 1
 
 
 @pytest.mark.parametrize("coeffs, roots, repeated", [
@@ -223,66 +216,70 @@ def test_squarefree_part_takes_exact_route_without_certificate(gcds_taken, p, pa
     # (x - 2)**2 (x + 1): the double root is the upper end of the node (0, 2]
     # of the bound-8 tree, where p' vanishes too
     ([4, 0, -3, 1], (2,), (2,)),
-    # (x - r)(x - r - 1e-6)(x - 5), r = 23/14: squarefree, two roots closer
-    # than the leaf width
+    # (x - r)(x - r - 1e-6)(x - 5), r = 23/14: squarefree, but the two roots
+    # share a node narrower than the leaf width, where the rule cannot tell
+    # them from one double root, so both count as repeated
     (_from_roots((Fraction(23, 14), Fraction(23, 14) + Fraction(1, 10**6), 5)),
-     (Fraction(23, 14), Fraction(23, 14) + Fraction(1, 10**6), 5), ()),
+     (Fraction(23, 14), Fraction(23, 14) + Fraction(1, 10**6), 5),
+     (Fraction(23, 14), Fraction(23, 14) + Fraction(1, 10**6))),
+    ([2, -3, 0, 1], (1,), (1,)),  # (x - 1)**2 (x + 2)
+    # x (x - P), P = 2**127 - 1: squarefree, but x**2 modulo P
+    ([0, -P127, 1], (P127,), ()),
+    # P x**2 - 1: squarefree, but its leading coefficient vanishes modulo P
+    ([-1, 0, P127], (1 / math.sqrt(P127),), ()),
+    ([-2, 1, 1], (1,), ()),  # (x - 1)(x + 2): the root 1 is the upper end of (0, 1]
 ])
 def test_isolation_reports_repeated_positive_roots(coeffs, roots, repeated):
-    intervals, touching = isolate_positive_roots(coeffs)
-    for found, expected in ((intervals, roots), (touching, repeated)):
-        assert len(found) == len(expected)
-        assert all(lo < r <= hi for (lo, hi), r in zip(found, expected))
+    # a repeated positive root is refused with the node that holds it named;
+    # without one, each positive root gets its own interval
+    if repeated:
+        with pytest.raises(ValueError) as refusal:
+            isolate_positive_roots(coeffs)
+        lo, hi = _refused_node(refusal)
+        assert all(lo <= r <= hi for r in repeated), (lo, hi)
+        return
+    intervals = isolate_positive_roots(coeffs)
+    assert len(intervals) == len(roots)
+    assert all(lo < r <= hi for (lo, hi), r in zip(intervals, roots))
 
 
 def test_root_bound_of_the_isolation_leaves_no_sign_variation_above_it():
     # isolate_positive_roots bisects (0, bound], bound = max(2 max|c| / |c_d|, 1),
-    # on p or on its squarefree part q without checking the bound: every
-    # coefficient of q(bound (1 + t)) has one sign, so no root lies at or above it
+    # on the primitive p without checking the bound: every coefficient of
+    # p(bound (1 + t)) has one sign, so no root lies at or above it
     rng = np.random.default_rng(3000)
     for _ in range(3000):
         d = int(rng.integers(1, 13))
         p = [int(rng.integers(-9, 10)) * 10 ** int(rng.integers(0, 31)) for _ in range(d + 1)]
         p[-1] = p[-1] or 1
         if rng.integers(2):
-            # times (x + r)**2, so that q is a proper divisor of p
+            # times (x + r)**2: a repeated root the bound must clear too
             r = int(rng.integers(-20, 21))
             square = (r * r, 2 * r, 1)
             p = [sum(c * square[k - i] for i, c in enumerate(p) if 0 <= k - i <= 2)
                  for k in range(len(p) + 2)]
         bound = max(Fraction(2 * max(abs(c) for c in p), abs(p[-1])), Fraction(1))
-        q = squarefree_part(_primitive(p))
+        q = _primitive(p)
         bn, bd, deg = bound.numerator, bound.denominator, len(q) - 1
         top = [c * bn ** i * bd ** (deg - i) for i, c in enumerate(q)]
         assert sign_variations(taylor_shift(top)) == 0, p
 
 
-def test_rightmost_root_simple_root_builds_no_sturm_chain(gcds_taken, squarefree_parts_taken):
-    assert rightmost_root((-6, 11, -6, 1)) == pytest.approx(3.0, abs=1e-12)
-    assert gcds_taken == []
-    assert squarefree_parts_taken == []
-
-
-def test_rightmost_root_double_root_falls_back_to_bisection(gcds_taken, squarefree_parts_taken):
+def test_rightmost_root_refuses_a_double_largest_root():
     # (x - 1)**2 (x + 2): no sign change at the rightmost root, so the
-    # companion seed 1.0000000155... is refused and the exact bisection of
-    # the squarefree part gives 1.0
-    p = (2, -3, 0, 1)
-    assert rightmost_root(p) == 1.0
-    assert gcds_taken == [list(p)]
-    assert squarefree_parts_taken[0] == list(p)
-    # x**2 and (x - 1)**2, where a bisection on Sturm counts had returned
-    # -4.4e-16 and 0.9999999999999996
-    assert rightmost_root((0, 0, 1)) == 0.0
-    assert rightmost_root((1, -2, 1)) == 1.0
-    # a double largest root, so the seed is always refused
+    # companion seed 1.0000000155... is refused
+    for p in ((2, -3, 0, 1), (0, 0, 1), (1, -2, 1)):  # and x**2, (x - 1)**2
+        with pytest.raises(ValueError, match="not certified"):
+            rightmost_root(p)
+    # p keeps its sign across a largest root of multiplicity 2, whatever the seed
     rng = np.random.default_rng(23)
     for _ in range(200):
         roots = [Fraction(int(rng.integers(-50, 51)), int(rng.integers(1, 13)))
                  for _ in range(int(rng.integers(1, 5)))]
         top = max(roots)
-        x = rightmost_root(_from_roots(roots + [top]))
-        assert abs(Fraction(x) - top) <= Fraction(math.ulp(float(top))), (roots, x)
+        below = [r for r in roots if r != top]
+        with pytest.raises(ValueError):
+            rightmost_root(_from_roots(below + [top, top]))
 
 
 def test_bisect_root_decides_against_the_upper_end():
@@ -296,14 +293,13 @@ def test_bisect_root_decides_against_the_upper_end():
     assert bisect_root([8, 3], Fraction(-3), Fraction(-8, 3)) == float(Fraction(-8, 3))
 
 
-def test_rightmost_root_certifies_every_design_seed(gcds_taken, squarefree_parts_taken):
+def test_rightmost_root_certifies_every_design_seed():
     # q(s) = n! L_n(-s), with L_n the Laguerre polynomial, has real, negative
     # and simple roots, so its largest companion eigenvalue passes the exact
-    # test at every n and the exact fallback never runs
+    # test at every n; rightmost_root would raise otherwise
     for n in range(1, MAX_Q_DIMENSION + 1):
-        assert rightmost_root(q_coefficients(n)) < 0
-    assert gcds_taken == []
-    assert squarefree_parts_taken == []
+        root = rightmost_root(q_coefficients(n))
+        assert type(root) is float and root < 0, n
 
 
 def test_to_int_poly_equals_fraction_conversion():

@@ -49,6 +49,13 @@ def test_config_validation():
         SimConfig(system=system, gain=gain_star(3), lam=1.0, N=1, t_end=10.0)
 
 
+def test_config_scalar_gain_defaults_to_stages_over_delay():
+    cfg = SimConfig(system=demo_system(0.25), gain=gain_star(2), N=5, t_end=10.0)
+    assert cfg.lam == 5 / 0.25
+    with pytest.raises(ValueError, match="positive input delay"):
+        SimConfig(system=demo_system(0.0), gain=gain_star(2), N=5, t_end=10.0)
+
+
 @pytest.mark.parametrize(
     "overrides",
     [
