@@ -4,7 +4,9 @@ All numeric console output is printed at six significant digits; files are
 written at full precision. Every run that succeeds drops a manifest next
 to its outputs so a result can be regenerated from the recorded flags
 alone, and CSV schemas are version-tagged in their headers for golden-file
-comparisons.
+comparisons. Each subcommand imports the layers it uses when it runs, so
+synth, margins, design with --gamma-m and repro --figure d_vs_n, like
+--help and usage errors, run without loading numpy.
 """
 
 from __future__ import annotations
@@ -17,16 +19,7 @@ import os
 import sys
 import time
 
-import numpy as np
-
 from . import __version__
-from .gainmargin import design_chain, max_gain_margin
-from .margins import stability_partition
-from .model import load_system
-from .simulate import DEMO_VARIANTS, SimConfig, demo_config, integrate, run_demo_variant
-from .spectrum import Quasipolynomial, default_certification_rect, roots_in_region
-from .synthesis import MAX_GAIN_DIMENSION, GainVector, gain_star, multiplicity_at, scale_gain
-from .tradeoff import ahmed_conditions, check_lipschitz, lei_conditions
 
 __all__ = ["main", "dispatch", "emit_plot_script"]
 
@@ -140,6 +133,8 @@ def _write_gainmargin_csv(path, brackets):
 
 
 def _cmd_synth(args):
+    from .synthesis import gain_star, multiplicity_at, scale_gain
+
     gain = gain_star(args.n)
     rows = [("sigma_star", gain.sigma_star)]
     for i, v in enumerate(gain.l, start=1):
@@ -176,6 +171,9 @@ def _parse_rect(text):
 
 
 def _cmd_spectrum(args):
+    from .spectrum import default_certification_rect, roots_in_region
+    from .synthesis import Quasipolynomial, gain_star
+
     gain = gain_star(args.n)
     qp = Quasipolynomial(args.n, gain.l, args.delta)
     rect = _parse_rect(args.rect) if args.rect else default_certification_rect(
@@ -196,6 +194,8 @@ def _cmd_spectrum(args):
 
 
 def _cmd_margins(args):
+    from .margins import stability_partition
+
     part = stability_partition(args.n, args.delta_max)
     print("dimension %d, crossing frequencies:" % args.n)
     for c in part.crossings.crossings:
@@ -212,6 +212,8 @@ def _cmd_margins(args):
 
 
 def _cmd_gainmargin(args):
+    from .gainmargin import max_gain_margin
+
     bracket = max_gain_margin(args.n, tol=args.tol)
     print("dimension %d" % args.n)
     print("  certified lower bound %s" % _fmt(bracket.lower))
@@ -231,9 +233,13 @@ def _cmd_gainmargin(args):
 
 
 def _cmd_design(args):
+    from .synthesis import check_lipschitz, design_chain
+
     check_lipschitz(args.gamma_phi)
     gamma_m = args.gamma_m
     if gamma_m is None:
+        from .gainmargin import max_gain_margin
+
         gamma_m = max_gain_margin(args.n).lower
         print("certified gain margin %s" % _fmt(gamma_m))
     chain = design_chain(args.n, args.gamma_phi, args.h, gamma_m)
@@ -244,6 +250,8 @@ def _cmd_design(args):
 
 
 def _trace_rows(trace):
+    import numpy as np
+
     return np.column_stack([trace.times, trace.x, trace.e_chain, trace.e_pred]).tolist()
 
 
@@ -254,6 +262,12 @@ def _trace_header(trace):
 
 
 def _cmd_simulate(args):
+    import numpy as np
+
+    from .model import load_system
+    from .simulate import SimConfig, demo_config, integrate
+    from .synthesis import gain_star
+
     if args.variant:
         cfg = demo_config(args.variant, args.h, t_end=args.t_end, dt=args.dt)
         label = args.variant
@@ -289,6 +303,10 @@ def _cmd_simulate(args):
 
 
 def _cmd_compare(args):
+    from .gainmargin import max_gain_margin
+    from .synthesis import GainVector, design_chain
+    from .tradeoff import ahmed_conditions, lei_conditions
+
     if args.gamma_m is not None and not math.isfinite(args.gamma_m):
         raise ValueError("gain margin must be finite")
     gain = GainVector(tuple(float(v) for v in args.L.split(",")), args.n)
@@ -317,6 +335,9 @@ def _cmd_repro(args):
     if args.n_max < 1:
         raise ValueError("--n-max must be at least 1")
     if figure == "spectrum025":
+        from .spectrum import default_certification_rect, roots_in_region
+        from .synthesis import Quasipolynomial, gain_star, scale_gain
+
         gain = gain_star(2)
         scaled = scale_gain(gain, 0.25)
         qp = Quasipolynomial(2, scaled.l, 0.25)
@@ -325,6 +346,9 @@ def _cmd_repro(args):
         path = _write_spectrum_csv(os.path.join(args.outdir, "spectrum025.csv"), result)
         emit_plot_script("spectrum", path)
     elif figure == "d_vs_n":
+        from .margins import stability_partition
+        from .synthesis import MAX_GAIN_DIMENSION
+
         if args.n_max > MAX_GAIN_DIMENSION:
             raise ValueError("--n-max must be in 1..%d for d_vs_n" % MAX_GAIN_DIMENSION)
         path = _write_partition_csv(
@@ -333,12 +357,19 @@ def _cmd_repro(args):
         )
         emit_plot_script("partition", path)
     elif figure == "gamma_vs_n":
+        from .gainmargin import max_gain_margin
+
         path = _write_gainmargin_csv(
             os.path.join(args.outdir, "gamma_vs_n.csv"),
             map(max_gain_margin, range(1, min(args.n_max, 8) + 1)),
         )
         emit_plot_script("margin_bounds", path)
     else:  # normError025 or normError050, the choices left
+        import numpy as np
+
+        from .model import DEMO_VARIANTS
+        from .simulate import run_demo_variant
+
         h = 0.25 if figure == "normError025" else 0.5
         traces = [run_demo_variant(v, h) for v in DEMO_VARIANTS]
         # variants run at different steps; resample onto the coarsest grid
@@ -370,6 +401,8 @@ def _cmd_repro(args):
 
 @functools.cache
 def _build_parser():
+    from .model import DEMO_VARIANTS
+
     parser = argparse.ArgumentParser(
         prog="midpredict",
         description="Design and validate high-gain sub-predictor chains for input-delayed systems.",

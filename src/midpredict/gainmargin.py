@@ -21,19 +21,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .synthesis import gain_star, sigma_star
-from .tradeoff import _injection_matrix, _kronecker_lyapunov, check_lipschitz, closed_loop_matrix
+from .synthesis import gain_star
+from .tradeoff import _injection_matrix, _kronecker_lyapunov, closed_loop_matrix
 
 __all__ = [
     "LmiVariables",
     "MarginBracket",
-    "ChainDesign",
     "assemble_W",
     "lmi_feasible",
     "verify_certificate",
     "max_gain_margin",
     "minimize",
-    "design_chain",
 ]
 
 MAX_MARGIN_DIMENSION = 8
@@ -61,18 +59,6 @@ class MarginBracket:
     upper: float
     certificate: LmiVariables | None
     eps: float = 1e-6  # strictness margin the certificate was verified at
-
-
-@dataclass(frozen=True)
-class ChainDesign:
-    """Cascade sizing: threshold gain, stage count, per-stage gain."""
-
-    gamma_phi: float
-    h: float
-    lambda_star: float
-    N: int
-    lam: float
-    sigma_star_per_t: float
 
 
 def assemble_W(n, gain, h, gamma_m, variables):
@@ -370,40 +356,3 @@ def max_gain_margin(n, tol=None):
         if math.sqrt(t + gap) - gamma <= tol:  # the optimal t is at most t + gap
             break
     return MarginBracket(n=n, lower=lower, upper=upper, certificate=best, eps=eps)
-
-
-def design_chain(n, gamma_phi, h, gamma_m):
-    """Size the sub-predictor cascade from the margin and the nonlinearity.
-
-    Threshold gain max(gamma_phi/gamma_m, 1); stage count the integer
-    ceiling of threshold times delay (at least one stage); per-stage scalar
-    gain N/h, which puts every stage exactly at the unit normalized delay
-    the gains were designed for. Past 2**53 stages consecutive floats are
-    more than one stage apart, so a larger threshold times delay raises
-    ValueError.
-    """
-    if not 0 < gamma_m < math.inf:
-        raise ValueError("gain margin must be finite and positive")
-    check_lipschitz(gamma_phi)
-    if not 0 < h < math.inf:
-        raise ValueError("delay must be finite and positive")
-    lambda_star = max(gamma_phi / gamma_m, 1.0)
-    if not math.isfinite(lambda_star * h):
-        raise ValueError(
-            "threshold gain %.3g times delay %.3g is past the float range" % (lambda_star, h)
-        )
-    if lambda_star * h > 2 ** 53:
-        raise ValueError(
-            "threshold gain %.3g times delay %.3g is %.6g stages, past 2**53"
-            % (lambda_star, h, lambda_star * h)
-        )
-    stages = max(1, math.ceil(lambda_star * h))
-    lam = stages / h
-    return ChainDesign(
-        gamma_phi=float(gamma_phi),
-        h=float(h),
-        lambda_star=lambda_star,
-        N=stages,
-        lam=lam,
-        sigma_star_per_t=sigma_star(n) * lam,
-    )

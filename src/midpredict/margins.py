@@ -20,8 +20,7 @@ import math
 from dataclasses import dataclass
 
 from .polynomials import bisect_root, isolate_positive_roots, sign_at, unstable_root_count
-from .spectrum import _injection_value
-from .synthesis import GainVector, delay_free_poly, gain_star
+from .synthesis import GainVector, _injection_value, delay_free_poly, gain_star
 
 __all__ = [
     "Crossing",

@@ -14,8 +14,6 @@ import math
 import numbers
 from dataclasses import dataclass
 
-import numpy as np
-
 from .expressions import Node, eval_expression, free_variables, parse_expression
 
 __all__ = [
@@ -26,7 +24,11 @@ __all__ = [
     "parse_system_config",
     "load_system",
     "demo_system",
+    "DEMO_VARIANTS",
 ]
+
+# the tunings of the bundled demo that simulate.demo_config builds
+DEMO_VARIANTS = ("ahmed", "ours_N1", "ours_N5")
 
 
 class ModelError(ValueError):
@@ -51,7 +53,10 @@ class CanonicalSystem:
     u_signal: Node
 
     def phi_value(self, x, u):
-        """Evaluate the triangular field at state x and input value u."""
+        """Evaluate the triangular field at state x and input value u, as a
+        numpy array; the module itself does not import numpy."""
+        import numpy as np
+
         bindings = {"x%d" % i: v for i, v in enumerate(x, 1)}
         bindings["u"] = u
         return np.array([eval_expression(node, bindings) for node in self.phi])

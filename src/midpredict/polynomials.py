@@ -10,20 +10,23 @@ interval through a Taylor shift: isolate_positive_roots bisects on it
 (Collins & Akritas, 1976), and bisect_root narrows one root on exact signs.
 A node with one variation holds one simple root, so the bisection itself
 proves each root it returns simple, and refuses with ValueError where the
-rule alone cannot tell close roots from a repeated one. Signs at rationals
-come from one homogeneous Horner sum on integers; unstable_root_count is an
-exact Routh count.
+rule alone cannot tell close roots from a repeated one. rightmost_root
+returns the float nearest the largest real root, the same on every host: a
+float Newton seeds an exact walk over adjacent floats, and the rule
+certifies that no root lies above. Signs at rationals come from one
+homogeneous Horner sum on integers; unstable_root_count is an exact Routh
+count. Nothing here uses numpy.
 """
 
 from __future__ import annotations
 
 import math
+import struct
+import sys
 from fractions import Fraction
 from itertools import accumulate
 from math import gcd
 from numbers import Integral
-
-import numpy as np
 
 __all__ = [
     "sign_at",
@@ -34,6 +37,11 @@ __all__ = [
     "rightmost_root",
     "unstable_root_count",
 ]
+
+ROOT_NEWTON_STEPS = 100  # rightmost_root's float Newton; q takes at most 8 for n <= 60
+_DOUBLE, _BITS = struct.Struct("<d"), struct.Struct("<q")
+_INF_KEY = 0x7FF0000000000000  # _key(inf): finite floats have |_key| below it
+_LARGEST = Fraction(sys.float_info.max)
 
 
 def _to_int_poly(coeffs):
@@ -193,39 +201,116 @@ def bisect_root(p, lo, hi):
     return float(hi)
 
 
+def _key(x):
+    """The float x as an integer in the order of the floats: adjacent floats
+    differ by 1, and 0.0 and -0.0 both map to 0. The map is its own inverse
+    on the bit pattern, so _key(_float(k)) == k."""
+    i = _BITS.unpack(_DOUBLE.pack(x))[0]
+    return i if i >= 0 else -(1 << 63) - i
+
+
+def _float(k):
+    """The float whose _key is k."""
+    return _DOUBLE.unpack(_BITS.pack(k if k >= 0 else -(1 << 63) - k))[0]
+
+
+def _newton_seed(p, x):
+    """Newton by Horner on p's float rounding, made monic, from x.
+
+    At most ROOT_NEWTON_STEPS steps; it stops at a step of at most two ulps,
+    at a vanishing derivative or before a non-finite iterate, and returns x
+    unchanged when a coefficient ratio overflows a float.
+    """
+    try:
+        monic = [c / p[-1] for c in reversed(p)]
+    except OverflowError:
+        return x
+    for _ in range(ROOT_NEWTON_STEPS):
+        f = df = 0.0
+        for c in monic:
+            df = df * x + f
+            f = f * x + c
+        if not df:
+            break
+        step = f / df
+        if not math.isfinite(x - step):
+            break
+        x -= step
+        if abs(step) <= 2 * math.ulp(x):
+            break
+    return x
+
+
 def rightmost_root(coeffs):
-    """Largest real root of the polynomial with exact ascending coeffs.
+    """The float nearest to the largest real root of p, where p changes sign.
 
     coeffs are ascending and exact: ints, Fractions or floats, each read as
-    the rational it is. The seed c is the largest near-real eigenvalue of
-    the companion matrix of their float rounding (np.roots), so its last
-    bits come from the LAPACK build numpy uses. It is returned as it is when
-    the exact polynomial changes sign across [c - pad, c + pad], pad about
-    1e-9 |c|, and Descartes' rule sees no root above c + pad: near the
-    root, not the correctly rounded root. A seed that is not finite or
-    fails that test raises ValueError, as a largest root of even
-    multiplicity always does: p keeps its sign across it.
+    the rational it is. A float Newton on p seeds the search, from 0 when
+    Descartes' rule shows no positive root and from the positive-root bound
+    of isolate_positive_roots otherwise. From the seed an exact walk steps
+    1, 2, 4, ... floats away from its side of the root until p's exact sign
+    flips, bisects the floats down to two adjacent ones a < b, and takes a
+    or b by the exact sign of p at their midpoint m (an exact root at m
+    takes the one with the even last bit). Descartes' rule then certifies
+    that no root lies above b, when b is returned, or above m. So the
+    result is correctly rounded and the same on every host. At most 64
+    steps and 64 halvings of the walk, and ROOT_NEWTON_STEPS Newton steps,
+    are taken. ValueError, "not certified": no sign change is met, or a
+    root lies above (a root of even multiplicity, at which p keeps its
+    sign, is never returned).
     """
-    ints = _to_int_poly(coeffs)
-    if len(ints) < 2:
+    p = _primitive(_to_int_poly(coeffs))
+    if len(p) < 2:
         raise ValueError("no real roots")
-    roots = np.roots([float(c) for c in reversed(coeffs)])
-    real_parts = [z.real for z in roots if abs(z.imag) <= 1e-8 * (1.0 + abs(z))]
-    seed = float(max(real_parts, default=math.nan))
-    if not math.isfinite(seed):
-        raise ValueError("no finite near-real companion eigenvalue to seed the largest root")
-    pad = max(1e-9, 1e-9 * abs(seed))
-    lo, hi = Fraction(seed - pad), Fraction(seed + pad)
-    # den**d p((y + num)/den) for hi = num/den: its roots y > 0 are
-    # the roots of p above hi
-    d, num, den = len(ints) - 1, hi.numerator, hi.denominator
-    above = taylor_shift([c * den ** (d - i) for i, c in enumerate(ints)], num)
-    change = sign_at(ints, lo.numerator, lo.denominator) * sign_at(ints, num, den)
-    if change < 0 and sign_variations(above) == 0:
-        return seed
+    top = 1 if p[-1] > 0 else -1
+
+    def side(x):
+        # +1 where p has the sign it has above all its roots, -1 opposite
+        return top * sign_at(p, *x.as_integer_ratio())
+
+    start = 0.0
+    if sign_variations(p):
+        start = float(min(Fraction(2 * max(map(abs, p)), abs(p[-1])), _LARGEST))
+    seed = _newton_seed(p, start)
+    far, s = _key(seed), side(seed)
+    near, s_near, step = far, s, 1
+    # far stays on side s; near steps away from it until the sign flips
+    while s_near == s != 0:
+        near = far - s * step
+        if not abs(near) < _INF_KEY:
+            raise ValueError(
+                "the walk from the seed %r meets no sign change of p within the float "
+                "range: the largest real root is not certified" % seed
+            )
+        s_near = side(_float(near))
+        if s_near == s:
+            far, step = near, 2 * step
+    while s_near and abs(near - far) > 1:
+        mid = (near + far) // 2
+        s_mid = side(_float(mid))
+        if s_mid == s:
+            far = mid
+        else:
+            near, s_near = mid, s_mid
+    if not s_near:  # an exact float root
+        root = point = _float(near)
+    else:
+        lo, hi = sorted((near, far))  # side -1 at lo, +1 at hi
+        point = (Fraction(_float(lo)) + Fraction(_float(hi))) / 2
+        s_mid = side(point)
+        if s_mid < 0:
+            point = _float(hi)
+        root = _float(hi if s_mid < 0 or (not s_mid and lo % 2) else lo)
+    # den**d p((y + num)/den): its roots y > 0 are the roots of p above point,
+    # and its lowest nonzero term the multiplicity of point as a root
+    d, (num, den) = len(p) - 1, point.as_integer_ratio()
+    above = taylor_shift([c * den ** (d - i) for i, c in enumerate(p)], num)
+    multiplicity = next(i for i, c in enumerate(above) if c)
+    if sign_variations(above) == 0 and (multiplicity % 2 or not multiplicity):
+        return root
     raise ValueError(
-        "the companion seed %r is not certified as the largest real root: no sign "
-        "change across it, or a root above it" % seed
+        "%r is not certified as the float nearest the largest real root: a root above "
+        "%.17g, or a root of even multiplicity there" % (root, float(point))
     )
 
 

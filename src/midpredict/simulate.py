@@ -29,7 +29,7 @@ from itertools import chain
 import numpy as np
 
 from .expressions import compile_chain_run
-from .model import CanonicalSystem, demo_system
+from .model import DEMO_VARIANTS, CanonicalSystem, demo_system
 from .synthesis import GainVector, gain_star
 
 __all__ = [
@@ -38,13 +38,11 @@ __all__ = [
     "integrate",
     "demo_config",
     "run_demo_variant",
-    "DEMO_VARIANTS",
 ]
 
 DIVERGENCE_NORM = 1e9
 # nodes times state width per stored array; the demo runs need at most 60 001 x 12
 MAX_STATE_VALUES = 10_000_000
-DEMO_VARIANTS = ("ahmed", "ours_N1", "ours_N5")
 
 
 @dataclass(frozen=True)

@@ -18,15 +18,15 @@ is the only route, so the roots returned account for it exactly.
 
 from __future__ import annotations
 
-import cmath
 import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .synthesis import _argument, _injection_value, _kth_derivs
+
 __all__ = [
-    "Quasipolynomial",
     "SpectrumResult",
     "SpectrumError",
     "RootOnContourError",
@@ -56,28 +56,6 @@ class RootOnContourError(SpectrumError):
 
 
 @dataclass(frozen=True)
-class Quasipolynomial:
-    """Characteristic function data: dimension, gains l1..ln, delay >= 0."""
-
-    n: int
-    l: tuple
-    delta: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "l", tuple(float(v) for v in self.l))
-        if self.n < 1:
-            raise ValueError("dimension n must be at least 1, got %r" % (self.n,))
-        if len(self.l) != self.n:
-            raise ValueError("gain list length must equal n")
-        if not all(math.isfinite(v) for v in self.l):
-            raise ValueError("gains must be finite")
-        if self.l[-1] == 0.0:
-            raise ValueError("trailing gain must be nonzero")
-        if not (math.isfinite(self.delta) and self.delta >= 0):
-            raise ValueError("delay must be finite and nonnegative")
-
-
-@dataclass(frozen=True)
 class SpectrumResult:
     roots: tuple  # ((complex, multiplicity), ...) by (re, im); see _sorted_roots
     region: tuple  # (re_min, re_max, im_min, im_max)
@@ -85,69 +63,10 @@ class SpectrumResult:
     dominant: complex
 
 
-def _injection_value(gain, s):
-    """L(s) = l1*s**(n-1)+...+ln by Horner; gain is anything with gains l."""
-    acc = gain.l[0]
-    for coef in gain.l[1:]:
-        acc = acc * s + coef
-    return acc
-
-
-def _argument(s):
-    """s as a complex array with np.exp, or as a Python complex with cmath.exp."""
-    if np.ndim(s):
-        return np.asarray(s, dtype=complex), np.exp
-    return complex(s), cmath.exp
-
-
 def qp_eval(qp, s):
     """Evaluate D(s); accepts scalars or numpy arrays."""
-    s, exp = _argument(s)
+    s, exp, _ = _argument(s)
     return s ** qp.n + _injection_value(qp, s) * exp(-qp.delta * s)
-
-
-def _kth_derivs(qp, s, first=0, scaled=True):
-    """D^(k)(s) for k = first, first + 1, ..., each with its largest term magnitude.
-
-    D^(k)(s) = perm(n,k) s**(n-k) + exp(-delta*s) sum_j C(k,j) (-delta)**(k-j) L^(j)(s)
-    for the injection polynomial L(s) = l1*s**(n-1)+...+ln, each L^(j) summed
-    term by term once and reused for every later k. The scale is the larger
-    of |perm(n,k) s**(n-k)| and the largest |C(k,j) delta**(k-j)| times the
-    largest term of L^(j), times |exp(-delta*s)|; it is None when scaled is
-    false. At k = 0 the value is qp_eval's Horner result. s is a scalar or a
-    numpy array. A scalar s whose exp(-delta*s) overflows raises ValueError.
-    """
-    s, exp = _argument(s)
-    maximum = max if isinstance(s, complex) else np.maximum
-    n = qp.n
-    powers = [s ** m for m in range(n)]
-    try:
-        decay = exp(-qp.delta * s)
-    except OverflowError:
-        raise ValueError(
-            "e^(-delta*s0) overflows at delta*Re s0 = %.6g, below -709.78" % (qp.delta * s.real)
-        ) from None
-    sums = []  # (L^(j)(s), its largest term) for j = 0..k
-    for k in itertools.count():
-        value, scale = 0.0 + 0.0j, 0.0
-        for power, coef in zip(range(n - 1, k - 1, -1), qp.l):
-            term = coef * math.perm(power, k) * powers[power - k]
-            value += term
-            if scaled:
-                scale = maximum(scale, abs(term))
-        sums.append((value, scale))
-        if k < first:
-            continue
-        head = math.perm(n, k) * s ** (n - k) if k <= n else 0.0
-        tail = 0.0 + 0.0j
-        tail_scale = 0.0
-        for j, (lj, lj_scale) in enumerate(sums):
-            weight = math.comb(k, j) * (-qp.delta) ** (k - j)
-            tail += weight * lj
-            if scaled:
-                tail_scale = maximum(tail_scale, abs(weight) * lj_scale)
-        value = qp_eval(qp, s) if k == 0 else head + tail * decay
-        yield value, maximum(abs(head), tail_scale * abs(decay)) if scaled else None
 
 
 def _kth_deriv(qp, s, k, scaled=True):
@@ -343,6 +262,11 @@ def _derivative_newton(qp, z, order, box):
     """Newton on D^(order) from z, for at most NEWTON_STEPS steps or until a
     step falls below 1e-16 |z|.
 
+    A step of at most 1e-10 max(1, |z|) that is not shorter than half the
+    one before is not taken: Newton converges faster than that, so the
+    iterate has reached the rounding noise of D^(order), where further
+    steps hop between floats a few ulps apart (n = 6 at delay 0.25 hops
+    2 ulps to and fro until the budget ends).
     Returns (z, D^(order+1) at the last iterate evaluated) once the last
     step is at most 1e-10 max(1, |z|): near a multiple root of D the
     residual of D is small on a whole ball, so a stalled iterate would
@@ -357,7 +281,9 @@ def _derivative_newton(qp, z, order, box):
         f, fp = _derivs(qp, z, order, 2)
         if abs(fp) == 0.0:
             return None
-        step = f / fp
+        last, step = abs(step), f / fp
+        if abs(step) <= 1e-10 * max(1.0, abs(z)) and abs(step) > last / 2:
+            break
         z -= step
         if abs(step) < 1e-16 * max(1.0, abs(z)):
             break

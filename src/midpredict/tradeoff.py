@@ -14,13 +14,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .margins import hurwitz_check
-from .synthesis import delay_free_poly
+from .synthesis import check_lipschitz, delay_free_poly
 
 __all__ = [
     "TradeoffVerdict",
     "lyapunov_solve",
     "ahmed_conditions",
-    "check_lipschitz",
     "lei_conditions",
     "closed_loop_matrix",
 ]
@@ -77,12 +76,6 @@ def _spectral_norm(m):
     return float(np.linalg.norm(m, 2))
 
 
-def check_lipschitz(gamma_phi):
-    """ValueError unless the Lipschitz constant gamma_phi is finite and nonnegative."""
-    if not 0 <= gamma_phi < math.inf:
-        raise ValueError("Lipschitz constant must be finite and nonnegative")
-
-
 def ahmed_conditions(gain, lam, h, gamma_phi):
     """First recipe: two inequalities built on a scaled Lyapunov solution.
 
@@ -124,12 +117,13 @@ def ahmed_conditions(gain, lam, h, gamma_phi):
 def lei_conditions(gain, lam, h):
     """Second recipe: sigma * h * lam <= 1 with sigma built from the
     Lyapunov solution P of the delay-free loop. derived holds the spectral
-    norms sigma is built from, P's condition number and sigma."""
+    norms sigma is built from, P's condition number and sigma. A product
+    sigma * h * lam past the float range raises ValueError naming lam and h."""
     if not (0 < lam < math.inf and 0 <= h < math.inf):
         raise ValueError("gain must be finite and positive, delay finite and nonnegative")
     p = lyapunov_solve(gain)
     lc = _injection_matrix(gain)
-    eigs = np.linalg.eigvalsh(p)
+    eigs = np.linalg.eigvalsh(p).tolist()
     derived = {
         "A_minus_LC": _spectral_norm(closed_loop_matrix(gain)),
         "L": float(np.linalg.norm(gain.l)),
@@ -143,9 +137,14 @@ def lei_conditions(gain, lam, h):
         2.0 * math.sqrt(2.0) * derived["LC"],
     )
     derived["sigma"] = sigma
+    product = sigma * h * lam
+    if not math.isfinite(product):
+        raise ValueError(
+            "lam %g and h %g take the second recipe's sigma*h*lam past the float range" % (lam, h)
+        )
     return TradeoffVerdict(
         method="lei",
-        satisfied=bool(sigma * h * lam <= 1.0),
-        details={"contraction": 1.0 - sigma * h * lam},
+        satisfied=bool(product <= 1.0),
+        details={"contraction": 1.0 - product},
         derived=derived,
     )

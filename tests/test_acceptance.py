@@ -12,11 +12,7 @@ import numpy as np
 import pytest
 
 from midpredict.cli import dispatch
-from midpredict.gainmargin import (
-    design_chain,
-    max_gain_margin,
-    verify_certificate,
-)
+from midpredict.gainmargin import max_gain_margin, verify_certificate
 from midpredict.margins import (
     crossing_frequencies,
     hurwitz_check,
@@ -24,9 +20,11 @@ from midpredict.margins import (
 )
 from midpredict.model import demo_system, make_system
 from midpredict.simulate import SimConfig, integrate, run_demo_variant
-from midpredict.spectrum import Quasipolynomial, count_roots_region, qp_eval, roots_in_region
+from midpredict.spectrum import count_roots_region, qp_eval, roots_in_region
 from midpredict.synthesis import (
+    Quasipolynomial,
     delay_free_poly,
+    design_chain,
     gain_star,
     multiplicity_at,
     q_coefficients,

@@ -74,16 +74,16 @@ def test_design_benchmark(tmp_path, capsys):
 
 
 def test_design_certifies_the_gain_margin_when_none_is_given(tmp_path, capsys, monkeypatch):
-    from midpredict import cli
+    from midpredict import gainmargin
 
     brackets = []
-    certify = cli.max_gain_margin
+    certify = gainmargin.max_gain_margin
 
     def recording(n):
         brackets.append(certify(n))
         return brackets[-1]
 
-    monkeypatch.setattr(cli, "max_gain_margin", recording)
+    monkeypatch.setattr(gainmargin, "max_gain_margin", recording)
     design = ("design", "--n", "1", "--gamma-phi", "1.1", "--h", "0.25")
     assert run(tmp_path, *design) == 0
     first, *sizing = capsys.readouterr().out.splitlines()
@@ -333,12 +333,12 @@ def test_compare_table(tmp_path, capsys):
 def test_gamma_phi_is_refused_before_the_margin_bisection(
     tmp_path, capsys, monkeypatch, command, gamma_phi
 ):
-    from midpredict import cli
+    from midpredict import gainmargin
 
     def refuse(*args, **kwargs):
         raise AssertionError("the gain margin was computed")
 
-    monkeypatch.setattr(cli, "max_gain_margin", refuse)
+    monkeypatch.setattr(gainmargin, "max_gain_margin", refuse)
     assert run(tmp_path, *command, "--gamma-phi=" + gamma_phi) == 1
     assert capsys.readouterr().err == "error: Lipschitz constant must be finite and nonnegative\n"
     assert os.listdir(tmp_path) == []
@@ -366,29 +366,29 @@ def test_repro_partition_sweep(tmp_path, capsys):
 def test_repro_sweeps_refuse_n_max_before_any_work(
     tmp_path, capsys, monkeypatch, figure, n_max, message
 ):
-    from midpredict import cli
+    from midpredict import gainmargin, margins
 
     def refuse(*args):
         raise AssertionError("a sweep point was computed")
 
-    monkeypatch.setattr(cli, "stability_partition", refuse)
-    monkeypatch.setattr(cli, "max_gain_margin", refuse)
+    monkeypatch.setattr(margins, "stability_partition", refuse)
+    monkeypatch.setattr(gainmargin, "max_gain_margin", refuse)
     assert run(tmp_path, "repro", "--figure", figure, "--n-max", n_max) == 1
     assert capsys.readouterr().err == "error: %s\n" % message
     assert os.listdir(tmp_path) == []
 
 
 def test_repro_error_norms_overlay_the_variants_on_the_coarsest_grid(tmp_path, capsys, monkeypatch):
-    from midpredict import cli
+    from midpredict import simulate
 
     traces = []
-    simulate = cli.run_demo_variant
+    run_variant = simulate.run_demo_variant
 
     def recording(variant, h):
-        traces.append(simulate(variant, h))
+        traces.append(run_variant(variant, h))
         return traces[-1]
 
-    monkeypatch.setattr(cli, "run_demo_variant", recording)
+    monkeypatch.setattr(simulate, "run_demo_variant", recording)
     assert run(tmp_path, "repro", "--figure", "normError050") == 0
     out = capsys.readouterr().out.splitlines()
     assert out == ["variant ahmed diverged (trace truncated)",
@@ -586,6 +586,50 @@ def test_no_subcommand_imports_scipy(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert "certified lower bound 0.342068" in proc.stdout
     assert "scipy: []" in proc.stdout
+
+
+EXACT_PATH = """
+import sys
+from midpredict.cli import dispatch
+
+outdir = sys.argv[1]
+runs = [(["--help"], 0), (["synth", "--delta", "0.25"], 2),
+        (["synth", "--n", "2", "--delta", "0.25"], 0),
+        (["design", "--n", "2", "--gamma-phi", "1.1", "--h", "0.25", "--gamma-m", "0.0672"], 0),
+        (["repro", "--figure", "d_vs_n", "--n-max", "5"], 0)]
+runs += [(["margins", "--n", str(n)], 0) for n in range(1, 31)]
+for argv, code in runs:
+    assert dispatch(["--outdir", outdir] + argv) == code, argv
+    assert "numpy" not in sys.modules, argv
+for argv in (["spectrum", "--n", "2", "--delta", "1"], ["gainmargin", "--n", "1"],
+             ["simulate", "--variant", "ours_N5", "--t-end", "1"],
+             ["compare", "--n", "2", "--h", "0.25", "--lambda", "2", "--L", "2,1",
+              "--gamma-phi", "1.1"]):
+    assert dispatch(["--outdir", outdir] + argv) == 0, argv
+print("numpy:", "numpy" in sys.modules)
+"""
+
+
+def test_exact_subcommands_never_import_numpy(tmp_path):
+    # a child process, since the tests have loaded numpy: --help, a usage
+    # error and the exact subcommands run without it, the others load it
+    import subprocess
+    import sys
+
+    import midpredict
+
+    src = os.path.dirname(os.path.dirname(midpredict.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", EXACT_PATH, str(tmp_path)],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=120.0,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: midpredict")
+    assert proc.stderr.splitlines()[-1].startswith("midpredict synth: error:")
+    assert proc.stdout.splitlines()[-1] == "numpy: True"
 
 
 BLAS_THREADS = """

@@ -14,8 +14,14 @@ from midpredict.margins import (
     stability_partition,
 )
 from midpredict.polynomials import isolate_positive_roots, unstable_root_count
-from midpredict.spectrum import Quasipolynomial, count_roots_region, qp_eval
-from midpredict.synthesis import MAX_GAIN_DIMENSION, GainVector, delay_free_poly, gain_star
+from midpredict.spectrum import count_roots_region, qp_eval
+from midpredict.synthesis import (
+    MAX_GAIN_DIMENSION,
+    GainVector,
+    Quasipolynomial,
+    delay_free_poly,
+    gain_star,
+)
 from oracles import SturmChain
 from test_polynomials import _refused_node
 

@@ -266,9 +266,11 @@ def test_root_bound_of_the_isolation_leaves_no_sign_variation_above_it():
 
 
 def test_rightmost_root_refuses_a_double_largest_root():
-    # (x - 1)**2 (x + 2): no sign change at the rightmost root, so the
-    # companion seed 1.0000000155... is refused
-    for p in ((2, -3, 0, 1), (0, 0, 1), (1, -2, 1)):  # and x**2, (x - 1)**2
+    # (x - 1)**2 (x + 2): p keeps its sign across the double root 1, so the
+    # walk down from the Newton seed near 1 first meets a sign change at -2,
+    # above which Descartes' rule sees roots. x**2 is 0 at its seed 0, a root
+    # of even multiplicity; (x - 1)**2 never changes sign
+    for p in ((2, -3, 0, 1), (0, 0, 1), (1, -2, 1)):
         with pytest.raises(ValueError, match="not certified"):
             rightmost_root(p)
     # p keeps its sign across a largest root of multiplicity 2, whatever the seed
@@ -293,13 +295,44 @@ def test_bisect_root_decides_against_the_upper_end():
     assert bisect_root([8, 3], Fraction(-3), Fraction(-8, 3)) == float(Fraction(-8, 3))
 
 
-def test_rightmost_root_certifies_every_design_seed():
+def _value(p, x):
+    return sum(c * x ** i for i, c in enumerate(p))
+
+
+def test_rightmost_root_is_correctly_rounded_at_every_design_dimension():
     # q(s) = n! L_n(-s), with L_n the Laguerre polynomial, has real, negative
-    # and simple roots, so its largest companion eigenvalue passes the exact
-    # test at every n; rightmost_root would raise otherwise
+    # and simple roots. q changes sign between the midpoints from sigma_star
+    # to its two neighbouring floats, so a root lies within half an ulp of
+    # it, and the Sturm chain sees no root above
     for n in range(1, MAX_Q_DIMENSION + 1):
-        root = rightmost_root(q_coefficients(n))
-        assert type(root) is float and root < 0, n
+        q = q_coefficients(n)
+        root = rightmost_root(q)
+        assert type(root) is float, n
+        below, above = ((Fraction(root) + Fraction(math.nextafter(root, end))) / 2
+                        for end in (-math.inf, math.inf))
+        assert _value(q, below) * _value(q, above) < 0, n
+        if n <= 20:
+            assert SturmChain(q).count_between(above, math.inf) == 0, n
+
+
+def test_rightmost_root_refuses_within_its_budget(monkeypatch):
+    # at most 64 steps and 64 halvings of the walk, plus the seed's sign and
+    # the midpoint's, whether or not a root is found
+    import midpredict.polynomials as polynomials
+
+    signs = []
+
+    def counting(p, num, den):
+        signs.append(num)
+        return sign_at(p, num, den)
+
+    monkeypatch.setattr(polynomials, "sign_at", counting)
+    # no real root, (x - 1)**2 (x + 2), x**2, (x - 1)**2 and x**4 + 1
+    for p in ((1, 0, 1), (2, -3, 0, 1), (0, 0, 1), (1, -2, 1), (1, 0, 0, 0, 1)):
+        signs.clear()
+        with pytest.raises(ValueError, match="not certified"):
+            rightmost_root(p)
+        assert 0 < len(signs) <= 130, p
 
 
 def test_to_int_poly_equals_fraction_conversion():

@@ -148,7 +148,8 @@ def test_linear_decay_rate_matches_dominant_root():
 def test_linear_rates_match_region_spectrum():
     # simulated decay against the rightmost root of the matching
     # normalized loop, across dimension/delay combinations
-    from midpredict.spectrum import Quasipolynomial, roots_in_region
+    from midpredict.spectrum import roots_in_region
+    from midpredict.synthesis import Quasipolynomial
 
     cases = [
         (1, 1.0, 1.0, (120.0, 200.0), 200.0),

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from midpredict.spectrum import (
-    Quasipolynomial,
     RootOnContourError,
     SpectrumError,
     _kth_deriv,
@@ -20,7 +19,7 @@ from midpredict.spectrum import (
     qp_scale,
     roots_in_region,
 )
-from midpredict.synthesis import gain_star, scale_gain
+from midpredict.synthesis import Quasipolynomial, gain_star, scale_gain
 
 G2 = gain_star(2)
 QP2 = Quasipolynomial(2, G2.l, 1.0)
@@ -521,8 +520,9 @@ def test_located_multiple_roots_within_few_ulp(n):
     # each (n+1)-fold root lies within 3 ulp of the exact root of D^(n), and
     # within 2 ulp for the spectra of n = 2 and 3. Float evaluation of D^(n)
     # near its root is exact only to a few ulp, so Newton's last bit there
-    # depends on where it starts; the worst case is n = 6 at delay 0.25,
-    # 2.16 ulp (the halving reached n = 6 at unit delay 3.16 ulp away)
+    # depends on where it starts; the worst case is n = 6 at unit delay,
+    # 2.54 ulp (at delay 0.25, Newton hopping 2 ulps to and fro at the noise
+    # floor once ended 3.54 ulp away)
     gain = gain_star(n)
     for delta, gains in ((1.0, gain.l), (0.25, scale_gain(gain, 0.25).l)):
         qp = Quasipolynomial(n, gains, delta)

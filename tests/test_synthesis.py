@@ -5,10 +5,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from midpredict.spectrum import Quasipolynomial, _kth_deriv
+from midpredict.spectrum import _kth_deriv
 from midpredict.synthesis import (
     MULTIPLICITY_REL_TOL,
     GainVector,
+    Quasipolynomial,
     delay_free_poly,
     gain_star,
     multiplicity_at,

@@ -1,10 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from midpredict.gainmargin import design_chain
-from midpredict.synthesis import GainVector
+from midpredict.synthesis import GainVector, design_chain
 from midpredict.tradeoff import (
     ahmed_conditions,
     closed_loop_matrix,
@@ -141,6 +141,15 @@ def test_lei_necessary_bound():
         h = float(rng.uniform(0.01, 1.0))
         lam = (1.0 / 8.0) / h * float(rng.uniform(1.001, 10.0))
         assert lei_conditions(gain, lam, h).satisfied is False
+
+
+def test_lei_names_lam_and_h_past_the_float_range():
+    # sigma * h * lam overflows: an error naming both, and no numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^lam 1e\+10 and h 1e\+300 take the second "
+                           r"recipe's sigma\*h\*lam past the float range$"):
+            lei_conditions(GainVector((2.0, 1.0), 2), 1e10, 1e300)
 
 
 @pytest.mark.parametrize("condition", [
