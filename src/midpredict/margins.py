@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .polynomials import bisect_root, isolate_positive_roots, sign_at, unstable_root_count
+from .polynomials import isolate_positive_roots, refine_root, sign_at, unstable_root_count
 from .synthesis import GainVector, _injection_value, delay_free_poly, gain_star
 
 __all__ = [
@@ -103,13 +103,14 @@ def _square(p):
 
 
 def _crossing_numerators(gain):
-    """The crossing polynomial as primitive integers f over one denominator.
+    """The crossing polynomial as primitive integers f.
 
     Exactness matters: the crossing-frequency counts and directions are
     certified over the rationals of these float products. Every gain is an
     integer over one power-of-two denominator 2**e, so L(j*w) = A(x) +
     j*w*B(x) with integer A and B over 2**e, and |L|**2 = A**2 + x*B**2
-    over 4**e. Returns (f, den) with x**n - |L|**2 = f/den.
+    over 4**e. Returns f with x**n - |L|**2 = f/f[-1]: F is monic, so its
+    denominator is f's leading coefficient.
     """
     ratios = [v.as_integer_ratio() for v in reversed(gain.l)]  # s**m at index m
     e = max(den.bit_length() for _, den in ratios) - 1
@@ -121,46 +122,10 @@ def _crossing_numerators(gain):
         total += [0] * (len(b) * 2 - len(total))
         for i, v in enumerate(_square(b)):
             total[i + 1] += v
-    den = 1 << (2 * e)
     f = [-v for v in total] + [0] * (gain.n + 1 - len(total))
-    f[gain.n] += den
+    f[gain.n] += 1 << (2 * e)
     content = math.gcd(*f)
-    return [v // content for v in f], den // content
-
-
-def _polish_root(f, den, lo, hi):
-    """Newton on F = f/den, with coefficients rounded to floats, from the
-    middle of (lo, hi).
-
-    Newton evaluates F and F' by float Horner and reads the float ends a, b;
-    a step that lands outside (a, b) widened by its width on both sides
-    hands over to bisect_root, which halves the exact (lo, hi] on the exact
-    signs of F's integers f.
-    """
-
-    def horner(coeffs, x):
-        acc = coeffs[-1]
-        for c in reversed(coeffs[:-1]):
-            acc = acc * x + c
-        return acc
-
-    poly = [v / den for v in f]
-    dp = [k * c for k, c in enumerate(poly) if k > 0]
-    a, b = float(lo), float(hi)
-    x = 0.5 * (a + b)
-    for _ in range(100):
-        fx = horner(poly, x)
-        dfx = horner(dp, x)
-        if dfx == 0:
-            break
-        step = fx / dfx
-        x_new = x - step
-        if not a - (b - a) <= x_new <= b + (b - a):
-            return bisect_root(f, lo, hi)
-        x = x_new
-        if abs(step) < 1e-16 * max(1.0, abs(x)):
-            break
-    return x
+    return [v // content for v in f]
 
 
 def _arg_g(gain, w):
@@ -175,19 +140,20 @@ def crossing_frequencies(gain):
     """All positive frequencies where an axis crossing is possible.
 
     The count is exact (Descartes certificates on the crossing polynomial
-    F); locations are polished in floating point afterwards. Each direction
-    is the exact sign of F at the upper end hi of the root's isolating
-    interval, or of F' when the root is hi: +1 where F increases through
-    the root. A repeated root of F, a tangential touch of the axis, makes
-    isolate_positive_roots raise ValueError.
+    F). Each direction is the exact sign of F at the upper end hi of the
+    root's isolating interval, or of F' when the root is hi: +1 where F
+    increases through the root. refine_root walks F's exact signs over the
+    interval, oriented by that direction, to the float x nearest the root,
+    and the frequency is sqrt(x). A repeated root of F, a tangential touch
+    of the axis, makes isolate_positive_roots raise ValueError.
     """
-    f, den = _crossing_numerators(gain)
+    f = _crossing_numerators(gain)
     df = [k * v for k, v in enumerate(f) if k > 0]
     found = []
     for lo, hi in isolate_positive_roots(f):
         at_hi = (hi.numerator, hi.denominator)
         direction = sign_at(f, *at_hi) or sign_at(df, *at_hi)
-        found.append((math.sqrt(_polish_root(f, den, lo, hi)), direction))
+        found.append((math.sqrt(refine_root(f, lo, hi, direction)), direction))
     found.sort(reverse=True)
     crossings = tuple(
         Crossing(frequency=w, argument=_arg_g(gain, w), direction=direction)

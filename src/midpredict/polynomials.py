@@ -7,15 +7,16 @@ as itself, never as its float rounding. Descartes' rule of signs bounds the
 roots in (0, inf) by the sign variations of the coefficients, counted with
 multiplicity, exactly when that bound is 0 or 1, and reaches any other
 interval through a Taylor shift: isolate_positive_roots bisects on it
-(Collins & Akritas, 1976), and bisect_root narrows one root on exact signs.
-A node with one variation holds one simple root, so the bisection itself
-proves each root it returns simple, and refuses with ValueError where the
-rule alone cannot tell close roots from a repeated one. rightmost_root
-returns the float nearest the largest real root, the same on every host: a
-float Newton seeds an exact walk over adjacent floats, and the rule
-certifies that no root lies above. Signs at rationals come from one
-homogeneous Horner sum on integers; unstable_root_count is an exact Routh
-count. Nothing here uses numpy.
+(Collins & Akritas, 1976). A node with one variation holds one simple root,
+so the bisection itself proves each root it returns simple, and refuses
+with ValueError where the rule alone cannot tell close roots from a
+repeated one. One refiner turns a root into a float, correctly rounded and
+the same on every host: a float Newton seeds an exact Newton step and an
+exact walk over adjacent floats. refine_root runs it on an isolated root;
+rightmost_root runs it on the largest real root, and the rule certifies
+that no root lies above. Signs at rationals come from one homogeneous
+Horner sum on integers; unstable_root_count is an exact Routh count.
+Nothing here uses numpy.
 """
 
 from __future__ import annotations
@@ -33,12 +34,12 @@ __all__ = [
     "sign_variations",
     "taylor_shift",
     "isolate_positive_roots",
-    "bisect_root",
+    "refine_root",
     "rightmost_root",
     "unstable_root_count",
 ]
 
-ROOT_NEWTON_STEPS = 100  # rightmost_root's float Newton; q takes at most 8 for n <= 60
+ROOT_NEWTON_STEPS = 100  # q takes <= 8 for n <= 60, crossing polynomials <= 9 for n <= 46
 _DOUBLE, _BITS = struct.Struct("<d"), struct.Struct("<q")
 _INF_KEY = 0x7FF0000000000000  # _key(inf): finite floats have |_key| below it
 _LARGEST = Fraction(sys.float_info.max)
@@ -64,17 +65,27 @@ def _primitive(p):
     return p
 
 
-def sign_at(p, num, den):
-    """Sign (-1, 0 or 1) of the integer polynomial p at num/den, den > 0.
-
-    The homogeneous Horner sum c_i num**i den**(d - i) is den**d times the
-    value, so it has the value's sign and no Fraction is normalised.
-    """
+def _horner(p, num, den):
+    """den**d p(num/den) for the integer polynomial p of degree d, den > 0:
+    the homogeneous Horner sum of c_i num**i den**(d - i), exact with no
+    Fraction normalised; a power-of-two den, as a float's, scales by shifts."""
     acc = p[-1]
-    scale = 1
-    for c in reversed(p[:-1]):
-        scale *= den
-        acc = acc * num + c * scale
+    if den & (den - 1):
+        scale = 1
+        for c in reversed(p[:-1]):
+            scale *= den
+            acc = acc * num + c * scale
+    else:
+        e = shift = den.bit_length() - 1
+        for c in reversed(p[:-1]):
+            acc = acc * num + (c << shift)
+            shift += e
+    return acc
+
+
+def sign_at(p, num, den):
+    """Sign (-1, 0 or 1) of the integer polynomial p at num/den, den > 0."""
+    acc = _horner(p, num, den)
     return (acc > 0) - (acc < 0)
 
 
@@ -179,28 +190,6 @@ def isolate_positive_roots(coeffs):
     return [node(k, a) for k, a in leaves]
 
 
-def bisect_root(p, lo, hi):
-    """The one root of p in (lo, hi], where p changes sign, within one ulp.
-
-    p is an integer polynomial; lo and hi are exact, floats or Fractions.
-    Each halving cuts at the float mid nearest the midpoint and keeps
-    (mid, hi] where p's exact sign at mid is opposite to that at hi; lo,
-    maybe the root of the interval below, is never evaluated. Stops at an
-    exact root or at a mid no longer inside (lo, hi).
-    """
-    s_hi = sign_at(p, *hi.as_integer_ratio())
-    while s_hi:
-        mid = float(Fraction(lo) + Fraction(hi)) / 2
-        if not lo < mid < hi:
-            return mid
-        s_mid = sign_at(p, *mid.as_integer_ratio())
-        if s_mid == -s_hi:
-            lo = mid
-        else:
-            hi, s_hi = mid, s_mid
-    return float(hi)
-
-
 def _key(x):
     """The float x as an integer in the order of the floats: adjacent floats
     differ by 1, and 0.0 and -0.0 both map to 0. The map is its own inverse
@@ -214,17 +203,20 @@ def _float(k):
     return _DOUBLE.unpack(_BITS.pack(k if k >= 0 else -(1 << 63) - k))[0]
 
 
-def _newton_seed(p, x):
+def _newton_seed(p, x, lo=-math.inf, hi=math.inf):
     """Newton by Horner on p's float rounding, made monic, from x.
 
-    At most ROOT_NEWTON_STEPS steps; it stops at a step of at most two ulps,
-    at a vanishing derivative or before a non-finite iterate, and returns x
-    unchanged when a coefficient ratio overflows a float.
+    At most ROOT_NEWTON_STEPS steps, stopping at a step of at most two ulps,
+    at a vanishing derivative, before an iterate outside (lo, hi), or before
+    a step of at most 1e-10 max(1, |x|) not shorter than half the one before
+    (Newton converges faster: x has reached p's rounding noise). x comes
+    back unchanged when a coefficient ratio overflows a float.
     """
     try:
         monic = [c / p[-1] for c in reversed(p)]
     except OverflowError:
         return x
+    step = math.inf
     for _ in range(ROOT_NEWTON_STEPS):
         f = df = 0.0
         for c in monic:
@@ -232,8 +224,10 @@ def _newton_seed(p, x):
             f = f * x + c
         if not df:
             break
-        step = f / df
-        if not math.isfinite(x - step):
+        last, step = abs(step), f / df
+        if abs(step) <= 1e-10 * max(1.0, abs(x)) and abs(step) > last / 2:
+            break
+        if not lo < x - step < hi:
             break
         x -= step
         if abs(step) <= 2 * math.ulp(x):
@@ -241,66 +235,107 @@ def _newton_seed(p, x):
     return x
 
 
-def rightmost_root(coeffs):
-    """The float nearest to the largest real root of p, where p changes sign.
+def _nearest_float(p, above, start, lo=-math.inf, hi=math.inf):
+    """(root, point): the float nearest a root r of the integer polynomial
+    p, where p crosses from -above to above, and the point above which
+    rightmost_root certifies that p has no root.
 
-    coeffs are ascending and exact: ints, Fractions or floats, each read as
-    the rational it is. A float Newton on p seeds the search, from 0 when
-    Descartes' rule shows no positive root and from the positive-root bound
-    of isolate_positive_roots otherwise. From the seed an exact walk steps
-    1, 2, 4, ... floats away from its side of the root until p's exact sign
-    flips, bisects the floats down to two adjacent ones a < b, and takes a
-    or b by the exact sign of p at their midpoint m (an exact root at m
-    takes the one with the even last bit). Descartes' rule then certifies
-    that no root lies above b, when b is returned, or above m. So the
-    result is correctly rounded and the same on every host. At most 64
-    steps and 64 halvings of the walk, and ROOT_NEWTON_STEPS Newton steps,
-    are taken. ValueError, "not certified": no sign change is met, or a
-    root lies above (a root of even multiplicity, at which p keeps its
-    sign, is never returned).
+    A float Newton from start, kept within (lo, hi) widened by its width at
+    each end, gives x (start does if x is outside (lo, hi]); one exact
+    Newton step, the Horner sums of p and p' at x and one correctly rounded
+    int / int division, moves it. The walk steps 1, 2, 4, ... floats away
+    from x's side of r until p's exact sign flips, bisects down to adjacent
+    floats a < b and takes the one nearer r by p's exact sign at their
+    midpoint m (a tie takes the even one); point is b when b is taken or is
+    a root, m otherwise. p is only evaluated in (lo, hi]: below lo the walk
+    reads its sign as -above, above hi as above. ValueError: the walk
+    leaves the float range, or two roots of p round to the float taken.
     """
-    p = _primitive(_to_int_poly(coeffs))
-    if len(p) < 2:
-        raise ValueError("no real roots")
-    top = 1 if p[-1] > 0 else -1
+    lo_f, hi_f = float(lo), float(hi)
+    x = _newton_seed(p, start, 2 * lo_f - hi_f, 2 * hi_f - lo_f)
+    if not lo_f < x <= hi_f:
+        x = start
+    dp = [k * c for k, c in enumerate(p) if k]
+    num, den = x.as_integer_ratio()
+    try:
+        dv = _horner(dp, num, den)
+        x = (num * dv - _horner(p, num, den)) / (den * dv)
+    except (ZeroDivisionError, OverflowError):
+        pass
+    # the floats in (lo, hi] are those with keys in (first, last]
+    first, last = (_key(c) - (c > t) for c, t in ((lo_f, lo), (hi_f, hi)))
 
-    def side(x):
-        # +1 where p has the sign it has above all its roots, -1 opposite
-        return top * sign_at(p, *x.as_integer_ratio())
+    def side(k):
+        # +1 at float k where p has the sign `above`, -1 opposite, 0 at a root
+        if first < k <= last:
+            return above * sign_at(p, *_float(k).as_integer_ratio())
+        return -1 if k <= first else 1
 
-    start = 0.0
-    if sign_variations(p):
-        start = float(min(Fraction(2 * max(map(abs, p)), abs(p[-1])), _LARGEST))
-    seed = _newton_seed(p, start)
-    far, s = _key(seed), side(seed)
+    far = min(max(_key(x), first), last + 1)
+    s = side(far)
     near, s_near, step = far, s, 1
     # far stays on side s; near steps away from it until the sign flips
     while s_near == s != 0:
-        near = far - s * step
+        near = min(max(far - s * step, first), last + 1)
         if not abs(near) < _INF_KEY:
-            raise ValueError(
-                "the walk from the seed %r meets no sign change of p within the float "
-                "range: the largest real root is not certified" % seed
-            )
-        s_near = side(_float(near))
+            raise ValueError("the walk from %r meets no sign change of p within the "
+                             "float range: the root is not certified" % x)
+        s_near = side(near)
         if s_near == s:
             far, step = near, 2 * step
     while s_near and abs(near - far) > 1:
         mid = (near + far) // 2
-        s_mid = side(_float(mid))
+        s_mid = side(mid)
         if s_mid == s:
             far = mid
         else:
             near, s_near = mid, s_mid
-    if not s_near:  # an exact float root
-        root = point = _float(near)
-    else:
-        lo, hi = sorted((near, far))  # side -1 at lo, +1 at hi
-        point = (Fraction(_float(lo)) + Fraction(_float(hi))) / 2
-        s_mid = side(point)
+    k = near  # an exact float root unless s_near
+    root = point = _float(k)
+    if s_near:
+        a, b = sorted((near, far))  # side -1 at a, +1 at b
+        point = (Fraction(_float(a)) + Fraction(_float(b))) / 2
+        s_mid = (-1 if a == first and point <= lo else 1 if b > last and point > hi
+                 else above * sign_at(p, *point.as_integer_ratio()))
         if s_mid < 0:
-            point = _float(hi)
-        root = _float(hi if s_mid < 0 or (not s_mid and lo % 2) else lo)
+            point = _float(b)
+        k = b if s_mid < 0 or (not s_mid and a % 2) else a
+        root = _float(k)
+    if not first < k <= last and not sign_at(p, *root.as_integer_ratio()):
+        raise ValueError("%r is the float nearest the root in (%.17g, %.17g] and a root of p "
+                         "outside it: two roots round to it" % (root, lo, hi))
+    return root, point
+
+
+def refine_root(p, lo, hi, above):
+    """The float nearest the one root of the integer polynomial p in (lo, hi]
+    (exact ends), where p crosses from -above to above. The walk from the
+    middle never evaluates p at lo, so an end that is itself a root of p,
+    such as the root of the interval below, is never taken for this one.
+    ValueError where two roots of p round to one float."""
+    return _nearest_float(p, above, 0.5 * (float(lo) + float(hi)), lo, hi)[0]
+
+
+def rightmost_root(coeffs):
+    """The float nearest to the largest real root of p, where p changes sign.
+
+    coeffs are ascending and exact: ints, Fractions or floats, each read as
+    the rational it is. _nearest_float starts from 0 when Descartes' rule
+    shows no positive root and from the positive-root bound of
+    isolate_positive_roots otherwise, and the rule then certifies that no
+    root lies above its point. At most 64 steps and 64 halvings of the
+    walk, one exact Newton step and ROOT_NEWTON_STEPS float ones are taken.
+    ValueError, "not certified": no sign change is met, or a root lies
+    above (a root of even multiplicity, at which p keeps its sign, is never
+    returned).
+    """
+    p = _primitive(_to_int_poly(coeffs))
+    if len(p) < 2:
+        raise ValueError("no real roots")
+    start = 0.0
+    if sign_variations(p):
+        start = float(min(Fraction(2 * max(map(abs, p)), abs(p[-1])), _LARGEST))
+    root, point = _nearest_float(p, 1 if p[-1] > 0 else -1, start)
     # den**d p((y + num)/den): its roots y > 0 are the roots of p above point,
     # and its lowest nonzero term the multiplicity of point as a root
     d, (num, den) = len(p) - 1, point.as_integer_ratio()

@@ -72,22 +72,15 @@ class GainVector:
 
 @dataclass(frozen=True)
 class Quasipolynomial:
-    """Characteristic function data: dimension, gains l1..ln, delay >= 0."""
+    """Characteristic function data: dimension, gains l1..ln, delay >= 0.
+    The gains are checked as a GainVector's."""
 
     n: int
     l: tuple
     delta: float
 
     def __post_init__(self):
-        object.__setattr__(self, "l", tuple(float(v) for v in self.l))
-        if self.n < 1:
-            raise ValueError("dimension n must be at least 1, got %r" % (self.n,))
-        if len(self.l) != self.n:
-            raise ValueError("gain list length must equal n")
-        if not all(math.isfinite(v) for v in self.l):
-            raise ValueError("gains must be finite")
-        if self.l[-1] == 0.0:
-            raise ValueError("trailing gain must be nonzero")
+        object.__setattr__(self, "l", GainVector(self.l, self.n).l)
         if not (math.isfinite(self.delta) and self.delta >= 0):
             raise ValueError("delay must be finite and nonnegative")
 

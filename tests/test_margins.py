@@ -23,7 +23,7 @@ from midpredict.synthesis import (
     gain_star,
 )
 from oracles import SturmChain
-from test_polynomials import _refused_node
+from test_polynomials import _refused_node, _value
 
 G1 = gain_star(1)
 G2 = gain_star(2)
@@ -98,7 +98,7 @@ def test_crossing_direction_matches_root_tracking():
 def test_tangential_touch_is_degenerate():
     # F(x) = x**3 - |3(j w)**2 + 4|**2 = (x - 4)**2 (x - 1): a double root at w = 2
     gain = GainVector((3.0, 0.0, 4.0), 3)
-    assert _crossing_numerators(gain) == ([-16, 24, -9, 1], 1)
+    assert _crossing_numerators(gain) == [-16, 24, -9, 1]
     # the isolation refuses it, naming a node of x = w**2 around 4
     for refused in (lambda: crossing_frequencies(gain), lambda: partition_for_gain(gain, 10.0)):
         with pytest.raises(ValueError, match="repeated root") as refusal:
@@ -295,15 +295,15 @@ def _fraction_magnitude_squared(gain):
 def test_crossing_polynomial_matches_fraction_products():
     for n in range(1, 47):
         expected = [-v for v in _fraction_magnitude_squared(gain_star(n))] + [Fraction(1)]
-        f, den = _crossing_numerators(gain_star(n))
-        assert [Fraction(v, den) for v in f] == expected, n
-        assert all(type(v) is int for v in f + [den])
+        f = _crossing_numerators(gain_star(n))
+        assert [Fraction(v, f[-1]) for v in f] == expected, n
+        assert all(type(v) is int for v in f)
 
 
 def test_isolation_matches_sturm_bisection_on_crossing_polynomials():
     # the reference alone takes 0.4 s at n = 46, so n > 30 is sampled
     for n in list(range(1, 31)) + [36, 46]:
-        coeffs = _crossing_numerators(gain_star(n))[0]
+        coeffs = _crossing_numerators(gain_star(n))
         assert isolate_positive_roots(coeffs) == _sturm_isolate(coeffs), n
 
 
@@ -446,32 +446,45 @@ def test_isolation_refuses_two_close_simple_roots():
     assert len(_sturm_isolate(coeffs)) == 3
 
 
-def test_bisection_fallback_finds_the_crossing_root_to_one_ulp(monkeypatch):
-    # at n = 27 a Newton step on the float rounding of F leaves the bracket
-    # of F's smallest positive root, and the polish bisects the bracket on
-    # F's exact signs instead; float signs had put x = w**2 90 ulps off
-    polished = []
-    polish = margins._polish_root
+def _recorded(monkeypatch, module, name):
+    """Run crossing_frequencies on gain_star(1..46), recording (args, result)
+    of every call to module.name."""
+    gains = [gain_star(n) for n in range(1, MAX_GAIN_DIMENSION + 1)]
+    calls = []
+    original = getattr(module, name)
 
     def recording(*args):
-        polished.append(polish(*args))
-        return polished[-1]
+        calls.append((args, original(*args)))
+        return calls[-1][1]
 
-    monkeypatch.setattr(margins, "_polish_root", recording)
-    crossing_frequencies(gain_star(27))
-    x = polished[0]
-    coeffs = _crossing_numerators(gain_star(27))[0]
-    lo, hi = isolate_positive_roots(coeffs)[0]
+    monkeypatch.setattr(module, name, recording)
+    for gain in gains:
+        crossing_frequencies(gain)
+    return calls
 
-    def sign(t):
-        value = sum(c * t ** i for i, c in enumerate(coeffs))
-        return (value > 0) - (value < 0)
 
-    s_hi = sign(hi)
-    while hi - lo > Fraction(math.ulp(x)) / 16:
-        mid = (lo + hi) / 2
-        if sign(mid) == s_hi:
-            hi = mid
-        else:
-            lo = mid
-    assert abs(Fraction(x) - (lo + hi) / 2) <= Fraction(math.ulp(x))
+def test_every_crossing_root_is_the_nearest_float_inside_its_interval(monkeypatch):
+    # F changes sign between the midpoints from x to its two neighbouring
+    # floats, so F's one root in (lo, hi] lies within half an ulp of x
+    calls = _recorded(monkeypatch, margins, "refine_root")
+    assert len(calls) == 164
+    for (f, lo, hi, _), x in calls:
+        assert type(x) is float and lo < x <= hi, (lo, hi, x)
+        below, above = ((Fraction(x) + Fraction(math.nextafter(x, end))) / 2
+                        for end in (-math.inf, math.inf))
+        assert lo < below and above <= hi, (lo, hi, x)
+        assert _value(f, below) * _value(f, above) < 0, (lo, hi, x)
+
+
+def test_newton_seed_ends_well_within_its_budget_on_every_crossing_root(monkeypatch):
+    # the same seed from budgets 12 and 13 as from the full budget: Newton
+    # stopped within 12 steps rather than hopping between floats
+    import midpredict.polynomials as polynomials
+
+    newton_seed = polynomials._newton_seed
+    calls = _recorded(monkeypatch, polynomials, "_newton_seed")
+    assert len(calls) == 164
+    for budget in (12, 13):
+        monkeypatch.setattr(polynomials, "ROOT_NEWTON_STEPS", budget)
+        for args, seed in calls:
+            assert newton_seed(*args) == seed, (budget, args)

@@ -8,8 +8,8 @@ import pytest
 from midpredict.polynomials import (
     _primitive,
     _to_int_poly,
-    bisect_root,
     isolate_positive_roots,
+    refine_root,
     rightmost_root,
     sign_at,
     sign_variations,
@@ -194,10 +194,14 @@ def test_sign_at_and_sign_variations():
     assert sign_variations(p) == 3
     assert sign_variations([0, 1, 0, 0, -2, 0]) == 1
     assert sign_variations([]) == 0
-    for x in (Fraction(1, 2), 1, Fraction(3, 2), 2, Fraction(5, 2), 3, Fraction(7, 2)):
-        x = Fraction(x)
-        value = sum(c * x ** i for i, c in enumerate(p))
-        assert sign_at(p, x.numerator, x.denominator) == (value > 0) - (value < 0)
+    # power-of-two denominators (a float's) are summed by shifts, others by products
+    points = [Fraction(1, 2), 1, Fraction(3, 2), 2, Fraction(5, 2), 3, Fraction(7, 2),
+              Fraction(2**60 + 1, 2**60), Fraction(-7, 3), Fraction(2**54 + 3, 3 * 2**53),
+              Fraction(3**30 - 1, 3**30), Fraction(2 * 3**30 + 1, 3**30)]
+    for q in (p, [1, 0, -2**80, 3, 0, 5], [-5 * 2**70 + 1, 2**70 + 1]):
+        for x in map(Fraction, points):
+            value = sum(c * x ** i for i, c in enumerate(q))
+            assert sign_at(q, x.numerator, x.denominator) == (value > 0) - (value < 0), (q, x)
 
 
 def _refused_node(refusal):
@@ -284,15 +288,34 @@ def test_rightmost_root_refuses_a_double_largest_root():
             rightmost_root(_from_roots(below + [top, top]))
 
 
-def test_bisect_root_decides_against_the_upper_end():
-    # (2x - 1)(x**2 - 2) on (1/2, 2]: lo is the root below, where the sign
-    # is 0, so only the sign at hi can decide the halvings
-    p = [2, -4, -1, 2]
-    for lo, hi in ((Fraction(1, 2), Fraction(2)), (0.5, 2.0)):
-        x = bisect_root(p, lo, hi)
-        assert abs(x - math.sqrt(2.0)) <= math.ulp(math.sqrt(2.0)), (lo, hi, x)
+def test_refine_root_never_takes_the_root_at_its_lower_end(monkeypatch):
+    # lo is the root below, where the sign is 0, so the walk must never
+    # evaluate p there: (2x - 1)(x**2 - 2) on (1/2, 2], and (2x - 1)(2**60 x
+    # - 2**59 - 65) on (1/2, 1], whose root above 1/2 lies 65/128 of an ulp
+    # from it, so the walk ends next to lo
+    import midpredict.polynomials as polynomials
+
+    cases = [([2, -4, -1, 2], 2, math.sqrt(2.0)),
+             ([2**59 + 65, -(2**61) - 130, 2**61], 1, math.nextafter(0.5, 1.0))]
+    points = []
+
+    def recording(q, num, den):
+        points.append(Fraction(num, den))
+        return sign_at(q, num, den)
+
+    monkeypatch.setattr(polynomials, "sign_at", recording)
+    for p, top, root in cases:
+        for lo, hi in ((Fraction(1, 2), Fraction(top)), (0.5, float(top))):
+            points.clear()
+            assert refine_root(p, lo, hi, 1) == root, (p, lo, hi)
+            assert points and all(lo < t <= hi for t in points), (p, lo, hi)
     # 3x + 8 with its root -8/3 as the exact upper end
-    assert bisect_root([8, 3], Fraction(-3), Fraction(-8, 3)) == float(Fraction(-8, 3))
+    assert refine_root([8, 3], Fraction(-3), Fraction(-8, 3), 1) == float(Fraction(-8, 3))
+    # (2x - 1)(2**60 x - 2**59 - 1): the root 1/2 + 2**-60 rounds to 0.5, the
+    # root below, so the two roots cannot be told apart by their floats
+    p = [2**59 + 1, -(2**61) - 2, 2**61]
+    with pytest.raises(ValueError, match="two roots round to it"):
+        refine_root(p, Fraction(1, 2), Fraction(1), 1)
 
 
 def _value(p, x):

@@ -121,6 +121,25 @@ def test_gain_vector_invariants():
         GainVector((math.inf, 1.0), 2)
 
 
+@pytest.mark.parametrize(
+    "gains, n, match",
+    [
+        ((), 0, "dimension"),
+        ((1.0,), -1, "dimension"),
+        ((1.0,), 2, "length"),
+        ((1.0, 2.0, 3.0), 2, "length"),
+        ((1.0, 0.0), 2, "trailing"),
+        ((math.inf, 1.0), 2, "finite"),
+        ((1.0, math.nan), 2, "finite"),
+        ((-math.inf,), 1, "finite"),
+    ],
+)
+def test_gain_vector_and_quasipolynomial_refuse_the_same_gains(gains, n, match):
+    for build in (lambda: GainVector(gains, n), lambda: Quasipolynomial(n, gains, 1.0)):
+        with pytest.raises(ValueError, match=match):
+            build()
+
+
 def test_gain_vector_refuses_dimension_below_one():
     with pytest.raises(ValueError, match="dimension"):
         GainVector((), 0)
