@@ -26,6 +26,8 @@ __all__ = ["main", "dispatch", "emit_plot_script"]
 # the simulate options each source reads, with their defaults: a demo
 # variant fixes its own cascade, and a system file its own delay
 _SIMULATE_OPTIONS = {"variant": {"h": 0.25}, "config": {"N": 1, "lam": None}}
+# the repro figures that read --n-max, with its default: only the sweeps
+_REPRO_N_MAX = {"d_vs_n": 30, "gamma_vs_n": 8}
 
 
 def _fmt(value):
@@ -198,7 +200,7 @@ def _cmd_margins(args):
 
     part = stability_partition(args.n, args.delta_max)
     print("dimension %d, crossing frequencies:" % args.n)
-    for c in part.crossings.crossings:
+    for c in part.crossings:
         print(
             "  w = %-10s arg %-10s direction %+d"
             % (_fmt(c.frequency), _fmt(c.argument), c.direction)
@@ -332,7 +334,7 @@ def _cmd_compare(args):
 
 def _cmd_repro(args):
     figure = args.figure
-    if args.n_max < 1:
+    if vars(args).get("n_max", 1) < 1:  # dispatch sets n_max for the sweeps alone
         raise ValueError("--n-max must be at least 1")
     if figure == "spectrum025":
         from .spectrum import default_certification_rect, roots_in_region
@@ -357,11 +359,13 @@ def _cmd_repro(args):
         )
         emit_plot_script("partition", path)
     elif figure == "gamma_vs_n":
-        from .gainmargin import max_gain_margin
+        from .gainmargin import MAX_MARGIN_DIMENSION, max_gain_margin
 
+        if args.n_max > MAX_MARGIN_DIMENSION:
+            raise ValueError("--n-max must be in 1..%d for gamma_vs_n" % MAX_MARGIN_DIMENSION)
         path = _write_gainmargin_csv(
             os.path.join(args.outdir, "gamma_vs_n.csv"),
-            map(max_gain_margin, range(1, min(args.n_max, 8) + 1)),
+            map(max_gain_margin, range(1, args.n_max + 1)),
         )
         emit_plot_script("margin_bounds", path)
     else:  # normError025 or normError050, the choices left
@@ -467,7 +471,8 @@ def _build_parser():
         required=True,
         choices=("spectrum025", "d_vs_n", "gamma_vs_n", "normError025", "normError050"),
     )
-    p.add_argument("--n-max", dest="n_max", type=int, default=30)
+    p.add_argument("--n-max", dest="n_max", type=int, default=argparse.SUPPRESS,
+                   help="d_vs_n (30) and gamma_vs_n (8) dimensions")
     p.set_defaults(func=_cmd_repro)
     return parser
 
@@ -497,6 +502,11 @@ def dispatch(argv):
                     parser.error("--%s does not apply to a --%s run" % (name, source))
             for name, default in used.items():
                 vars(args).setdefault(name, default)
+        elif args.subcommand == "repro":
+            if args.figure in _REPRO_N_MAX:
+                vars(args).setdefault("n_max", _REPRO_N_MAX[args.figure])
+            elif "n_max" in vars(args):
+                parser.error("--n-max does not apply to --figure %s" % args.figure)
     except SystemExit as exc:
         return int(exc.code or 0)
     if args.outdir is None:

@@ -7,11 +7,13 @@ are isolated exactly by a bisection certified with Descartes' rule of signs.
 Each frequency generates an arithmetic progression of delays where a
 conjugate root pair crosses the axis, rightward as the delay grows exactly
 when F increases through w**2 (Cooke & van den Driessche, "On zeroes of some
-transcendental equations", Funkcialaj Ekvacioj 29, 1986). So the count steps
-by +-2 by an exact sign of F. A repeated root of F, where roots touch the
-axis with no direction, is refused by the isolation with ValueError.
-Walking the sorted crossing delays from the delay-free count partitions the
-axis into intervals of constant unstable-root count.
+transcendental equations", Funkcialaj Ekvacioj 29, 1986). A repeated root of
+F, where roots touch the axis with no direction, is refused by the isolation
+with ValueError. Every root left is simple and F is monic, so F increases
+through its largest root and the directions alternate downward: the count
+steps by +-2 by a root's rank. Walking the sorted crossing delays from the
+delay-free count partitions the axis into intervals of constant
+unstable-root count; two delays too close for floats to order are refused.
 """
 
 from __future__ import annotations
@@ -19,18 +21,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .polynomials import isolate_positive_roots, refine_root, sign_at, unstable_root_count
-from .synthesis import GainVector, _injection_value, delay_free_poly, gain_star
+from .polynomials import isolate_positive_roots, refine_root, unstable_root_count
+from .synthesis import _injection_value, delay_free_poly, gain_star
 
 __all__ = [
     "Crossing",
-    "CrossingSet",
     "StabilityPartition",
     "crossing_frequencies",
     "crossing_points",
     "stability_partition",
     "partition_for_gain",
-    "hurwitz_check",
 ]
 
 
@@ -46,35 +46,20 @@ class Crossing:
 
 
 @dataclass(frozen=True)
-class CrossingSet:
-    """Crossing frequencies sorted descending, with arguments and directions."""
-
-    crossings: tuple
-
-    @property
-    def frequencies(self):
-        return tuple(c.frequency for c in self.crossings)
-
-    def __len__(self):
-        return len(self.crossings)
-
-
-@dataclass(frozen=True)
 class StabilityPartition:
     """Intervals of constant unstable-root count along the delay axis.
 
     crossing_points starts with 0; interval k spans
     (crossing_points[k], crossing_points[k+1]) and the final interval runs
     to delta_max. unstable_counts has one entry per interval; crossings is
-    the CrossingSet the partition was built from.
+    the tuple of Crossing the partition was built from.
     """
 
     n: int
-    gain: GainVector
     crossing_points: tuple
     unstable_counts: tuple
     delta_max: float
-    crossings: CrossingSet
+    crossings: tuple
 
     @property
     def intervals(self):
@@ -137,44 +122,40 @@ def _arg_g(gain, w):
 
 
 def crossing_frequencies(gain):
-    """All positive frequencies where an axis crossing is possible.
+    """All positive frequencies where an axis crossing is possible: a tuple
+    of Crossing, frequencies descending.
 
     The count is exact (Descartes certificates on the crossing polynomial
-    F). Each direction is the exact sign of F at the upper end hi of the
-    root's isolating interval, or of F' when the root is hi: +1 where F
-    increases through the root. refine_root walks F's exact signs over the
+    F), and isolate_positive_roots proves every root simple or raises
+    ValueError. So monic F changes sign at each root and is positive above
+    the largest: the largest frequency has direction +1, and the directions
+    alternate downward. refine_root walks F's exact signs over the root's
     interval, oriented by that direction, to the float x nearest the root,
-    and the frequency is sqrt(x). A repeated root of F, a tangential touch
-    of the axis, makes isolate_positive_roots raise ValueError.
+    and the frequency is sqrt(x).
     """
     f = _crossing_numerators(gain)
-    df = [k * v for k, v in enumerate(f) if k > 0]
-    found = []
-    for lo, hi in isolate_positive_roots(f):
-        at_hi = (hi.numerator, hi.denominator)
-        direction = sign_at(f, *at_hi) or sign_at(df, *at_hi)
-        found.append((math.sqrt(refine_root(f, lo, hi, direction)), direction))
-    found.sort(reverse=True)
-    crossings = tuple(
-        Crossing(frequency=w, argument=_arg_g(gain, w), direction=direction)
-        for w, direction in found
-    )
-    return CrossingSet(crossings=crossings)
+    crossings = []
+    direction = 1
+    for lo, hi in reversed(isolate_positive_roots(f)):
+        w = math.sqrt(refine_root(f, lo, hi, direction))
+        crossings.append(Crossing(frequency=w, argument=_arg_g(gain, w), direction=direction))
+        direction = -direction
+    return tuple(crossings)
 
 
-def crossing_points(crossing_set, delta_max):
+def crossing_points(crossings, delta_max):
     """All delays up to delta_max where some root pair sits on the axis.
 
-    Returns (delta, frequency) pairs merged across frequencies, ascending.
+    Returns (delta, Crossing) pairs across crossings, ascending in delta.
     Raises ValueError for a delta_max that is not finite and positive, or
     one that reaches more than MAX_CROSSING_POINTS crossing delays.
     """
     if not (math.isfinite(delta_max) and delta_max > 0):
         raise ValueError("delta_max must be finite and positive")
-    starts = [c.argument if c.argument > 0 else 2 * math.pi for c in crossing_set.crossings]
+    starts = [c.argument if c.argument > 0 else 2 * math.pi for c in crossings]
     total = sum(
         max(0, math.floor((delta_max * c.frequency - start) / (2 * math.pi)) + 1)
-        for c, start in zip(crossing_set.crossings, starts)
+        for c, start in zip(crossings, starts)
     )
     if total > MAX_CROSSING_POINTS:
         raise ValueError(
@@ -182,48 +163,44 @@ def crossing_points(crossing_set, delta_max):
             % (delta_max, total, MAX_CROSSING_POINTS)
         )
     out = []
-    for c, start in zip(crossing_set.crossings, starts):
+    for c, start in zip(crossings, starts):
         k = 0
         while True:
             delta = (start + 2 * math.pi * k) / c.frequency
             if delta > delta_max:
                 break
-            out.append((delta, c.frequency))
+            out.append((delta, c))
             k += 1
-    out.sort()
+    out.sort(key=lambda point: point[0])
     return out
 
 
 def partition_for_gain(gain, delta_max=None):
-    """Stability partition of the delay axis for an arbitrary gain vector."""
+    """Stability partition of the delay axis for an arbitrary gain vector.
+
+    From the delay-free count at delay 0, each crossing delay adds twice
+    its crossing's direction. A delay within 1e-9 * max(1, delta) of the
+    one before it raises ValueError: floats cannot order the two, nor tell
+    them from one delay where both crossings meet.
+    """
     cs = crossing_frequencies(gain)
     if delta_max is None:
-        if len(cs) == 0:
-            delta_max = 10.0
-        else:
-            delta_max = 3.0 * (2 * math.pi) / min(cs.frequencies)
-    points = crossing_points(cs, delta_max)
-    direction_of = {c.frequency: c.direction for c in cs.crossings}
-    # merge numerically coincident crossing delays; their jumps add
-    merged = []
-    for delta, freq in points:
-        if merged and abs(delta - merged[-1][0]) < 1e-9 * max(1.0, delta):
-            merged[-1][1].append(freq)
-        else:
-            merged.append((delta, [freq]))
+        delta_max = 3.0 * (2 * math.pi) / cs[-1].frequency if cs else 10.0
     count = unstable_root_count(delay_free_poly(gain))
     counts = [count]
     boundaries = [0.0]
-    for delta, freqs in merged:
-        jump = sum(2 * direction_of[f] for f in freqs)
-        count += jump
+    for delta, c in crossing_points(cs, delta_max):
+        if len(boundaries) > 1 and delta - boundaries[-1] < 1e-9 * max(1.0, delta):
+            raise ValueError(
+                "crossing delays %.17g and %.17g are too close to order" % (boundaries[-1], delta)
+            )
+        count += 2 * c.direction
         if count < 0:
             raise RuntimeError("negative unstable-root count; crossing bookkeeping broken")
         boundaries.append(delta)
         counts.append(count)
     return StabilityPartition(
         n=gain.n,
-        gain=gain,
         crossing_points=tuple(boundaries),
         unstable_counts=tuple(counts),
         delta_max=float(delta_max),
@@ -234,20 +211,3 @@ def partition_for_gain(gain, delta_max=None):
 def stability_partition(n, delta_max=None):
     """Partition for the multiplicity-designed gain at dimension n."""
     return partition_for_gain(gain_star(n), delta_max)
-
-
-def hurwitz_check(p):
-    """True iff every root of p lies strictly in the open left half-plane.
-
-    p is a sequence of real coefficients, ascending by degree, read as given:
-    the last one is the leading coefficient. Exact Routh count over the
-    rationals. A Hurwitz polynomial never meets a zero pivot, so one means p
-    is not Hurwitz. ValueError: a coefficient is not finite, or the last one
-    is not positive (a zero there is not trimmed).
-    """
-    if not (all(map(math.isfinite, p)) and p[-1] > 0):
-        raise ValueError("coefficients must be finite and the leading one positive")
-    try:
-        return unstable_root_count(p) == 0
-    except ValueError:
-        return False

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .margins import hurwitz_check
+from .polynomials import unstable_root_count
 from .synthesis import check_lipschitz, delay_free_poly
 
 __all__ = [
@@ -62,7 +62,11 @@ def lyapunov_solve(gain):
     P(A-LC) + (A-LC)'P negative definite, and it admits the growth of the
     solve's rounding with P, whose entries grow steeply with n.
     """
-    if not hurwitz_check(delay_free_poly(gain)):
+    try:
+        unstable = unstable_root_count(delay_free_poly(gain))
+    except ValueError:  # a zero Routh pivot, which no Hurwitz polynomial meets
+        unstable = 1
+    if unstable:
         raise ValueError("A - LC must be Hurwitz for this condition")
     m = closed_loop_matrix(gain)
     p = _kronecker_lyapunov(m)

@@ -217,6 +217,18 @@ def test_simulate_node_budget_error_stays_short(tmp_path, capsys):
     assert len(err) < 120 and err.count("\n") == 1, err
 
 
+@pytest.mark.parametrize("phi", ["-x1" + "+1" * 249, "-" * 250 + "x1"])
+def test_simulate_field_past_the_nesting_limit_is_one_error_line(tmp_path, capsys, phi):
+    # 250 terms, or 250 nested unary minuses, nest the generated kernel past
+    # the compiler's limit on parentheses
+    config = tmp_path / "long.kv"
+    config.write_text('n = 1\nh = 0.5\nphi = ["%s"]\ngamma = [1.0]\n' % phi)
+    assert run(tmp_path, "simulate", "--config", str(config), "--t-end", "1") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: a field expression nests past the compiler's limit (")
+    assert err.endswith("); use fewer chained operations\n") and err.count("\n") == 1, err
+
+
 def test_simulate_requires_source(tmp_path, capsys):
     assert run(tmp_path, "simulate") == 2
     capsys.readouterr()
@@ -250,6 +262,8 @@ SIMULATE_FIELDS = {"divergence_time": None, "divergent": False, "dt": 0.005, "in
     (["repro", "--figure", "nope"], 2, None),
     # argparse stores [] for a value of "--"; it is a usage error, not a TypeError
     (["design", "--n", "2", "--gamma-phi", "1.1", "--h=--", "--gamma-m", "0.0673"], 2, None),
+    # a figure that does not read --n-max does not record it
+    (["repro", "--figure", "spectrum025"], 0, {"figure": "spectrum025"}),
 ])
 def test_each_successful_run_writes_one_manifest(tmp_path, capsys, argv, rc, flags):
     from midpredict import __version__
@@ -361,6 +375,7 @@ def test_repro_partition_sweep(tmp_path, capsys):
         ("d_vs_n", "0", "--n-max must be at least 1"),
         ("d_vs_n", "47", "--n-max must be in 1..46 for d_vs_n"),
         ("gamma_vs_n", "0", "--n-max must be at least 1"),
+        ("gamma_vs_n", "12", "--n-max must be in 1..8 for gamma_vs_n"),
     ],
 )
 def test_repro_sweeps_refuse_n_max_before_any_work(
@@ -376,6 +391,38 @@ def test_repro_sweeps_refuse_n_max_before_any_work(
     assert run(tmp_path, "repro", "--figure", figure, "--n-max", n_max) == 1
     assert capsys.readouterr().err == "error: %s\n" % message
     assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("figure, n_max", [
+    ("spectrum025", "7"), ("normError025", "0"), ("normError050", "30"),
+])
+def test_repro_refuses_n_max_where_the_figure_ignores_it(tmp_path, capsys, figure, n_max):
+    assert run(tmp_path, "repro", "--figure", figure, "--n-max", n_max) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err[-1].endswith("error: --n-max does not apply to --figure %s" % figure)
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("figure, n_max", [("d_vs_n", 30), ("gamma_vs_n", 8)])
+def test_repro_sweeps_default_and_record_their_n_max(tmp_path, capsys, monkeypatch, figure, n_max):
+    from midpredict import gainmargin, margins
+
+    swept = []
+
+    def point(n):
+        swept.append(n)
+        return margins.StabilityPartition(n, (0.0,), (0,), 1.0, ())
+
+    def bracket(n):
+        swept.append(n)
+        return gainmargin.MarginBracket(n, 0.5, 1.0, None)
+
+    monkeypatch.setattr(margins, "stability_partition", point)
+    monkeypatch.setattr(gainmargin, "max_gain_margin", bracket)
+    assert run(tmp_path, "repro", "--figure", figure) == 0
+    capsys.readouterr()
+    assert swept == list(range(1, n_max + 1))
+    assert _manifest(tmp_path)["flags"]["n_max"] == n_max
 
 
 def test_repro_error_norms_overlay_the_variants_on_the_coarsest_grid(tmp_path, capsys, monkeypatch):

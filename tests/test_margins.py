@@ -1,19 +1,18 @@
 import math
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from midpredict import margins
 from midpredict.margins import (
     _crossing_numerators,
     crossing_frequencies,
+    Crossing,
     crossing_points,
-    hurwitz_check,
     partition_for_gain,
     stability_partition,
 )
-from midpredict.polynomials import isolate_positive_roots, unstable_root_count
+from midpredict.polynomials import isolate_positive_roots, sign_at, unstable_root_count
 from midpredict.spectrum import count_roots_region, qp_eval
 from midpredict.synthesis import (
     MAX_GAIN_DIMENSION,
@@ -31,7 +30,7 @@ G2 = gain_star(2)
 
 def test_single_dimension_crossing_frequency():
     cs = crossing_frequencies(G1)
-    assert cs.frequencies == pytest.approx((math.exp(-1.0),), abs=1e-12)
+    assert [c.frequency for c in cs] == pytest.approx([math.exp(-1.0)], abs=1e-12)
 
 
 def test_two_dimensional_crossing_frequency():
@@ -39,9 +38,9 @@ def test_two_dimensional_crossing_frequency():
     l1, l2 = G2.l
     expected = math.sqrt((l1 ** 2 + math.sqrt(l1 ** 4 + 4 * l2 ** 2)) / 2)
     assert len(cs) == 1
-    assert cs.frequencies[0] == pytest.approx(expected, abs=1e-12)
+    assert cs[0].frequency == pytest.approx(expected, abs=1e-12)
     # the crossing equation itself: |L(jw)| = w^n
-    w = cs.frequencies[0]
+    w = cs[0].frequency
     assert abs(complex(l2, l1 * w)) == pytest.approx(w ** 2, abs=1e-10)
 
 
@@ -54,7 +53,7 @@ def test_first_crossing_point_n1():
 def test_first_crossing_point_n2():
     cs = crossing_frequencies(G2)
     pts = crossing_points(cs, 16.0)
-    w = cs.frequencies[0]
+    w = cs[0].frequency
     expected = math.atan2(G2.l[0] * w, G2.l[1]) / w
     assert pts[0][0] == pytest.approx(expected, abs=1e-12)
     assert pts[0][0] == pytest.approx(2.5236, abs=1e-3)
@@ -66,16 +65,46 @@ def test_first_crossing_point_n2():
 def test_crossing_points_vanish_on_delayed_loop():
     for gain in (G1, G2, gain_star(3)):
         cs = crossing_frequencies(gain)
-        for delta, w in crossing_points(cs, 25.0):
+        for delta, c in crossing_points(cs, 25.0):
             qp = Quasipolynomial(gain.n, gain.l, delta)
             scale = max(1.0, max(abs(v) for v in gain.l))
-            assert abs(qp_eval(qp, 1j * w)) < 1e-8 * scale
+            assert abs(qp_eval(qp, 1j * c.frequency)) < 1e-8 * scale
 
 
 def test_crossing_direction_examples():
     # both designed loops lose stability at their first crossing
-    assert [c.direction for c in crossing_frequencies(G2).crossings] == [1]
-    assert [c.direction for c in crossing_frequencies(G1).crossings] == [1]
+    assert [c.direction for c in crossing_frequencies(G2)] == [1]
+    assert [c.direction for c in crossing_frequencies(G1)] == [1]
+
+
+def test_directions_by_rank_match_the_exact_sign_above_each_root():
+    # the rule the rank replaced: F's exact sign at the upper end hi of the
+    # root's isolating interval, or F''s sign where the root is hi itself
+    for n in range(1, MAX_GAIN_DIMENSION + 1):
+        f = _crossing_numerators(gain_star(n))
+        df = [k * v for k, v in enumerate(f) if k > 0]
+        expected = [
+            sign_at(f, hi.numerator, hi.denominator) or sign_at(df, hi.numerator, hi.denominator)
+            for _, hi in reversed(isolate_positive_roots(f))
+        ]
+        assert [c.direction for c in crossing_frequencies(gain_star(n))] == expected, n
+
+
+def test_coincident_crossing_delays_are_refused(monkeypatch):
+    # frequencies w and 2w with arguments t and 2t: the delays (t + 2 pi k)/w
+    # and (t + pi m)/w meet at m = 2k, first at k = m = 0
+    w, t = 0.7, 0.4
+    pair = (Crossing(2 * w, 2 * t, 1), Crossing(w, t, -1))
+    monkeypatch.setattr(margins, "crossing_frequencies", lambda gain: pair)
+    with pytest.raises(ValueError, match="crossing delays 0.571428.* and 0.571428.* are too "
+                       "close to order"):
+        partition_for_gain(G2, delta_max=10.0)
+    # a first delay near 0 is compared with no delay before it
+    alone = (Crossing(1.0, 1e-12, 1),)
+    monkeypatch.setattr(margins, "crossing_frequencies", lambda gain: alone)
+    part = partition_for_gain(G2, delta_max=1.0)
+    assert part.crossing_points == (0.0, 1e-12)
+    assert part.unstable_counts == (0, 2)
 
 
 def test_crossing_direction_matches_root_tracking():
@@ -84,8 +113,8 @@ def test_crossing_direction_matches_root_tracking():
         gain = gain_star(n)
         cs = crossing_frequencies(gain)
         assert len(cs) == crossings
-        for c in cs.crossings:
-            delta_c = crossing_points(CrossingSetOnly(c), 50.0)[0][0]
+        for c in cs:
+            delta_c = crossing_points((c,), 50.0)[0][0]
             step = 1e-4
             root_lo = _root_near(gain, c.frequency, delta_c - step)
             root_hi = _root_near(gain, c.frequency, delta_c + step)
@@ -105,12 +134,6 @@ def test_tangential_touch_is_degenerate():
             refused()
         lo, hi = _refused_node(refusal)
         assert lo <= 4 <= hi
-
-
-def CrossingSetOnly(c):
-    from midpredict.margins import CrossingSet
-
-    return CrossingSet(crossings=(c,))
 
 
 def _root_near(gain, w, delta):
@@ -145,7 +168,7 @@ def test_partition_counts_match_winding():
         gain = gain_star(n)
         part = stability_partition(n)
         cs = crossing_frequencies(gain)
-        radius = max(2.0, 3.0 * max(cs.frequencies), 2.0 + max(abs(v) for v in gain.l))
+        radius = max(2.0, 3.0 * cs[0].frequency, 2.0 + max(abs(v) for v in gain.l))
         for (lo, hi), count in list(zip(part.intervals, part.unstable_counts))[:4]:
             mid = 0.5 * (lo + hi)
             qp = Quasipolynomial(n, gain.l, mid)
@@ -158,7 +181,7 @@ def test_partition_initial_count_matches_tiny_delay():
         gain = gain_star(n)
         part = stability_partition(n)
         cs = crossing_frequencies(gain)
-        radius = max(2.0, 3.0 * max(cs.frequencies), 2.0 + max(abs(v) for v in gain.l))
+        radius = max(2.0, 3.0 * cs[0].frequency, 2.0 + max(abs(v) for v in gain.l))
         qp = Quasipolynomial(n, gain.l, 1e-3)
         got, _ = count_roots_region(qp, (1e-9, radius, -radius, radius))
         assert got == part.unstable_counts[0]
@@ -191,37 +214,17 @@ def test_crossing_frequency_count_bands():
 
 def test_partition_for_custom_gain():
     # (2, 1) is the comparison tuning, which loses stability near 0.647; for
-    # L = 1, F(x) = x - 1 has its root on an isolating interval's upper end,
-    # where F' decides the direction
+    # L = 1, F(x) = x - 1 has its root on an isolating interval's upper end
     for gain, first in ((GainVector((2.0, 1.0), 2), 0.6474), (GainVector((1.0,), 1), math.pi / 2)):
         part = partition_for_gain(gain, delta_max=3.0)
         assert part.crossing_points[1] == pytest.approx(first, abs=1e-3)
         assert part.unstable_counts[:2] == (0, 2)
 
 
-def test_hurwitz_basics():
-    assert hurwitz_check((2.0, 4.0, 1.0)) is True
-    assert hurwitz_check((1.0, -1.0, 1.0)) is False
-    # refused before the Routh count: not read as a zero pivot, no OverflowError
-    for bad in (math.nan, math.inf):
-        with pytest.raises(ValueError, match="finite"):
-            hurwitz_check((bad, 1.0, 1.0))
-    with pytest.raises(ValueError):
-        hurwitz_check((1.0, 2.0, -1.0))
-
-
 def test_hurwitz_transition_at_dimension_23():
-    assert hurwitz_check(delay_free_poly(gain_star(22))) is True
-    assert hurwitz_check(delay_free_poly(gain_star(23))) is False
-
-
-def test_hurwitz_agrees_with_eigenvalues_randomized():
-    rng = np.random.default_rng(23)
-    for _ in range(50):
-        n = int(rng.integers(1, 7))
-        roots = rng.uniform(-2.0, 0.5, n)
-        coeffs = np.poly(roots)[::-1]
-        assert hurwitz_check(tuple(coeffs)) == (unstable_root_count(coeffs) == 0 and np.all(roots < 0))
+    # the partition starts from the delay-free count, Hurwitz up to n = 22
+    assert stability_partition(22).unstable_counts[0] == 0
+    assert stability_partition(23).unstable_counts[0] == 2
 
 
 def test_exact_unstable_count_beyond_dimension_26():
@@ -234,14 +237,6 @@ def test_exact_unstable_count_beyond_dimension_26():
 def test_partition_keeps_its_crossing_set():
     part = stability_partition(9)
     assert part.crossings == crossing_frequencies(gain_star(9))
-
-
-def test_hurwitz_zero_pivot_is_not_stable():
-    # (s + 1)(s**2 + 1): an imaginary-axis pair empties a Routh row
-    p = (1.0, 1.0, 1.0, 1.0)
-    assert hurwitz_check(p) is False
-    with pytest.raises(ValueError):
-        unstable_root_count(p)
 
 
 def test_crossing_points_rejects_unbounded_delta_max():

@@ -85,6 +85,9 @@ def test_unstable_root_count():
     # roots -1 and +2
     assert unstable_root_count((-2, -1, 1)) == 1
     assert unstable_root_count((2, 3, 1)) == 0
+    # (s + 1)(s**2 + 1): the axis pair empties a Routh row, and no count is given
+    with pytest.raises(ValueError, match="zero pivot"):
+        unstable_root_count((1.0, 1.0, 1.0, 1.0))
 
 
 def _reference_variations(members, x):

@@ -57,8 +57,10 @@ def test_lyapunov_residual_gate_is_relative_to_the_right_hand_side(monkeypatch):
 
 
 def test_lyapunov_rejects_unstable():
-    with pytest.raises(ValueError):
-        lyapunov_solve(GainVector((-1.0, 1.0), 2))
+    # s**2 - s + 1, and (s + 1)(s**2 + 1), whose axis pair empties a Routh row
+    for gain in (GainVector((-1.0, 1.0), 2), GainVector((1.0, 1.0, 1.0), 3)):
+        with pytest.raises(ValueError, match="^A - LC must be Hurwitz for this condition$"):
+            lyapunov_solve(gain)
 
 
 def test_lyapunov_residual_randomized():
@@ -157,13 +159,12 @@ def test_lei_names_lam_and_h_past_the_float_range():
     lambda: lei_conditions(COMPARISON_GAIN, 2.0, 0.25),
 ])
 def test_each_condition_counts_roots_and_solves_lyapunov_once(monkeypatch, condition):
-    import midpredict.margins as margins
     import midpredict.tradeoff as tradeoff
 
     calls = []
-    for owner, name in ((margins, "unstable_root_count"), (tradeoff, "_kronecker_lyapunov")):
-        original = getattr(owner, name)
-        monkeypatch.setattr(owner, name, lambda *a, f=original, n=name: calls.append(n) or f(*a))
+    for name in ("unstable_root_count", "_kronecker_lyapunov"):
+        original = getattr(tradeoff, name)
+        monkeypatch.setattr(tradeoff, name, lambda *a, f=original, n=name: calls.append(n) or f(*a))
     condition()
     assert sorted(calls) == ["_kronecker_lyapunov", "unstable_root_count"]
 
