@@ -239,6 +239,16 @@ def test_partition_keeps_its_crossing_set():
     assert part.crossings == crossing_frequencies(gain_star(9))
 
 
+def test_hurwitz_zero_pivot_is_not_stable():
+    # (s + 1)(s**2 + 1): an imaginary-axis pair empties a Routh row, and
+    # the partition refuses the gain rather than count it stable at delay 0
+    p = (1.0, 1.0, 1.0, 1.0)
+    with pytest.raises(ValueError):
+        unstable_root_count(p)
+    with pytest.raises(ValueError, match="zero pivot"):
+        partition_for_gain(GainVector(p[1:], 3))
+
+
 def test_crossing_points_rejects_unbounded_delta_max():
     cs = crossing_frequencies(G2)
     # nan and inf run in a child process in the CLI tests, under a timeout
