@@ -232,6 +232,7 @@ def _cmd_gainmargin(args):
                 for row in getattr(bracket.certificate, name):
                     fh.write("  " + " ".join(_full(float(v)) for v in row) + "\n")
     _write_gainmargin_csv(os.path.join(args.outdir, "gainmargin.csv"), [bracket])
+    return {"solver": bracket.solver}
 
 
 def _cmd_design(args):

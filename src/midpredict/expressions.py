@@ -300,6 +300,10 @@ def _literal(value):
     return repr(value) if math.isfinite(value) else "float(%r)" % repr(value)
 
 
+# binary operators that _emit writes infix, by precedence level
+_INFIX_LEVEL = {"+": 0, "-": 0, "*": 1}
+
+
 def _emit(node, names):
     """Python source for the AST; ``names`` maps each variable to the local it reads."""
     if isinstance(node, Num):
@@ -317,7 +321,12 @@ def _emit(node, names):
         return "_f_pow(%s, %s)" % (_emit(node.left, names), _emit(node.right, names))
     if node.op == "/":
         return "_f_div(%s, %s)" % (_emit(node.left, names), _emit(node.right, names))
-    return "(%s %s %s)" % (_emit(node.left, names), node.op, _emit(node.right, names))
+    left = _emit(node.left, names)
+    if isinstance(node.left, BinOp) and _INFIX_LEVEL.get(node.left.op) == _INFIX_LEVEL[node.op]:
+        # Python's + - and * associate left, as the grammar's do: (a + b) - c
+        # is a + b - c, and a chain of terms nests no parentheses
+        left = left[1:-1]
+    return "(%s %s %s)" % (left, node.op, _emit(node.right, names))
 
 
 # characters of generated source per chain run; compiling costs about 0.5 us

@@ -59,6 +59,7 @@ class MarginBracket:
     upper: float
     certificate: LmiVariables | None
     eps: float = 1e-6  # strictness margin the certificate was verified at
+    solver: dict | None = None  # the barrier solve's counts, _Budget.summary()
 
 
 def assemble_W(n, gain, h, gamma_m, variables):
@@ -186,92 +187,140 @@ def _initial_variables(n, gain):
 
 
 class _Budget:
-    """Newton steps left to one solve; every centering draws on it."""
+    """Newton steps left to one solve, which every centering draws on, and
+    the solve's counts for its manifest: Cholesky factorizations, Newton
+    steps and centerings per central path (phase I, then phase II), and
+    phase I's s and gap where it ended: s above the gap shows that no s
+    below 0 exists over the ball."""
 
     def __init__(self):
         self.left = MAX_NEWTON_STEPS
+        self.choleskys = 0
+        self.paths = []  # [Newton steps, centerings] of each central path
+        self.phase_one_end = None  # (s, gap)
+
+    def summary(self):
+        """The counts as the manifest's "solver" entry."""
+        out = {"choleskys": self.choleskys, "newton_steps_left": self.left}
+        for k, (steps, centerings) in enumerate(self.paths, start=1):
+            out["phase_%d" % k] = {"newton_steps": steps, "centerings": centerings}
+        if self.phase_one_end is not None:
+            out["phase_1"]["final_s"], out["phase_1"]["final_gap"] = self.phase_one_end
+        return out
 
 
-# nfev counts Newton steps; stalled, a line search that found no decrease
-_Centered = namedtuple("_Centered", "x nfev stalled")
+# nfev counts Newton steps; stalled, a line search that found no decrease;
+# factor, the Cholesky factor of -M(x)
+_Centered = namedtuple("_Centered", "x nfev stalled factor")
+
+# M(x) = m0 + sum_k x_k basis[k] of one barrier solve, with flat the basis
+# as rows and eye the identity on the packed variables, made once per path
+_Lmi = namedtuple("_Lmi", "m0 basis flat eye")
 
 
 def _with_column(m0, jac, extra):
-    """Basis F of M(x) = m0 + sum_k x_k F[k]: the packed variables of
-    _affine_stack, then one more variable whose matrix is extra."""
-    return np.concatenate([jac.T, extra.reshape(1, -1)]).reshape(-1, *m0.shape)
+    """The _Lmi of the packed variables of _affine_stack, then one more
+    variable whose matrix is extra."""
+    flat = np.concatenate([jac.T, extra.reshape(1, -1)])
+    return _Lmi(m0, flat.reshape(-1, *m0.shape), flat, np.eye(len(flat) - 1))
 
 
-def _barrier(x, tau, cost, m0, basis):
-    """tau c'x - log det(-M(x)) - log(R^2 - |theta|^2), inf outside its
-    domain; M(x) = m0 + sum_k x_k basis[k], theta = x[:-1], R = _RADIUS. The
-    ball bounds the barrier below: -M grows without bound along some
+def _affine(x, m0, flat):
+    """m0 + sum_k x_k F[k], flat = F.reshape(len(F), -1): the very np.dot
+    that numpy's one-axis tensor product of x and F calls once it has
+    reshaped them, so the same bits without its Python wrapper."""
+    return m0 + np.dot(x.reshape(1, -1), flat).reshape(m0.shape)
+
+
+def _barrier(x, tau, cost, lmi, factor=None):
+    """(value, factor): the value of tau c'x - log det(-M(x)) - log(R^2 -
+    |theta|^2) and the Cholesky factor of -M(x), or (inf, None) outside the
+    domain; theta = x[:-1], R = _RADIUS. A factor given is taken for -M(x)'s,
+    as an earlier call at this x returned it: M(x) does not depend on tau.
+    The ball bounds the barrier below: -M grows without bound along some
     directions of the multipliers P2, P3, P4."""
     slack = _RADIUS ** 2 - x[:-1] @ x[:-1]
-    try:
-        factor = np.linalg.cholesky(-(m0 + np.tensordot(x, basis, 1)))
-    except np.linalg.LinAlgError:
-        return math.inf
+    if factor is None:
+        try:
+            factor = np.linalg.cholesky(-_affine(x, lmi.m0, lmi.flat))
+        except np.linalg.LinAlgError:
+            return math.inf, None
     if not slack > 0:
-        return math.inf
-    return tau * (cost @ x) - 2.0 * np.sum(np.log(np.diag(factor))) - math.log(slack)
+        return math.inf, None
+    value = tau * (cost @ x) - 2.0 * np.log(factor.diagonal()).sum() - math.log(slack)
+    return value, factor
 
 
-def _barrier_derivatives(x, tau, cost, m0, basis):
-    """Gradient and Hessian of _barrier inside its domain.
+def _barrier_derivatives(x, tau, cost, lmi, factor):
+    """Gradient and Hessian of _barrier at a point x of its domain, from the
+    Cholesky factor of -M(x) that _barrier returned there.
 
     With Z = (-M)^-1 the log det term contributes J' vec(Z) and
     H_jk = tr(Z F_j Z F_k): one batched product Z F and one GEMM.
     """
     dim = len(x)
-    inv = np.linalg.inv(np.linalg.cholesky(-(m0 + np.tensordot(x, basis, 1))))
+    inv = np.linalg.inv(factor)
     z = inv.T @ inv
-    grad = tau * cost + basis.reshape(dim, -1) @ z.reshape(-1)
-    zf = np.matmul(z, basis)
+    grad = tau * cost + lmi.flat @ z.reshape(-1)
+    zf = np.matmul(z, lmi.basis)
     hess = zf.reshape(dim, -1) @ zf.transpose(0, 2, 1).reshape(dim, -1).T
     theta = x[:-1]
     ball = 2.0 / (_RADIUS ** 2 - theta @ theta)
     grad[:-1] += ball * theta
-    hess[:-1, :-1] += ball * np.eye(dim - 1) + ball ** 2 * np.outer(theta, theta)
+    hess[:-1, :-1] += ball * lmi.eye + ball ** 2 * (theta[:, None] * theta)
     return grad, hess
 
 
-def minimize(x, tau, cost, m0, basis, max_steps, until=None):
-    """Damped Newton centering of _barrier from a point x of its domain.
+def minimize(x, tau, cost, lmi, budget, until=None, factor=None):
+    """Damped Newton centering of _barrier from a point x of its domain,
+    factor the Cholesky factor of -M(x) if an earlier centering left one.
 
-    A backtracking line search keeps each iterate inside the domain.
-    Ends when the squared Newton decrement is at most _CENTERED, after
-    max_steps steps, when the line search stalls, or once until(x).
+    A backtracking line search keeps each iterate inside the domain, and
+    the factor of the trial it accepts serves the next Newton step. Ends
+    when the squared Newton decrement is at most _CENTERED, after
+    budget.left steps, when the line search stalls, or once until(x). Books
+    its Cholesky factorizations on budget; the caller books its steps.
     """
-    f = _barrier(x, tau, cost, m0, basis)
-    for steps in range(max_steps):
+    budget.choleskys += factor is None
+    f, factor = _barrier(x, tau, cost, lmi, factor)
+    for steps in range(budget.left):
         if until is not None and until(x):
-            return _Centered(x, steps, False)
-        grad, hess = _barrier_derivatives(x, tau, cost, m0, basis)
-        scale = 1.0 / np.sqrt(np.diag(hess))  # Jacobi scaling: variables span decades
-        step = -scale * np.linalg.solve(hess * np.outer(scale, scale), scale * grad)
+            return _Centered(x, steps, False, factor)
+        grad, hess = _barrier_derivatives(x, tau, cost, lmi, factor)
+        scale = 1.0 / np.sqrt(hess.diagonal())  # Jacobi scaling: variables span decades
+        step = -scale * np.linalg.solve(hess * (scale[:, None] * scale), scale * grad)
         decrement = -(grad @ step)
         if decrement <= _CENTERED:
-            return _Centered(x, steps + 1, False)
+            return _Centered(x, steps + 1, False, factor)
         length = 1.0
-        trial = _barrier(x + step, tau, cost, m0, basis)
+        budget.choleskys += 1
+        trial, trial_factor = _barrier(x + step, tau, cost, lmi)
         while not trial <= f - 0.25 * length * decrement:
             length *= 0.5
             if length < _MIN_STEP:
-                return _Centered(x, steps + 1, True)
-            trial = _barrier(x + length * step, tau, cost, m0, basis)
-        x, f = x + length * step, trial
-    return _Centered(x, max_steps, False)
+                return _Centered(x, steps + 1, True, factor)
+            budget.choleskys += 1
+            trial, trial_factor = _barrier(x + length * step, tau, cost, lmi)
+        x, f, factor = x + length * step, trial, trial_factor
+    return _Centered(x, budget.left, False, factor)
 
 
-def _central_path(x, tau, cost, m0, basis, budget, until=None):
+def _central_path(x, tau, cost, lmi, budget, until=None):
     """Yield (x, gap) at each centered point while the budget lasts, gap the
-    bound m / tau on c'x - min c'x with m = 7n + 1 (log det and the ball)."""
-    order = m0.shape[0] + 1
+    bound m / tau on c'x - min c'x with m = 7n + 1 (log det and the ball).
+    Each centering starts from the factor of the point the last one ended
+    at, so an iterate is factored once, and books its Newton steps, and the
+    path its centerings, on budget."""
+    order = lmi.m0.shape[0] + 1
+    counts = [0, 0]
+    budget.paths.append(counts)
+    factor = None
     while budget.left > 0:
-        centered = minimize(x, tau, cost, m0, basis, budget.left, until)
+        centered = minimize(x, tau, cost, lmi, budget, until, factor)
         budget.left -= centered.nfev
-        x = centered.x
+        counts[0] += centered.nfev
+        counts[1] += 1
+        x, factor = centered.x, centered.factor
         yield x, order / tau
         if centered.stalled:
             return
@@ -283,7 +332,8 @@ def lmi_feasible(n, gain, h, gamma_m, eps=None, budget=None):
     stopping as soon as s < 0. Gives up once the gap shows s stays above 0,
     or when the Newton budget (a fresh one unless the caller shares its
     own) is spent. Returns (True, LmiVariables) only for a certificate that
-    passes verify_certificate; otherwise (False, "unknown").
+    passes verify_certificate; otherwise (False, "unknown"). The budget
+    keeps the s and the gap where phase I ended.
     """
     if gamma_m < 0:
         raise ValueError("gain-margin slope must be nonnegative")
@@ -292,15 +342,17 @@ def lmi_feasible(n, gain, h, gamma_m, eps=None, budget=None):
     packing = _Packing(n)
     m0, jac = _affine_stack(n, gain, h, gamma_m, eps)
     size = m0.shape[0]
-    basis = _with_column(m0, jac, -np.eye(size))
+    lmi = _with_column(m0, jac, -np.eye(size))
     theta = packing.pack(_initial_variables(n, gain))
-    s = np.linalg.eigvalsh(m0 + np.tensordot(theta, basis[:-1], 1))[-1] + 1.0
+    s = np.linalg.eigvalsh(_affine(theta, m0, lmi.flat[:-1]))[-1] + 1.0
     cost = np.append(np.zeros(len(theta)), 1.0)
+    budget = budget or _Budget()
     path = _central_path(
-        np.append(theta, s), size / max(s, 1.0), cost, m0, basis,
-        budget or _Budget(), until=lambda x: x[-1] < 0,
+        np.append(theta, s), size / max(s, 1.0), cost, lmi, budget,
+        until=lambda x: x[-1] < 0,
     )
     for x, gap in path:
+        budget.phase_one_end = float(x[-1]), float(gap)
         if x[-1] < 0:
             variables = packing.unpack(x[:-1])
             if verify_certificate(n, gain, h, gamma_m, variables, eps):
@@ -336,14 +388,15 @@ def max_gain_margin(n, tol=None):
     budget = _Budget()
     ok, best = lmi_feasible(n, gain, 1.0, 0.0, eps=eps, budget=budget)
     if not ok:
-        return MarginBracket(n=n, lower=0.0, upper=upper, certificate=None, eps=eps)
+        return MarginBracket(n=n, lower=0.0, upper=upper, certificate=None, eps=eps,
+                             solver=budget.summary())
     packing = _Packing(n)
     m0, jac = _affine_stack(n, gain, 1.0, 0.0, eps)
     slope_block = np.diag((np.arange(7 * n) < n) * 1.0)  # t I in W's (1,1) block
     cost = np.append(np.zeros(packing.dim), -1.0)
     lower = 0.0
     path = _central_path(
-        np.append(packing.pack(best), 0.0), 7 * n / upper ** 2, cost, m0,
+        np.append(packing.pack(best), 0.0), 7 * n / upper ** 2, cost,
         _with_column(m0, jac, slope_block), budget,
     )
     for x, gap in path:
@@ -355,4 +408,5 @@ def max_gain_margin(n, tol=None):
                 lower, best = gamma, variables
         if math.sqrt(t + gap) - gamma <= tol:  # the optimal t is at most t + gap
             break
-    return MarginBracket(n=n, lower=lower, upper=upper, certificate=best, eps=eps)
+    return MarginBracket(n=n, lower=lower, upper=upper, certificate=best, eps=eps,
+                         solver=budget.summary())

@@ -244,12 +244,14 @@ def _nearest_float(p, above, start, lo=-math.inf, hi=math.inf):
     each end, gives x (start does if x is outside (lo, hi]); one exact
     Newton step, the Horner sums of p and p' at x and one correctly rounded
     int / int division, moves it. The walk steps 1, 2, 4, ... floats away
-    from x's side of r until p's exact sign flips, bisects down to adjacent
-    floats a < b and takes the one nearer r by p's exact sign at their
-    midpoint m (a tie takes the even one); point is b when b is taken or is
-    a root, m otherwise. p is only evaluated in (lo, hi]: below lo the walk
-    reads its sign as -above, above hi as above. ValueError: the walk
-    leaves the float range, or two roots of p round to the float taken.
+    from x's side of r until p's exact sign flips (not at all from an x
+    outside (lo, hi], whose ends already bracket r), bisects down to
+    adjacent floats a < b and takes the one nearer r by p's exact sign at
+    their midpoint m (a tie takes the even one); point is b when b is
+    taken or is a root, m otherwise. p is only evaluated in (lo, hi]:
+    below lo the walk reads its sign as -above, above hi as above.
+    ValueError: the walk leaves the float range, or two roots of p round to
+    the float taken.
     """
     lo_f, hi_f = float(lo), float(hi)
     x = _newton_seed(p, start, 2 * lo_f - hi_f, 2 * hi_f - lo_f)
@@ -274,6 +276,8 @@ def _nearest_float(p, above, start, lo=-math.inf, hi=math.inf):
     far = min(max(_key(x), first), last + 1)
     s = side(far)
     near, s_near, step = far, s, 1
+    if not first < far <= last:  # x is outside (lo, hi]: bisect all of it
+        near, s_near = (last + 1, 1) if far == first else (first, -1)
     # far stays on side s; near steps away from it until the sign flips
     while s_near == s != 0:
         near = min(max(far - s * step, first), last + 1)

@@ -217,16 +217,25 @@ def test_simulate_node_budget_error_stays_short(tmp_path, capsys):
     assert len(err) < 120 and err.count("\n") == 1, err
 
 
-@pytest.mark.parametrize("phi", ["-x1" + "+1" * 249, "-" * 250 + "x1"])
+@pytest.mark.parametrize("phi", ["x1" + "^x1" * 249, "-" * 250 + "x1"])
 def test_simulate_field_past_the_nesting_limit_is_one_error_line(tmp_path, capsys, phi):
-    # 250 terms, or 250 nested unary minuses, nest the generated kernel past
-    # the compiler's limit on parentheses
+    # a right-associated chain of 250 powers, or 250 nested unary minuses,
+    # nest the generated kernel past the compiler's limit on parentheses
     config = tmp_path / "long.kv"
     config.write_text('n = 1\nh = 0.5\nphi = ["%s"]\ngamma = [1.0]\n' % phi)
     assert run(tmp_path, "simulate", "--config", str(config), "--t-end", "1") == 1
     err = capsys.readouterr().err
     assert err.startswith("error: a field expression nests past the compiler's limit (")
     assert err.endswith("); use fewer chained operations\n") and err.count("\n") == 1, err
+
+
+def test_simulate_runs_a_flat_sum_of_250_terms(tmp_path, capsys):
+    # a left operand of the same level is emitted without parentheses, so a
+    # chain of terms does not nest
+    config = tmp_path / "long.kv"
+    config.write_text('n = 1\nh = 0.5\nphi = ["%s"]\ngamma = [1.0]\n' % ("-x1" + "+1" * 249))
+    assert run(tmp_path, "simulate", "--config", str(config), "--t-end", "1") == 0
+    capsys.readouterr()
 
 
 def test_simulate_requires_source(tmp_path, capsys):
@@ -236,6 +245,13 @@ def test_simulate_requires_source(tmp_path, capsys):
 
 SIMULATE_FIELDS = {"divergence_time": None, "divergent": False, "dt": 0.005, "integrate_s": 0,
                    "nodes": 401, "steps_per_stage_delay": 50}
+# the barrier solve of gainmargin --n 1 --tol 0.05
+GAINMARGIN_FIELDS = {"solver": {
+    "choleskys": 99, "newton_steps_left": 153,
+    "phase_1": {"centerings": 3, "final_gap": 0.1217763380880889,
+                "final_s": -0.005085199565262065, "newton_steps": 25},
+    "phase_2": {"centerings": 4, "newton_steps": 22},
+}}
 
 
 @pytest.mark.parametrize("argv, rc, flags", [
@@ -281,6 +297,8 @@ def test_each_successful_run_writes_one_manifest(tmp_path, capsys, argv, rc, fla
                 "config_path": None, "outdir": out, "version": __version__}
     if argv[0] == "simulate":
         expected.update(SIMULATE_FIELDS)
+    if argv[0] == "gainmargin":
+        expected.update(GAINMARGIN_FIELDS)
     text = manifests[0].read_text().replace(str(outdir), out)
     text = re.sub(r'"integrate_s": [^,]+,', '"integrate_s": 0,', text)
     assert text == json.dumps(expected, indent=2, sort_keys=True) + "\n"

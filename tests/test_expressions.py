@@ -1,3 +1,4 @@
+import ast
 import math
 
 import pytest
@@ -6,6 +7,7 @@ from midpredict.expressions import (
     BinOp,
     Call,
     EvaluationError,
+    Neg,
     ParseError,
     UnknownNameError,
     Var,
@@ -192,3 +194,35 @@ def test_compiled_negative_fractional_power_raises():
     fn = _compiled(ast)
     with pytest.raises(EvaluationError):
         fn(-2.0, 0.0, 0.0)
+
+
+def _parenthesized(node, names):
+    """_emit's source with every infix operation in parentheses."""
+    if isinstance(node, Neg):
+        return "(-%s)" % _parenthesized(node.operand, names)
+    if isinstance(node, Call):
+        return "_f_%s(%s)" % (node.func, _parenthesized(node.arg, names))
+    if not isinstance(node, BinOp):
+        return _emit(node, names)
+    left, right = _parenthesized(node.left, names), _parenthesized(node.right, names)
+    if node.op in ("^", "/"):
+        return "_f_%s(%s, %s)" % ("pow" if node.op == "^" else "div", left, right)
+    return "(%s %s %s)" % (left, node.op, right)
+
+
+def test_emitted_chains_parse_as_the_fully_parenthesized_form():
+    # a + b - c and (a + b) - c are one Python AST, so the compiled kernel
+    # does not change when a chain drops its inner parentheses
+    from midpredict.model import demo_system
+
+    system = demo_system(0.25)
+    names = {a: a for a in XU + ["t"]}
+    nodes = list(system.phi) + [system.u_signal] + [
+        parse_expression(src, XU) for src in
+        ("x1 - x2 - u + x1", "x1 - (x2 - u)", "x1*x2*u - x2*u*x1", "x1*(x2*u)", "(x1 + x2)*u",
+         "-(x1 - x2) - x2/u/x1 + x1^x2^u")
+    ]
+    for node in nodes:
+        emitted, reference = _emit(node, names), _parenthesized(node, names)
+        assert ast.dump(ast.parse(emitted)) == ast.dump(ast.parse(reference)), emitted
+    assert _emit(nodes[1], names) == "((-x1) + (0.5 * _f_tanh((x1 + x2))) + (x1 * u))"

@@ -126,31 +126,32 @@ def _phase_one_start(n):
 
     packing = _Packing(n)
     m0, jac = _affine_stack(n, gain_star(n), 1.0, 0.0, 1e-6)
-    basis = _with_column(m0, jac, -np.eye(7 * n))
+    lmi = _with_column(m0, jac, -np.eye(7 * n))
     theta = packing.pack(_initial_variables(n, gain_star(n)))
-    s = np.linalg.eigvalsh(m0 + np.tensordot(theta, basis[:-1], 1))[-1] + 1.0
-    return np.append(theta, s), m0, basis
+    s = np.linalg.eigvalsh(m0 + np.tensordot(theta, lmi.basis[:-1], 1))[-1] + 1.0
+    return np.append(theta, s), lmi
 
 
 def test_barrier_derivatives_match_finite_differences():
     from midpredict.gainmargin import _barrier, _barrier_derivatives
 
+    def derivatives(x):
+        return _barrier_derivatives(x, 1.7, cost, lmi, _barrier(x, 1.7, cost, lmi)[1])
+
     rng = np.random.default_rng(4)
     for n in (1, 2, 3):
-        x, m0, basis = _phase_one_start(n)
+        x, lmi = _phase_one_start(n)
         x = x + 0.05 * rng.standard_normal(len(x))
         cost = rng.standard_normal(len(x))
-        grad, hess = _barrier_derivatives(x, 1.7, cost, m0, basis)
+        grad, hess = derivatives(x)
         assert np.allclose(hess, hess.T, rtol=0, atol=1e-12 * np.max(np.abs(hess)))
         step = 1e-6
         for k in range(len(x)):
             e = np.zeros(len(x))
             e[k] = step
-            hi, lo = (_barrier(x + d, 1.7, cost, m0, basis) for d in (e, -e))
+            (hi, _), (lo, _) = (_barrier(x + d, 1.7, cost, lmi) for d in (e, -e))
             assert grad[k] == pytest.approx((hi - lo) / (2 * step), rel=1e-6, abs=1e-7)
-            (g_hi, _), (g_lo, _) = (
-                _barrier_derivatives(x + d, 1.7, cost, m0, basis) for d in (e, -e)
-            )
+            (g_hi, _), (g_lo, _) = (derivatives(x + d) for d in (e, -e))
             fd = (g_hi - g_lo) / (2 * step)
             assert np.allclose(hess[k], fd, rtol=1e-5, atol=1e-6 * np.max(np.abs(hess)))
 
@@ -158,16 +159,16 @@ def test_barrier_derivatives_match_finite_differences():
 def test_barrier_is_infinite_outside_its_domain():
     from midpredict.gainmargin import _RADIUS, _barrier
 
-    x, m0, basis = _phase_one_start(2)
+    x, lmi = _phase_one_start(2)
     cost = np.zeros(len(x))
-    assert math.isfinite(_barrier(x, 1.0, cost, m0, basis))
+    assert math.isfinite(_barrier(x, 1.0, cost, lmi)[0])
     below = x.copy()
     below[-1] -= 100.0  # s under the largest eigenvalue of M(theta)
-    assert _barrier(below, 1.0, cost, m0, basis) == math.inf
+    assert _barrier(below, 1.0, cost, lmi) == (math.inf, None)
     outside = x.copy()
     outside[:-1] *= 1.01 * _RADIUS / np.linalg.norm(x[:-1])
     outside[-1] += 1e6  # still inside the cone, but out of the ball
-    assert _barrier(outside, 1.0, cost, m0, basis) == math.inf
+    assert _barrier(outside, 1.0, cost, lmi) == (math.inf, None)
 
 
 def test_feasible_at_zero_slope():
@@ -231,6 +232,8 @@ def test_max_gain_margin_lower_bounds_n1_n2():
         (1, 0.005, 0.3420676258620573),
         (2, 0.005, 0.06723790905061379),
         (3, 0.002, 0.010460536800095637),
+        (3, None, float.fromhex("0x1.56c557ba3df09p-7")),
+        (4, None, float.fromhex("0x1.426f932d2abd4p-10")),
     ):
         bracket = max_gain_margin(n, tol=tol)
         assert bracket.lower == lower
@@ -361,3 +364,36 @@ def test_newton_step_budget(monkeypatch):
     assert sum(steps) <= 3
     bracket = max_gain_margin(2)
     assert (bracket.lower, bracket.certificate) == (0.0, None)
+
+
+def test_each_barrier_iterate_is_factored_once(monkeypatch):
+    # the factor of the trial the line search accepts serves the next Newton
+    # step and the next centering: one Cholesky per barrier evaluation that
+    # has none yet (191 when each iterate was factored twice), and M(x) is
+    # formed without np.tensordot
+    import midpredict.gainmargin as gm
+
+    factored, evaluations = [], []
+    cholesky, barrier = np.linalg.cholesky, gm._barrier
+
+    def counted_cholesky(a):
+        factored.append(a.shape)
+        return cholesky(a)
+
+    def counted_barrier(*args):
+        evaluations.append(len(args) < 5 or args[4] is None)
+        return barrier(*args)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("np.tensordot called in the solve")
+
+    monkeypatch.setattr(np.linalg, "cholesky", counted_cholesky)
+    monkeypatch.setattr(gm, "_barrier", counted_barrier)
+    monkeypatch.setattr(np, "tensordot", refused)
+    steps = _counted_newton_steps(monkeypatch)
+    bracket = max_gain_margin(2, tol=0.005)
+    assert bracket.lower == 0.06723790905061379
+    assert (sum(steps), len(steps)) == (64, 8)
+    assert len(factored) == sum(evaluations) == bracket.solver["choleskys"] <= 121
+    # only the two path starts come without a factor
+    assert len(evaluations) - sum(evaluations) == len(steps) - 2

@@ -481,6 +481,22 @@ def test_every_crossing_root_is_the_nearest_float_inside_its_interval(monkeypatc
         assert _value(f, below) * _value(f, above) < 0, (lo, hi, x)
 
 
+def test_no_crossing_root_costs_more_than_50_exact_signs(monkeypatch):
+    # a seed outside the root's interval (lo, hi] bisects the interval at
+    # once instead of galloping from a clamped end across about 2**46 floats
+    # (8 roots of gain_star(1..46) took 92 to 98 signs that way)
+    import midpredict.polynomials as polynomials
+
+    calls = _recorded(monkeypatch, margins, "refine_root")
+    signs = []
+    sign_at = polynomials.sign_at
+    monkeypatch.setattr(polynomials, "sign_at", lambda *args: signs.append(args) or sign_at(*args))
+    for args, root in calls:
+        signs.clear()
+        assert polynomials.refine_root(*args) == root
+        assert len(signs) <= 50, (args[1:], len(signs))
+
+
 def test_newton_seed_ends_well_within_its_budget_on_every_crossing_root(monkeypatch):
     # the same seed from budgets 12 and 13 as from the full budget: Newton
     # stopped within 12 steps rather than hopping between floats
