@@ -17,3 +17,7 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
 __version__ = "0.1.0"
+
+# the tunings of the bundled demo that simulate.demo_config builds; here, so
+# that the command line lists them without loading the model and its parser
+DEMO_VARIANTS = ("ahmed", "ours_N1", "ours_N5")

@@ -19,7 +19,7 @@ import os
 import sys
 import time
 
-from . import __version__
+from . import DEMO_VARIANTS, __version__
 
 __all__ = ["main", "dispatch", "emit_plot_script"]
 
@@ -100,15 +100,37 @@ def emit_plot_script(kind, data_path):
         fh.write(body)
 
 
-def _write_csv(path, schema, header_cols, rows):
+# rows per formatted block of a CSV table: one % format and one write each
+_BLOCK_ROWS = 1024
+
+
+def _write_csv(path, schema, header_cols, blocks):
+    """Write a version-tagged CSV from blocks, each a flat sequence of whole
+    rows' values, row after row, formatted with one % and written at once."""
+    # values are floats and small ints; %.17g round-trips each (0.1: 0.10000000000000001)
+    row = ",".join(["%.17g"] * len(header_cols)) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("# schema: %s\n" % schema)
         fh.write(",".join(header_cols) + "\n")
-        # rows hold floats and small ints; %.17g round-trips each (0.1: 0.10000000000000001)
-        template = ",".join(["%.17g"] * len(header_cols)) + "\n"
-        for row in rows:
-            fh.write(template % tuple(row))
+        for block in blocks:
+            values = tuple(block)
+            fh.write((row * (len(values) // len(header_cols))) % values)
     return path
+
+
+def _row_block(rows):
+    """The one block of a short table given as rows; no numpy."""
+    return [[v for r in rows for v in r]]
+
+
+def _column_blocks(*columns):
+    """Blocks of the table whose columns are float arrays, 1-D or 2-D, side
+    by side: only one block's rows exist as Python floats at a time."""
+    import numpy as np
+
+    for start in range(0, len(columns[0]), _BLOCK_ROWS):
+        stop = start + _BLOCK_ROWS
+        yield np.column_stack([c[start:stop] for c in columns]).ravel().tolist()
 
 
 def _write_spectrum_csv(path, result):
@@ -116,7 +138,7 @@ def _write_spectrum_csv(path, result):
         path,
         "spectrum.v1",
         ("re", "im", "multiplicity"),
-        [(float(s.real), float(s.imag), m) for s, m in result.roots],
+        _row_block((float(s.real), float(s.imag), m) for s, m in result.roots),
     )
 
 
@@ -125,13 +147,14 @@ def _write_partition_csv(path, partitions):
     for part in partitions:
         for (lo, hi), count in zip(part.intervals, part.unstable_counts):
             rows.append((part.n, float(lo), float(hi), count))
-    return _write_csv(path, "partition.v1", ("n", "delta_lo", "delta_hi", "unstable_count"), rows)
+    return _write_csv(
+        path, "partition.v1", ("n", "delta_lo", "delta_hi", "unstable_count"), _row_block(rows)
+    )
 
 
 def _write_gainmargin_csv(path, brackets):
-    return _write_csv(
-        path, "gainmargin.v1", ("n", "lower", "upper"), [(b.n, b.lower, b.upper) for b in brackets]
-    )
+    rows = [(b.n, b.lower, b.upper) for b in brackets]
+    return _write_csv(path, "gainmargin.v1", ("n", "lower", "upper"), _row_block(rows))
 
 
 def _cmd_synth(args):
@@ -252,12 +275,6 @@ def _cmd_design(args):
     print("dominant decay rate per time unit = %s" % _fmt(chain.sigma_star_per_t))
 
 
-def _trace_rows(trace):
-    import numpy as np
-
-    return np.column_stack([trace.times, trace.x, trace.e_chain, trace.e_pred]).tolist()
-
-
 def _trace_header(trace):
     states = ["x%d" % (i + 1) for i in range(trace.x.shape[1])]
     stages = ["e_stage%d" % (j + 1) for j in range(trace.e_chain.shape[1])]
@@ -292,7 +309,7 @@ def _cmd_simulate(args):
         os.path.join(args.outdir, "trace.csv"),
         "trace.v1",
         _trace_header(trace),
-        _trace_rows(trace),
+        _column_blocks(trace.times, trace.x, trace.e_chain, trace.e_pred),
     )
     emit_plot_script("error_norm", path)
     return {
@@ -372,7 +389,6 @@ def _cmd_repro(args):
     else:  # normError025 or normError050, the choices left
         import numpy as np
 
-        from .model import DEMO_VARIANTS
         from .simulate import run_demo_variant
 
         h = 0.25 if figure == "normError025" else 0.5
@@ -390,12 +406,11 @@ def _cmd_repro(args):
         table[:, 0] = np.arange(len(table)) * dt_common
         for i, column in enumerate(columns, start=1):
             table[: len(column), i] = column
-        rows = table.tolist()
         path = _write_csv(
             os.path.join(args.outdir, "%s.csv" % figure),
             "error-norms.v1",
             ("t",) + DEMO_VARIANTS,
-            rows,
+            _column_blocks(table),
         )
         emit_plot_script("error_norm", path)
         for tr, name in zip(traces, DEMO_VARIANTS):
@@ -406,8 +421,6 @@ def _cmd_repro(args):
 
 @functools.cache
 def _build_parser():
-    from .model import DEMO_VARIANTS
-
     parser = argparse.ArgumentParser(
         prog="midpredict",
         description="Design and validate high-gain sub-predictor chains for input-delayed systems.",

@@ -24,11 +24,13 @@ __all__ = [
     "ParseError",
     "UnknownNameError",
     "EvaluationError",
+    "DepthError",
     "Num",
     "Var",
     "Neg",
     "BinOp",
     "Call",
+    "MAX_DEPTH",
     "parse_expression",
     "eval_expression",
     "free_variables",
@@ -56,6 +58,11 @@ class UnknownNameError(ExpressionError):
 
 class EvaluationError(ExpressionError):
     pass
+
+
+class DepthError(ExpressionError):
+    """An expression deeper than MAX_DEPTH levels, or nested past the
+    parser's stack; the message gives its depth or its length."""
 
 
 @dataclass(frozen=True)
@@ -211,11 +218,48 @@ class _Parser:
         raise ParseError("expected a value", pos)
 
 
+# the most levels on a path from an expression's root to a leaf: one per
+# operation, and two more for a number at its end, which the kernel's emitter
+# writes with calls of its own (so x1 + 1 + ... + 1 of k terms is k + 1 deep).
+# free_variables and the emitter recurse once per level, and 988 is the
+# deepest field that `python -m midpredict simulate --config` walks within
+# Python's default limit of 1000 frames; a caller whose own stack is deeper
+# meets RecursionError sooner
+MAX_DEPTH = 988
+
+
+def _depth(node):
+    """Levels of the deepest leaf, as MAX_DEPTH counts them, without recursion."""
+    deepest, pending = 0, [(node, 0)]
+    while pending:
+        node, depth = pending.pop()
+        if isinstance(node, BinOp):
+            pending += [(node.left, depth + 1), (node.right, depth + 1)]
+        elif isinstance(node, Neg):
+            pending.append((node.operand, depth + 1))
+        elif isinstance(node, Call):
+            pending.append((node.arg, depth + 1))
+        else:
+            deepest = max(deepest, depth + 2 if isinstance(node, Num) else depth)
+    return deepest
+
+
 def parse_expression(src, allowed_vars):
-    """Parse ``src`` into an AST whose free variables lie in ``allowed_vars``."""
+    """Parse ``src`` into an AST whose free variables lie in ``allowed_vars``.
+
+    A tree more than MAX_DEPTH levels deep is refused with DepthError,
+    and so is text whose parentheses or calls nest past the parser's stack.
+    """
     if not src or not src.strip():
         raise ParseError("empty expression", 0)
-    return _Parser(_tokenize(src), allowed_vars).parse()
+    try:
+        node = _Parser(_tokenize(src), allowed_vars).parse()
+    except RecursionError:
+        raise DepthError("nests too deep to parse (%d characters)" % len(src)) from None
+    depth = _depth(node)
+    if depth > MAX_DEPTH:
+        raise DepthError("is %d levels deep, past the limit of %d" % (depth, MAX_DEPTH))
+    return node
 
 
 def free_variables(node):

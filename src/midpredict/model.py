@@ -14,7 +14,7 @@ import math
 import numbers
 from dataclasses import dataclass
 
-from .expressions import Node, eval_expression, free_variables, parse_expression
+from .expressions import DepthError, Node, eval_expression, free_variables, parse_expression
 
 __all__ = [
     "ModelError",
@@ -24,11 +24,7 @@ __all__ = [
     "parse_system_config",
     "load_system",
     "demo_system",
-    "DEMO_VARIANTS",
 ]
-
-# the tunings of the bundled demo that simulate.demo_config builds
-DEMO_VARIANTS = ("ahmed", "ours_N1", "ours_N5")
 
 
 class ModelError(ValueError):
@@ -81,6 +77,13 @@ def _finite_nonnegative(value):
     return isinstance(value, numbers.Real) and not isinstance(value, bool) and 0 <= value < math.inf
 
 
+def _parse_field(name, src, allowed_vars):
+    try:
+        return parse_expression(src, allowed_vars)
+    except DepthError as exc:
+        raise ModelError("field %s %s" % (name, exc)) from None
+
+
 def make_system(n, phi_sources, gamma, h, u_source="0"):
     """Build a CanonicalSystem from expression text.
 
@@ -105,8 +108,11 @@ def make_system(n, phi_sources, gamma, h, u_source="0"):
     if not _finite_nonnegative(h):
         raise ModelError("delay must be a finite, nonnegative number")
     state_vars = ["x%d" % (i + 1) for i in range(n)]
-    phi = tuple(parse_expression(src, state_vars + ["u"]) for src in phi_sources)
-    u_signal = parse_expression(u_source, ["t"])
+    phi = tuple(
+        _parse_field("phi[%d]" % i, src, state_vars + ["u"])
+        for i, src in enumerate(phi_sources, 1)
+    )
+    u_signal = _parse_field("u", u_source, ["t"])
     system = CanonicalSystem(
         n=n,
         phi=phi,

@@ -28,8 +28,9 @@ from itertools import chain
 
 import numpy as np
 
+from . import DEMO_VARIANTS
 from .expressions import compile_chain_run
-from .model import DEMO_VARIANTS, CanonicalSystem, demo_system
+from .model import CanonicalSystem, demo_system
 from .synthesis import GainVector, gain_star
 
 __all__ = [

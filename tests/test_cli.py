@@ -229,13 +229,30 @@ def test_simulate_field_past_the_nesting_limit_is_one_error_line(tmp_path, capsy
     assert err.endswith("); use fewer chained operations\n") and err.count("\n") == 1, err
 
 
-def test_simulate_runs_a_flat_sum_of_250_terms(tmp_path, capsys):
+@pytest.mark.parametrize("terms", [250, 900])
+def test_simulate_runs_a_flat_sum(tmp_path, capsys, terms):
     # a left operand of the same level is emitted without parentheses, so a
     # chain of terms does not nest
     config = tmp_path / "long.kv"
-    config.write_text('n = 1\nh = 0.5\nphi = ["%s"]\ngamma = [1.0]\n' % ("-x1" + "+1" * 249))
+    phi = "-x1" + "+1" * (terms - 1)
+    config.write_text('n = 1\nh = 0.5\nphi = ["%s"]\ngamma = [1.0]\n' % phi)
     assert run(tmp_path, "simulate", "--config", str(config), "--t-end", "1") == 0
-    capsys.readouterr()
+    assert capsys.readouterr().out.startswith("run 'config': ")
+
+
+@pytest.mark.parametrize("field, phi, u, message", [
+    ("phi[1]", ("-x1" + "+1" * 1499, "0"), "0", "is 1501 levels deep, past the limit of 988"),
+    ("phi[2]", ("-x1", "(" * 300 + "-x2" + ")" * 300), "0",
+     "nests too deep to parse (603 characters)"),
+    ("u", ("-x1", "-x2"), "t" + "*t" * 1500, "is 1500 levels deep, past the limit of 988"),
+])
+def test_simulate_field_past_the_depth_limit_is_named(tmp_path, capsys, field, phi, u, message):
+    # the tree walks recurse once per level, the parser once per group
+    config = tmp_path / "deep.kv"
+    config.write_text('n = 2\nh = 0.5\nphi = ["%s", "%s"]\ngamma = [1.0, 1.0]\nu = "%s"\n'
+                      % (phi + (u,)))
+    assert run(tmp_path, "simulate", "--config", str(config), "--t-end", "1") == 1
+    assert capsys.readouterr().err == "error: field %s %s\n" % (field, message)
 
 
 def test_simulate_requires_source(tmp_path, capsys):
@@ -474,6 +491,117 @@ def test_repro_error_norms_overlay_the_variants_on_the_coarsest_grid(tmp_path, c
     assert np.isfinite(table[table[:, 0] == 0.5, 1:]).all()
 
 
+def _csv_reference(schema, header, rows):
+    """A CSV's text written one row at a time, each value with %.17g."""
+    lines = ["# schema: %s" % schema, ",".join(header)]
+    lines += [",".join("%.17g" % v for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def test_csv_blocks_write_the_text_of_one_row_at_a_time(tmp_path):
+    from midpredict import cli
+
+    # two whole blocks and a part, of 1-D and 2-D columns
+    count = 2 * cli._BLOCK_ROWS + 7
+    rng = np.random.default_rng(31)
+    times = np.arange(count) * 0.001
+    wide = rng.standard_normal((count, 3)) * 10.0 ** rng.integers(-300, 300, (count, 3))
+    wide[:4] = [[0.0, -0.0, math.nan], [math.inf, -math.inf, 5e-324],
+                [1.7976931348623157e308, -2.2250738585072014e-308, 0.1], [1, -1, 1e16]]
+    last = np.where(times < 0.5, math.nan, rng.random(count))
+    header = ("t", "a", "b", "c", "d")
+    path = tmp_path / "t.csv"
+    cli._write_csv(str(path), "trace.v1", header, cli._column_blocks(times, wide, last))
+    rows = np.column_stack([times, wide, last]).tolist()
+    assert path.read_text() == _csv_reference("trace.v1", header, rows)
+    # rows of tuples are one block, ints written as ints
+    for rows in ([(1, 0.1, -0.0), (2, math.nan, 1e-310), (30, -2.5, 123456789012345678)], []):
+        cli._write_csv(str(path), "partition.v1", header[:3], cli._row_block(rows))
+        assert path.read_text() == _csv_reference("partition.v1", header[:3], rows)
+
+
+@pytest.mark.parametrize("argv, divergent", [
+    (("--variant", "ours_N5", "--h", "0.25", "--t-end", "1.5"), False),
+    (("--variant", "ahmed", "--h", "0.5"), True),
+])
+def test_trace_csv_is_the_text_of_one_row_at_a_time(tmp_path, capsys, monkeypatch, argv, divergent):
+    from midpredict import cli, simulate
+
+    traces = []
+    integrate = simulate.integrate
+
+    def recording(config):
+        traces.append(integrate(config))
+        return traces[-1]
+
+    monkeypatch.setattr(simulate, "integrate", recording)
+    assert run(tmp_path, "simulate", *argv) == 0
+    capsys.readouterr()
+    (trace,) = traces
+    assert trace.divergent is divergent
+    # e_pred is NaN before t = h; diverged, ahmed stops at 2 627 of 6 001 nodes
+    assert np.isnan(trace.e_pred[0])
+    assert len(trace.times) > cli._BLOCK_ROWS and len(trace.times) % cli._BLOCK_ROWS
+    rows = np.column_stack([trace.times, trace.x, trace.e_chain, trace.e_pred]).tolist()
+    expected = _csv_reference("trace.v1", cli._trace_header(trace), rows)
+    assert (tmp_path / "trace.csv").read_text() == expected
+
+
+def test_repro_error_norms_are_the_text_of_one_row_at_a_time(tmp_path, capsys, monkeypatch):
+    from midpredict import cli, simulate
+
+    traces = []
+    run_variant = simulate.run_demo_variant
+
+    def short(variant, h):
+        traces.append(run_variant(variant, h, t_end=6.0))
+        return traces[-1]
+
+    monkeypatch.setattr(simulate, "run_demo_variant", short)
+    assert run(tmp_path, "repro", "--figure", "normError025") == 0
+    capsys.readouterr()
+    dt = max(tr.metadata["dt"] for tr in traces)
+    columns = [tr.e_pred[:: round(dt / tr.metadata["dt"])].tolist() for tr in traces]
+    count = max(map(len, columns))
+    assert count > cli._BLOCK_ROWS and count % cli._BLOCK_ROWS
+    rows = [[k * dt] + [c[k] if k < len(c) else math.nan for c in columns] for k in range(count)]
+    expected = _csv_reference("error-norms.v1", ("t", "ahmed", "ours_N1", "ours_N5"), rows)
+    assert (tmp_path / "normError025.csv").read_text() == expected
+
+
+def test_writing_a_long_trace_holds_one_block_and_makes_no_garbage(tmp_path):
+    # the default-horizon ours_N5 trace: 60 001 rows of 9 values; written as
+    # one list per row, its write peaked at 20 MiB and ran the collector
+    import gc
+    import tracemalloc
+
+    from midpredict import cli
+
+    rng = np.random.default_rng(60)
+    count = 60_001
+    columns = (np.arange(count) * 0.001, rng.random((count, 2)), rng.random((count, 5)),
+               rng.random(count))
+    header = ("t", "x1", "x2") + tuple("e_stage%d" % j for j in range(1, 6)) + ("e_pred",)
+    collections = []
+
+    def note(phase, info):
+        if phase == "start":
+            collections.append(info["generation"])
+
+    gc.collect()
+    gc.callbacks.append(note)
+    tracemalloc.start()
+    try:
+        cli._write_csv(str(tmp_path / "trace.csv"), "trace.v1", header,
+                       cli._column_blocks(*columns))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        gc.callbacks.remove(note)
+    assert peak < 2 * 2 ** 20, peak
+    assert collections == []
+
+
 def test_emit_plot_script_missing_data(tmp_path):
     with pytest.raises(FileNotFoundError):
         emit_plot_script("spectrum", str(tmp_path / "absent.csv"))
@@ -666,6 +794,8 @@ runs += [(["margins", "--n", str(n)], 0) for n in range(1, 31)]
 for argv, code in runs:
     assert dispatch(["--outdir", outdir] + argv) == code, argv
     assert "numpy" not in sys.modules, argv
+    # nor the model and its expression parser, which the parser's variant list needs not
+    assert "midpredict.model" not in sys.modules, argv
 for argv in (["spectrum", "--n", "2", "--delta", "1"], ["gainmargin", "--n", "1"],
              ["simulate", "--variant", "ours_N5", "--t-end", "1"],
              ["compare", "--n", "2", "--h", "0.25", "--lambda", "2", "--L", "2,1",

@@ -6,7 +6,9 @@ import pytest
 from midpredict.expressions import (
     BinOp,
     Call,
+    DepthError,
     EvaluationError,
+    MAX_DEPTH,
     Neg,
     ParseError,
     UnknownNameError,
@@ -55,6 +57,32 @@ def test_syntax_error_has_position():
 def test_empty_expression_rejected():
     with pytest.raises(ParseError):
         parse_expression("   ", XU)
+
+
+@pytest.mark.parametrize("longest, deeper", [
+    # a level per operation, two more for a number at the end of the path
+    ("x1" + "*x1" * MAX_DEPTH, "x1" + "*x1" * (MAX_DEPTH + 1)),
+    ("x1" + "+1" * (MAX_DEPTH - 2), "x1" + "+1" * (MAX_DEPTH - 1)),
+    ("sin(x1)" + "+u" * (MAX_DEPTH - 1), "sin(1)" + "+u" * (MAX_DEPTH - 2)),
+], ids=["variables", "numbers", "calls"])
+def test_depth_limit_counts_the_levels_of_the_deepest_leaf(longest, deeper):
+    # the trees are not walked here: the test runner's stack is deeper than the CLI's
+    assert isinstance(parse_expression(longest, XU), BinOp)
+    with pytest.raises(DepthError, match="^is %d levels deep, past the limit of %d$"
+                       % (MAX_DEPTH + 1, MAX_DEPTH)):
+        parse_expression(deeper, XU)
+
+
+def test_grouped_terms_parse_shallow():
+    terms = "+".join(["(%s)" % "+".join(["x1"] * 50)] * 40)
+    assert eval_expression(parse_expression(terms, XU), {"x1": 0.5}) == 1000.0
+
+
+@pytest.mark.parametrize("src", ["(" * 2000 + "x1" + ")" * 2000, "sin(" * 1000 + "u" + ")" * 1000],
+                         ids=["parentheses", "calls"])
+def test_nesting_past_the_parser_stack_is_a_depth_error(src):
+    with pytest.raises(DepthError, match=r"^nests too deep to parse \(%d characters\)$" % len(src)):
+        parse_expression(src, XU)
 
 
 def test_tanh_at_zero():

@@ -19,7 +19,8 @@ from midpredict.spectrum import (
     qp_scale,
     roots_in_region,
 )
-from midpredict.synthesis import Quasipolynomial, gain_star, scale_gain
+from midpredict.margins import partition_for_gain, stability_partition
+from midpredict.synthesis import GainVector, Quasipolynomial, gain_star, scale_gain
 
 G2 = gain_star(2)
 QP2 = Quasipolynomial(2, G2.l, 1.0)
@@ -533,3 +534,64 @@ def test_located_multiple_roots_within_few_ulp(n):
         ulps = (2 if n in (2, 3) else 3) * math.ulp(root.real)
         with mpmath.workprec(200):
             assert abs(mpmath.mpf(root.real) - exact) <= ulps, (n, delta)
+
+
+def _disagreements(part, gain):
+    """Partition intervals whose midpoint count of spectrum roots with
+    Re s > 0 differs from margins' exact unstable count, as (delay, spectrum
+    count, margins count); a count refused for a root on the contour is
+    skipped. The box [0, B] x [-B, B], B = 1.01 max(1, sum |l_k|), holds
+    every root with Re s >= 0: there |s|^n <= |L(s)| (Cauchy's bound)."""
+    bound = 1.01 * max(1.0, sum(map(abs, gain.l)))
+    wrong = []
+    for (lo, hi), expected in zip(part.intervals, part.unstable_counts):
+        delay = 0.5 * (lo + hi)
+        try:
+            count, _ = count_roots_region(Quasipolynomial(gain.n, gain.l, delay),
+                                          (0.0, bound, -bound, bound))
+        except RootOnContourError:
+            continue
+        if count != expected:
+            wrong.append((delay, count, expected))
+    return wrong
+
+
+def test_spectrum_counts_the_unstable_roots_that_margins_proves():
+    # two engines, one verdict: a sampled winding number against the exact
+    # delay partition, at the middle of every interval of gain_star(1..16)
+    checked = 0
+    for n in range(1, 17):
+        part = stability_partition(n)
+        assert _disagreements(part, gain_star(n)) == [], n
+        checked += len(part.intervals)
+    assert checked == 183
+
+
+def _random_gains():
+    """Gain vectors of n <= 6 with entries +-10^U(-3, 1): the decorator for
+    a property that takes one."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    entry = st.builds(lambda sign, e: sign * 10.0 ** e, st.sampled_from((-1.0, 1.0)),
+                      st.floats(-3.0, 1.0))
+    gains = st.integers(1, 6).flatmap(
+        lambda n: st.lists(entry, min_size=n, max_size=n).map(lambda l: GainVector(l, n)))
+
+    def decorate(check):
+        return hypothesis.settings(
+            max_examples=16, derandomize=True, deadline=None, database=None,
+            suppress_health_check=list(hypothesis.HealthCheck))(hypothesis.given(gains)(check))
+
+    return decorate
+
+
+@_random_gains()
+def test_spectrum_and_margins_agree_on_random_gains(gain):
+    import hypothesis
+
+    try:
+        part = partition_for_gain(gain, delta_max=20.0)
+    except ValueError:
+        # a repeated root or a zero Routh pivot: margins gives no verdict
+        hypothesis.assume(False)
+    assert _disagreements(part, gain) == []
