@@ -33,7 +33,6 @@ __all__ = [
     "MAX_DEPTH",
     "parse_expression",
     "eval_expression",
-    "free_variables",
     "compile_chain_run",
     "FUNCTIONS",
 ]
@@ -221,10 +220,10 @@ class _Parser:
 # the most levels on a path from an expression's root to a leaf: one per
 # operation, and two more for a number at its end, which the kernel's emitter
 # writes with calls of its own (so x1 + 1 + ... + 1 of k terms is k + 1 deep).
-# free_variables and the emitter recurse once per level, and 988 is the
-# deepest field that `python -m midpredict simulate --config` walks within
-# Python's default limit of 1000 frames; a caller whose own stack is deeper
-# meets RecursionError sooner
+# the kernel's emitter recurses once per level, and 988 is the deepest field
+# that `python -m midpredict simulate --config` emits within Python's default
+# limit of 1000 frames; a caller whose own stack is deeper meets
+# RecursionError sooner when it simulates, though not when it parses
 MAX_DEPTH = 988
 
 
@@ -260,18 +259,6 @@ def parse_expression(src, allowed_vars):
     if depth > MAX_DEPTH:
         raise DepthError("is %d levels deep, past the limit of %d" % (depth, MAX_DEPTH))
     return node
-
-
-def free_variables(node):
-    if isinstance(node, Var):
-        return frozenset((node.name,))
-    if isinstance(node, Num):
-        return frozenset()
-    if isinstance(node, Neg):
-        return free_variables(node.operand)
-    if isinstance(node, Call):
-        return free_variables(node.arg)
-    return free_variables(node.left) | free_variables(node.right)
 
 
 def _div(a, b):
@@ -460,8 +447,10 @@ def compile_chain_run(nodes, signal, blocks, gains, h, m, dt, bound):
 
     def read_inputs(time, targets):
         """Lines setting every block's input at time t = ``time``."""
-        if "t" not in free_variables(signal):
+        try:
             return assign(targets, [_emit(signal, {})] * blocks)
+        except EvaluationError:  # the signal reads t
+            pass
         lines = ["_b = %s - %s" % (time, _literal(h))]
         for j, target in enumerate(targets):
             lines += ["_t = _b + %s" % _literal(j * h_e),

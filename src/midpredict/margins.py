@@ -66,18 +66,6 @@ class StabilityPartition:
         uppers = self.crossing_points[1:] + (self.delta_max,)
         return tuple(zip(self.crossing_points, uppers))
 
-    @property
-    def stable_intervals(self):
-        return tuple(
-            iv for iv, c in zip(self.intervals, self.unstable_counts) if c == 0
-        )
-
-    def count_at(self, delta):
-        for (lo, hi), c in zip(self.intervals, self.unstable_counts):
-            if lo < delta < hi:
-                return c
-        raise ValueError("delta is a crossing point or outside the partition")
-
 
 def _square(p):
     out = [0] * (2 * len(p) - 1)

@@ -14,12 +14,11 @@ import math
 import numbers
 from dataclasses import dataclass
 
-from .expressions import DepthError, Node, eval_expression, free_variables, parse_expression
+from .expressions import DepthError, Node, UnknownNameError, eval_expression, parse_expression
 
 __all__ = [
     "ModelError",
     "CanonicalSystem",
-    "check_triangular",
     "make_system",
     "parse_system_config",
     "load_system",
@@ -61,17 +60,6 @@ class CanonicalSystem:
         return eval_expression(self.u_signal, {"t": t})
 
 
-def check_triangular(system):
-    """True iff component i of phi only references x1..xi and u."""
-    if len(system.phi) != system.n:
-        raise ModelError("phi must have n entries")
-    for i, expr in enumerate(system.phi):
-        allowed = {"x%d" % (j + 1) for j in range(i + 1)} | {"u"}
-        if not free_variables(expr) <= allowed:
-            return False
-    return True
-
-
 def _finite_nonnegative(value):
     """True for a finite real number >= 0; a bool is not a number here."""
     return isinstance(value, numbers.Real) and not isinstance(value, bool) and 0 <= value < math.inf
@@ -89,8 +77,9 @@ def make_system(n, phi_sources, gamma, h, u_source="0"):
 
     n is an integer (not a bool), phi_sources a list or tuple of n strings,
     u_source a string, gamma n finite, nonnegative real numbers and h one.
-    Raises ModelError on a value of another type or range and on broken
-    invariants (triangularity).
+    Component i is parsed over x1..xi and u, so a field that reads a later
+    state is refused. Raises ModelError on a value of another type or range
+    and on a field that is not triangular.
     """
     if not isinstance(n, numbers.Integral) or isinstance(n, bool):
         raise ModelError("n must be an integer")
@@ -108,21 +97,24 @@ def make_system(n, phi_sources, gamma, h, u_source="0"):
     if not _finite_nonnegative(h):
         raise ModelError("delay must be a finite, nonnegative number")
     state_vars = ["x%d" % (i + 1) for i in range(n)]
-    phi = tuple(
-        _parse_field("phi[%d]" % i, src, state_vars + ["u"])
-        for i, src in enumerate(phi_sources, 1)
-    )
-    u_signal = _parse_field("u", u_source, ["t"])
-    system = CanonicalSystem(
+    phi = []
+    for i, src in enumerate(phi_sources, 1):
+        try:
+            phi.append(_parse_field("phi[%d]" % i, src, state_vars[:i] + ["u"]))
+        except UnknownNameError as exc:
+            if exc.name not in state_vars:
+                raise
+            # a field's other fault, such as a call x2(...), is reported first
+            _parse_field("phi[%d]" % i, src, state_vars + ["u"])
+            raise ModelError(
+                "field is not triangular: component i may use x1..xi and u only") from None
+    return CanonicalSystem(
         n=n,
-        phi=phi,
+        phi=tuple(phi),
         gamma=tuple(float(g) for g in gamma),
         h=float(h),
-        u_signal=u_signal,
+        u_signal=_parse_field("u", u_source, ["t"]),
     )
-    if not check_triangular(system):
-        raise ModelError("field is not triangular: component i may use x1..xi and u only")
-    return system
 
 
 def parse_system_config(text):

@@ -295,5 +295,5 @@ def design_chain(n, gamma_phi, h, gamma_m):
         lambda_star=lambda_star,
         N=stages,
         lam=lam,
-        sigma_star_per_t=sigma_star(n) * lam,
+        sigma_star_per_t=gain_star(n).sigma_star * lam,
     )

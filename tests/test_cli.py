@@ -73,6 +73,14 @@ def test_design_benchmark(tmp_path, capsys):
     assert "lambda = 20" in out
 
 
+def test_design_sizes_the_largest_gain_dimension(tmp_path, capsys):
+    assert run(tmp_path, "design", "--n", "46", "--gamma-phi", "1", "--h", "1",
+               "--gamma-m", "0.1") == 0
+    assert capsys.readouterr().out == (
+        "threshold gain lambda_star = 10\nsub-predictors N = 10\nscalar gain lambda = 10\n"
+        "dominant decay rate per time unit = -0.310935\n")
+
+
 def test_design_certifies_the_gain_margin_when_none_is_given(tmp_path, capsys, monkeypatch):
     from midpredict import gainmargin
 
@@ -247,12 +255,27 @@ def test_simulate_runs_a_flat_sum(tmp_path, capsys, terms):
     ("u", ("-x1", "-x2"), "t" + "*t" * 1500, "is 1500 levels deep, past the limit of 988"),
 ])
 def test_simulate_field_past_the_depth_limit_is_named(tmp_path, capsys, field, phi, u, message):
-    # the tree walks recurse once per level, the parser once per group
+    # the kernel's emitter recurses once per level, the parser once per group
     config = tmp_path / "deep.kv"
     config.write_text('n = 2\nh = 0.5\nphi = ["%s", "%s"]\ngamma = [1.0, 1.0]\nu = "%s"\n'
                       % (phi + (u,)))
     assert run(tmp_path, "simulate", "--config", str(config), "--t-end", "1") == 1
     assert capsys.readouterr().err == "error: field %s %s\n" % (field, message)
+
+
+@pytest.mark.parametrize("phi, message", [
+    (("x2", "0"), "field is not triangular: component i may use x1..xi and u only"),
+    (("y", "0"), "unknown identifier 'y' (at position 0)"),
+    (("0", "x3"), "unknown identifier 'x3' (at position 0)"),
+    (("x2(1)", "0"), "unknown identifier 'x2' (at position 0)"),
+    # component 1 reads x2 before component 2, with its y, is parsed
+    (("x2", "y"), "field is not triangular: component i may use x1..xi and u only"),
+])
+def test_simulate_config_field_fault_is_named(tmp_path, capsys, phi, message):
+    config = tmp_path / "fault.kv"
+    config.write_text('n = 2\nh = 1.0\nphi = ["%s", "%s"]\ngamma = [0.0, 0.0]\n' % phi)
+    assert run(tmp_path, "simulate", "--config", str(config)) == 1
+    assert capsys.readouterr().err == "error: %s\n" % message
 
 
 def test_simulate_requires_source(tmp_path, capsys):
@@ -354,6 +377,9 @@ def test_simulate_config_manifest_records_the_options_it_read(tmp_path, capsys):
     (("compare", "--n", "2", "--h", "0.25", "--lambda", "1e200", "--L", "2,1",
       "--gamma-phi", "1.1", "--gamma-m", "1"),
      "lam 1e+200, h 0.25 and gamma_phi 1.1 take the first recipe's terms past the float range"),
+    # the stage gains exist up to n = 46, though q's roots are known further
+    (("design", "--n", "47", "--gamma-phi", "1", "--h", "1", "--gamma-m", "0.1"),
+     "dimension must be in 1..46"),
 ])
 def test_boundary_inputs_name_the_bad_value(tmp_path, capsys, argv, message):
     assert run(tmp_path, *argv) == 1

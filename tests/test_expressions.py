@@ -17,7 +17,6 @@ from midpredict.expressions import (
     _emit,
     _source,
     eval_expression,
-    free_variables,
     parse_expression,
 )
 from oracles import to_source
@@ -37,7 +36,6 @@ def test_parse_function_call():
 
 def test_parse_demo_second_component():
     ast = parse_expression("-x1 + 0.5*tanh(x1+x2) + x1*u", XU)
-    assert free_variables(ast) == {"x1", "x2", "u"}
     value = eval_expression(ast, {"x1": 1.0, "x2": 0.0, "u": 0.0})
     assert value == pytest.approx(-1.0 + 0.5 * math.tanh(1.0), abs=1e-15)
 

@@ -151,14 +151,19 @@ def _root_near(gain, w, delta):
     return s
 
 
+def _counts_at(part, delta):
+    """The unstable-root counts of the intervals open around delta."""
+    return [c for (lo, hi), c in zip(part.intervals, part.unstable_counts) if lo < delta < hi]
+
+
 def test_partition_n2():
     part = stability_partition(2)
     assert part.crossing_points[0] == 0.0
     assert part.crossing_points[1] == pytest.approx(2.5236, abs=1e-3)
     assert part.unstable_counts[0] == 0
     assert part.unstable_counts[1] == 2
-    assert part.stable_intervals[0][0] == 0.0
-    assert part.count_at(1.0) == 0
+    assert part.intervals[0] == (0.0, part.crossing_points[1])
+    assert _counts_at(part, 1.0) == [0]
 
 
 def test_partition_counts_match_winding():
@@ -191,7 +196,7 @@ def test_partition_delta_one_stable_through_dimension_eight():
     for n in range(1, 9):
         part = stability_partition(n)
         assert part.crossing_points[1] > 1.0
-        assert part.count_at(1.0) == 0
+        assert _counts_at(part, 1.0) == [0]
 
 
 def test_partition_n23_second_interval_contains_one():
@@ -231,7 +236,7 @@ def test_exact_unstable_count_beyond_dimension_26():
     # np.roots overcounts from n = 27; the exact Routh count stays at 2
     for n in range(27, 31):
         assert unstable_root_count(delay_free_poly(gain_star(n))) == 2, n
-        assert stability_partition(n).count_at(1.0) == 0, n
+        assert _counts_at(stability_partition(n), 1.0) == [0], n
 
 
 def test_partition_keeps_its_crossing_set():

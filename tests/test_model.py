@@ -6,12 +6,11 @@ import pytest
 from midpredict import expressions
 from midpredict.model import (
     ModelError,
-    check_triangular,
     demo_system,
     make_system,
     parse_system_config,
 )
-from oracles import canonical_weights, dilate, shift_map
+from oracles import canonical_weights, dilate
 
 RNG = np.random.default_rng(20240811)
 
@@ -41,52 +40,32 @@ def test_dilate_rejects_nonpositive_scale():
         dilate((1, 2), 0.0, [1.0, 2.0])
 
 
-def test_dilate_group_law_randomized():
-    for _ in range(200):
-        n = int(RNG.integers(1, 7))
-        r = RNG.uniform(0.2, 3.0, n)
-        x = RNG.standard_normal(n)
-        lam, mu = RNG.uniform(0.2, 5.0, 2)
-        left = dilate(r, mu, dilate(r, lam, x))
-        right = dilate(r, mu * lam, x)
-        assert np.allclose(left, right, rtol=1e-12, atol=1e-300)
-
-
-def test_shift_commutation_randomized():
-    # the up-shift map gains exactly one dilation power under scaling
-    for _ in range(200):
-        n = int(RNG.integers(1, 8))
-        r = canonical_weights(n)
-        x = RNG.standard_normal(n)
-        lam = RNG.uniform(0.1, 10.0)
-        left = shift_map(dilate(r, lam, x))
-        right = lam * dilate(r, lam, shift_map(x))
-        assert np.allclose(left, right, rtol=1e-12, atol=1e-250)
-
-
 def test_check_triangular_demo():
-    assert check_triangular(demo_system()) is True
+    # the demo's second component reads x2, which component 1 may not
+    demo = "-x1 + 0.5*tanh(x1+x2) + x1*u"
+    assert make_system(2, ["0", demo], [0.0, 1.1], 0.25).phi == demo_system().phi
+    with pytest.raises(ModelError, match="not triangular"):
+        make_system(2, [demo, "0"], [0.0, 1.1], 0.25)
 
 
 def test_check_triangular_rejects_upper_dependence():
-    from midpredict.expressions import parse_expression
-    from midpredict.model import CanonicalSystem
-
-    system = CanonicalSystem(
-        n=2,
-        phi=(parse_expression("x2", ["x1", "x2", "u"]), parse_expression("0", [])),
-        gamma=(0.0, 0.0),
-        h=0.1,
-        u_signal=parse_expression("0", ["t"]),
-    )
-    assert check_triangular(system) is False
-    with pytest.raises(ModelError):
+    # component i is parsed over x1..xi and u; a name past xn is unknown
+    with pytest.raises(ModelError, match="^field is not triangular: component i may use "
+                       "x1..xi and u only$"):
         make_system(2, ["x2", "0"], [0.0, 0.0], 0.1)
+    with pytest.raises(expressions.UnknownNameError, match="'x3'"):
+        make_system(2, ["x1", "x3"], [0.0, 0.0], 0.1)
 
 
 def test_check_triangular_constant_field():
     sys3 = make_system(3, ["0", "0", "0"], [0.0, 0.0, 0.0], 0.0)
-    assert check_triangular(sys3) is True
+    assert sys3.phi == (expressions.Num(0.0),) * 3
+
+
+def test_a_field_at_the_depth_limit_builds_at_any_caller_depth():
+    # building walks no tree recursively: only the kernel's emitter does
+    system = make_system(1, ["x1" + "*x1" * (expressions.MAX_DEPTH - 1)], [0.0], 0.5)
+    assert system.n == 1
 
 
 def test_demo_system_shape():

@@ -174,7 +174,7 @@ def test_stable_delay_interval_maps_to_stable_gain():
     from midpredict.margins import stability_partition
 
     part = stability_partition(2)
-    lo, hi = part.stable_intervals[0]
+    lo, hi = part.intervals[part.unstable_counts.index(0)]
     for delta, h in ((0.7, 0.37), (2.0, 1.3)):
         assert lo < delta < hi
         lam = delta / h
